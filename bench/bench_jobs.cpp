@@ -1,11 +1,13 @@
-// Overhead and correctness of the job layer: the same 6-run grid executes
-// (a) inline (plain run_qaoa, the pre-job-layer reference), (b) through
-// JobService with every job under one tenant (the deficit-round-robin queue
-// degenerates to FIFO), and (c) through JobService split across two tenants
-// (DRR actually interleaving). Reports the DRR/FIFO wall-clock ratio — the
-// price of fair scheduling, gated against bench/baselines/BENCH_jobs.json —
-// verifies both service runs are bit-identical to the inline reference, and
-// checks the scheduler's fair-share pop order deterministically.
+// Throughput, overhead and correctness of the job layer: the same 6-run grid
+// executes (a) inline (plain run_qaoa, the pre-job-layer reference), (b)
+// through JobService with every job under one tenant (the deficit-round-robin
+// queue degenerates to FIFO), and (c) through JobService split across two
+// tenants (DRR actually interleaving). Reports the inline/FIFO wall-clock
+// speedup — the service pool's throughput floor — and the DRR/FIFO ratio —
+// the price of fair scheduling — both gated against
+// bench/baselines/BENCH_jobs.json, verifies both service runs are
+// bit-identical to the inline reference, and checks the scheduler's
+// fair-share pop order deterministically.
 //
 //   bench_jobs [workers]             (default 4)
 //   HGP_SHOTS / HGP_EVALS            scale the per-run budget (smoke mode)
@@ -127,6 +129,7 @@ int main(int argc, char** argv) {
     identical = same_result(fifo[i], plain[i]) && same_result(drr[i], plain[i]);
 
   const bool fairness = fair_pop_order();
+  const double speedup = fifo_s > 0.0 ? plain_s / fifo_s : 0.0;
   const double overhead = fifo_s > 0.0 ? drr_s / fifo_s : 0.0;
 
   for (std::size_t i = 0; i < jobs.size(); ++i)
@@ -134,8 +137,9 @@ int main(int argc, char** argv) {
                 100.0 * drr[i].ar, drr[i].optimizer.evaluations);
   std::printf("\nplain %.3f s | fifo (1 tenant) %.3f s | drr (2 tenants) %.3f s\n",
               plain_s, fifo_s, drr_s);
-  std::printf("scheduler overhead %.3fx | bit-identical: %s | fair pop order: %s\n",
-              overhead, identical ? "yes" : "NO", fairness ? "yes" : "NO");
+  std::printf("pool speedup %.2fx | scheduler overhead %.3fx | bit-identical: %s | "
+              "fair pop order: %s\n",
+              speedup, overhead, identical ? "yes" : "NO", fairness ? "yes" : "NO");
 
   std::ofstream json("BENCH_jobs.json");
   json << "{\n"
@@ -147,6 +151,7 @@ int main(int argc, char** argv) {
        << "  \"plain_s\": " << plain_s << ",\n"
        << "  \"fifo_s\": " << fifo_s << ",\n"
        << "  \"drr_s\": " << drr_s << ",\n"
+       << "  \"speedup\": " << speedup << ",\n"
        << "  \"overhead_ratio\": " << overhead << ",\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
        << "  \"fair_pop_order\": " << (fairness ? "true" : "false") << "\n"

@@ -1,5 +1,5 @@
 // Table II as a service workload: queue a small model × optimizer grid onto
-// one serve::SweepRunner and stream the results. Every run's optimizer
+// one serve::JobService and await the outcomes. Every run's optimizer
 // candidates and all concurrent runs share the worker pool and the
 // compiled-block cache, so identical gate blocks compile once for the whole
 // grid — the per-evaluation cost drops to the parameter-bearing blocks.
@@ -13,7 +13,7 @@
 #include "backend/presets.hpp"
 #include "common/table.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace hgp;
@@ -36,15 +36,26 @@ int main(int argc, char** argv) {
       core::RunConfig cfg;
       cfg.max_evaluations = evals;
       cfg.optimizer = optimizer;
-      cfg.executor_threads = 1;  // the sweep pool provides the parallelism
+      cfg.executor_threads = 1;  // the service pool provides the parallelism
       jobs.push_back(
           {{core::model_name(kind) + "/" + optimizer, instance, &dev, kind, cfg}});
     }
   }
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{workers, 8192});
+  serve::JobService svc(serve::JobService::Options{workers, 8192});
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<core::RunResult> results = runner.run_all(jobs);
+  std::vector<serve::JobHandle> handles;
+  for (const serve::JobRequest& job : jobs) handles.push_back(svc.submit(job));
+  std::vector<core::RunResult> results;
+  for (const serve::JobHandle& handle : handles) {
+    const serve::JobOutcome outcome = handle.outcome.get();
+    if (outcome.state != serve::JobState::Completed) {
+      std::fprintf(stderr, "job %llu ended %s: %s\n", static_cast<unsigned long long>(handle.id),
+                   serve::job_state_name(outcome.state).c_str(), outcome.error.message.c_str());
+      return 1;
+    }
+    results.push_back(outcome.result);
+  }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -56,9 +67,9 @@ int main(int argc, char** argv) {
                    std::to_string(results[i].makespan_dt)});
   std::printf("%s\n", table.str().c_str());
 
-  const serve::BlockCache::Stats cache = runner.cache_stats();
+  const serve::BlockCache::Stats cache = svc.cache_stats();
   std::printf("%zu runs in %.2f s on %zu workers\n", jobs.size(), elapsed,
-              runner.service().num_workers());
+              svc.service().num_workers());
   std::printf("shared block cache: %llu hits / %llu misses (hit rate %.1f%%)\n",
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses), 100.0 * cache.hit_rate());

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "core/fusion.hpp"
@@ -291,6 +292,15 @@ struct LaneWorkspace {
   std::vector<std::pair<double, std::size_t>> clean;
 };
 
+/// Compress measured bits out of a local-register basis index: bit i of the
+/// result is local qubit measure_local[i], run()'s counts key.
+std::uint64_t map_bits(std::uint64_t bits, const CompiledProgram& cp) {
+  std::uint64_t mapped = 0;
+  for (std::size_t i = 0; i < cp.measure_local.size(); ++i)
+    if ((bits >> cp.measure_local[i]) & 1) mapped |= (std::uint64_t{1} << i);
+  return mapped;
+}
+
 /// Readout confusion on one sampled outcome: one bernoulli per measured bit
 /// from the shot's stream. Shared by the scalar and lane-batched engines.
 std::uint64_t apply_readout_flips(std::uint64_t bits, const CompiledProgram& cp,
@@ -303,6 +313,60 @@ std::uint64_t apply_readout_flips(std::uint64_t bits, const CompiledProgram& cp,
     if (rng.bernoulli(p_flip)) bits ^= (std::uint64_t{1} << lq);
   }
   return bits;
+}
+
+/// Readout confusion folded exactly into a table over the 2^m measured
+/// outcomes, as the per-measured-bit stochastic 2x2 map
+/// M = [[1 - p(1|0), p(0|1)], [p(1|0), 1 - p(0|1)]]. A distribution folds
+/// forward (p' = M p); a value table folds through the transpose
+/// (v' = M^T v), since E[v(readout(b))] mixes the values of b's confusion
+/// partners. Every entry is m_r0 * x0 + m_r1 * x1 in that order, so each
+/// caller keeps the rounding it had under -ffp-contract=off.
+void fold_readout(std::vector<double>& table, const CompiledProgram& cp,
+                  const noise::NoiseModel& nm, bool transpose) {
+  for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
+    const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
+    const double m00 = 1.0 - re.p1_given_0, m11 = 1.0 - re.p0_given_1;
+    const double m01 = transpose ? re.p1_given_0 : re.p0_given_1;
+    const double m10 = transpose ? re.p0_given_1 : re.p1_given_0;
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    for (std::uint64_t idx = 0; idx < table.size(); ++idx) {
+      if (idx & bit) continue;
+      const double x0 = table[idx], x1 = table[idx | bit];
+      table[idx] = m00 * x0 + m01 * x1;
+      table[idx | bit] = m10 * x0 + m11 * x1;
+    }
+  }
+}
+
+/// A diagonal objective tabulated once per evaluation: `value` over the 2^m
+/// measured outcomes (keyed like run()'s counts), plus the per-basis-state
+/// lookup of the local register that the state reductions index — the value
+/// itself for Expectation, the measured outcome for CVaR.
+struct OutcomeTables {
+  std::vector<double> value;
+  std::vector<double> local_value;
+  std::vector<std::uint32_t> local_outcome;
+};
+
+/// Non-null `readout` folds that model's readout confusion into the
+/// Expectation values before the local lookup is built.
+OutcomeTables tabulate(const CompiledProgram& cp, const ObjectiveSpec& spec,
+                       const noise::NoiseModel* readout) {
+  OutcomeTables t;
+  t.value.resize(std::size_t{1} << cp.measure_local.size());
+  for (std::uint64_t j = 0; j < t.value.size(); ++j) t.value[j] = spec.value(j);
+  const std::size_t dim = std::size_t{1} << cp.touched.size();
+  if (spec.kind == ObjectiveKind::Expectation) {
+    if (readout) fold_readout(t.value, cp, *readout, /*transpose=*/true);
+    t.local_value.resize(dim);
+    for (std::uint64_t i = 0; i < dim; ++i) t.local_value[i] = t.value[map_bits(i, cp)];
+  } else {
+    t.local_outcome.resize(dim);
+    for (std::uint64_t i = 0; i < dim; ++i)
+      t.local_outcome[i] = static_cast<std::uint32_t>(map_bits(i, cp));
+  }
+  return t;
 }
 
 /// Fixed-grid batch scheduler shared by every trajectory reduction: run
@@ -336,6 +400,53 @@ void for_each_batch(std::size_t num_batches, std::size_t num_threads, Fn&& fn) {
   }
   for (std::thread& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::size_t shot_batches(std::size_t shots) {
+  return (shots + kShotsPerBatch - 1) / kShotsPerBatch;
+}
+
+template <typename State>
+std::unique_ptr<State> make_state(std::size_t num_qubits, std::size_t lanes) {
+  if constexpr (std::is_same_v<State, sim::Statevector>)
+    return std::make_unique<State>(num_qubits);
+  else
+    return std::make_unique<State>(num_qubits, lanes);
+}
+
+/// The trajectory shot grid, the one loop behind run() and
+/// run_expectation(). One parent draw seeds it: the caller's Rng advances by
+/// exactly one step regardless of shots, batches, lanes, or thread count,
+/// and shot s owns Rng::child(base, s), so results depend only on
+/// (base, shots), not on how shots group into thread batches or lockstep
+/// lanes. Each batch of the fixed grid walks groups of shot_batch_lanes
+/// shots on one reused full-width State, plus a tail-width one when the
+/// batch does not divide evenly. The cancel token is polled at every batch
+/// and group boundary, so a cancelled run throws within one group whatever
+/// the shot budget. group(b, state, base, first_shot) does batch b's work
+/// for the shots from first_shot on, one per lane of the reset state.
+template <typename State, typename Group>
+void for_each_lane_group(const ExecutorOptions& options, std::size_t num_qubits,
+                         std::size_t shots, Rng& rng, Group&& group) {
+  const std::uint64_t base = rng.next_u64();
+  const std::size_t lanes = std::max<std::size_t>(1, options.shot_batch_lanes);
+  const CancelToken* tok = options.cancel.get();
+  for_each_batch(shot_batches(shots), options.num_threads, [&](std::size_t b) {
+    if (tok) tok->check();
+    const std::size_t first = b * kShotsPerBatch;
+    const std::size_t count = std::min(kShotsPerBatch, shots - first);
+    std::unique_ptr<State> full, tail;
+    for (std::size_t g = 0; g < count; g += lanes) {
+      if (tok) tok->check();
+      const std::size_t nl = std::min(lanes, count - g);
+      std::unique_ptr<State>& state = nl < lanes ? tail : full;
+      if (state)
+        state->reset();
+      else
+        state = make_state<State>(num_qubits, nl);
+      group(b, *state, base, first + g);
+    }
+  });
 }
 
 /// Delta-compilation equality for candidate-lane batching: two ops share a
@@ -641,19 +752,21 @@ CompiledProgram Executor::compile_program(const Program& program,
   return cp;
 }
 
-std::uint64_t Executor::map_bits(std::uint64_t bits, const CompiledProgram& cp) {
-  std::uint64_t mapped = 0;
-  for (std::size_t i = 0; i < cp.measure_local.size(); ++i)
-    if ((bits >> cp.measure_local[i]) & 1) mapped |= (std::uint64_t{1} << i);
-  return mapped;
+sim::Statevector Executor::evolve_noiseless(const CompiledProgram& cp) {
+  // Fuse the timeline into fewer, bigger kernels. The noisy engines keep the
+  // unfused timeline: fusion would change the FP rounding of the amplitudes
+  // feeding every branch probability, and with it the RNG consumption
+  // pattern.
+  const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
+                                          key_prefix_, dev_.fingerprint());
+  report_.fused_block_count = fr.program.timeline.size();
+  sim::Statevector sv(cp.touched.size());
+  for (const Scheduled& s : fr.program.timeline) sv.apply_matrix(s.block.unitary, s.local);
+  return sv;
 }
 
-sim::Counts Executor::run_noiseless(const CompiledProgram& cp, std::size_t shots,
-                                    Rng& rng) const {
-  // Noiseless execution is deterministic — evolve once, sample.
-  sim::Statevector sv(cp.touched.size());
-  for (const Scheduled& s : cp.timeline) sv.apply_matrix(s.block.unitary, s.local);
-  const sim::Counts local_counts = sv.sample(shots, rng);
+sim::Counts Executor::run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng) {
+  const sim::Counts local_counts = evolve_noiseless(cp).sample(shots, rng);
   sim::Counts out;
   for (const auto& [bits, n] : local_counts) out[map_bits(bits, cp)] += n;
   return out;
@@ -926,59 +1039,26 @@ void Executor::run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector
 
 sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t shots,
                                        Rng& rng) const {
-  const std::size_t num_batches = (shots + kShotsPerBatch - 1) / kShotsPerBatch;
-  // One parent draw seeds the whole shot grid: the caller's Rng advances by
-  // exactly one step regardless of shots, batches, lanes, or thread count.
-  // Every shot then owns Rng::child(base, shot_index), so the counts depend
-  // only on (base, shots) — not on how shots are grouped into thread batches
-  // or lockstep lanes.
-  const std::uint64_t base = rng.next_u64();
-  const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, options_.shot_batch_lanes);
-
-  std::vector<sim::Counts> batch_counts(num_batches);
-  const CancelToken* tok = options_.cancel.get();
-  auto run_batch = [&](std::size_t b) {
-    // Cancellation checkpoint at every batch boundary: a cancelled run's
-    // remaining batches throw instead of simulating, so the pool worker is
-    // freed within one batch regardless of the shot budget.
-    if (tok) tok->check();
-    const std::size_t first = b * kShotsPerBatch;
-    const std::size_t count = std::min(kShotsPerBatch, shots - first);
-    if (lanes <= 1) {
-      // Scalar fallback: one shot at a time on a reused statevector.
-      sim::Statevector sv(cp.touched.size());
-      for (std::size_t s = 0; s < count; ++s) {
-        if (tok) tok->check();
-        if (s != 0) sv.reset();
-        Rng shot_rng = Rng::child(base, first + s);
-        run_one_shot(cp, sv, shot_rng, batch_counts[b]);
-      }
-      ExecMetrics::get().shots.inc(count);
-      return;
-    }
-    // Lane-parallel: lockstep groups of `lanes` shots; the (reused) full
-    // group state plus one tail-sized state when count % lanes != 0.
-    std::unique_ptr<sim::BatchedStatevector> full;
-    for (std::size_t g = 0; g < count; g += lanes) {
-      if (tok) tok->check();
-      const std::size_t nl = std::min(lanes, count - g);
-      if (nl == lanes) {
-        if (full)
-          full->reset();
-        else
-          full = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), lanes);
-        run_lane_group(cp, *full, base, first + g, batch_counts[b]);
-      } else {
-        sim::BatchedStatevector tail(cp.touched.size(), nl);
-        run_lane_group(cp, tail, base, first + g, batch_counts[b]);
-      }
-    }
-  };
-
+  const std::size_t lanes = options_.shot_batch_lanes;
+  std::vector<sim::Counts> batch_counts(shot_batches(shots));
   // Throughput gauges cover the whole shot grid (all batches, all threads);
   // the clock is read only while telemetry is live.
   const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-  for_each_batch(num_batches, options_.num_threads, run_batch);
+  if (lanes <= 1) {
+    // Scalar reference engine: one shot at a time on a reused statevector.
+    for_each_lane_group<sim::Statevector>(
+        options_, cp.touched.size(), shots, rng,
+        [&](std::size_t b, sim::Statevector& sv, std::uint64_t base, std::size_t shot) {
+          Rng shot_rng = Rng::child(base, shot);
+          run_one_shot(cp, sv, shot_rng, batch_counts[b]);
+          ExecMetrics::get().shots.inc();
+        });
+  } else {
+    for_each_lane_group<sim::BatchedStatevector>(
+        options_, cp.touched.size(), shots, rng,
+        [&](std::size_t b, sim::BatchedStatevector& bsv, std::uint64_t base,
+            std::size_t first) { run_lane_group(cp, bsv, base, first, batch_counts[b]); });
+  }
   if (t0 != 0) {
     const double secs = static_cast<double>(obs::now_ns() - t0) * 1e-9;
     if (secs > 0.0) {
@@ -1040,20 +1120,7 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
   std::vector<double> p(std::size_t{1} << cp.measure_local.size(), 0.0);
   for (std::uint64_t i = 0; i < p_full.size(); ++i) p[map_bits(i, cp)] += p_full[i];
 
-  // Readout confusion folds in exactly as a per-bit stochastic 2x2 map.
-  if (options_.readout_error) {
-    for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
-      const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
-      const std::uint64_t bit = std::uint64_t{1} << i;
-      for (std::uint64_t idx = 0; idx < p.size(); ++idx) {
-        if (idx & bit) continue;
-        const double p0 = p[idx], p1 = p[idx | bit];
-        p[idx] = (1.0 - re.p1_given_0) * p0 + re.p0_given_1 * p1;
-        p[idx | bit] = re.p1_given_0 * p0 + (1.0 - re.p0_given_1) * p1;
-      }
-    }
-  }
-
+  if (options_.readout_error) fold_readout(p, cp, nm, /*transpose=*/false);
   return p;
 }
 
@@ -1082,16 +1149,7 @@ sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
 
-  if (!noisy) {
-    // Deterministic-unitary path: fuse the timeline into fewer, bigger
-    // kernels. Noisy engines below keep the unfused timeline — fusion would
-    // change the FP rounding of the amplitudes feeding every branch
-    // probability, and with it the RNG consumption pattern.
-    const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
-                                            key_prefix_, dev_.fingerprint());
-    report_.fused_block_count = fr.program.timeline.size();
-    return run_noiseless(fr.program, shots, rng);
-  }
+  if (!noisy) return run_noiseless(cp, shots, rng);
   if (density) return run_exact_density(cp, shots, rng);
   return run_trajectories(cp, shots, rng);
 }
@@ -1118,172 +1176,95 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
 
-  // Tabulate the diagonal observable once over the 2^m measured outcomes,
-  // keyed exactly like run()'s counts.
-  const std::size_t mdim = std::size_t{1} << cp.measure_local.size();
-  std::vector<double> vt(mdim);
-  for (std::uint64_t j = 0; j < mdim; ++j) vt[j] = spec.value(j);
+  const noise::NoiseModel& nm = dev_.noise_model();
+  const bool expectation = spec.kind == ObjectiveKind::Expectation;
+  // Trajectory shots reduce exactly, so their readout confusion commutes
+  // into the value table (folded once instead of per shot); every other
+  // engine folds it into the distribution.
+  const OutcomeTables t =
+      tabulate(cp, spec, noisy && !density && options_.readout_error ? &nm : nullptr);
+  const std::size_t mdim = t.value.size();
 
+  // CVaR: the outcome distribution the tail is taken over.
+  std::vector<double> p;
   if (density) {
     // Exact objective over the folded distribution — no stochastic element.
-    const std::vector<double> p = density_distribution(cp);
-    if (spec.kind == ObjectiveKind::CVaR)
-      return mit::cvar_from_distribution(p, vt, spec.cvar_alpha, spec.cvar_maximize);
-    double num = 0.0, den = 0.0;
-    for (std::size_t j = 0; j < mdim; ++j) {
-      num += vt[j] * p[j];
-      den += p[j];
-    }
-    return num / den;
-  }
-
-  const std::size_t dim = std::size_t{1} << cp.touched.size();
-  if (!noisy) {
-    // One deterministic evolve, one exact reduction — shots and rng are
-    // untouched, and there is no sampling noise at all. Fused, like run()'s
-    // noiseless branch: the evolve is a pure unitary product.
-    const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
-                                            key_prefix_, dev_.fingerprint());
-    report_.fused_block_count = fr.program.timeline.size();
-    sim::Statevector sv(cp.touched.size());
-    for (const Scheduled& s : fr.program.timeline)
-      sv.apply_matrix(s.block.unitary, s.local);
-    if (spec.kind == ObjectiveKind::Expectation) {
-      std::vector<double> lvt(dim);
-      for (std::uint64_t i = 0; i < dim; ++i) lvt[i] = vt[map_bits(i, cp)];
+    p = density_distribution(cp);
+    if (expectation) {
       double num = 0.0, den = 0.0;
-      sv.weighted_mass(lvt.data(), num, den);
+      for (std::size_t j = 0; j < mdim; ++j) {
+        num += t.value[j] * p[j];
+        den += p[j];
+      }
       return num / den;
     }
-    // CVaR: accumulate the exact (unnormalized) outcome masses in ascending
-    // basis order — the same additions accumulate_mapped performs per lane,
-    // so the batched candidate path is bit-identical to this one.
-    std::vector<double> p(mdim, 0.0);
+  } else if (!noisy) {
+    // One deterministic evolve, one exact reduction — shots and rng are
+    // untouched, and there is no sampling noise at all.
+    const sim::Statevector sv = evolve_noiseless(cp);
+    if (expectation) {
+      double num = 0.0, den = 0.0;
+      sv.weighted_mass(t.local_value.data(), num, den);
+      return num / den;
+    }
+    // Exact (unnormalized) outcome masses in ascending basis order — the
+    // same additions accumulate_mapped performs per lane, so the batched
+    // candidate path is bit-identical to this one.
+    p.assign(mdim, 0.0);
     const la::CVec& amp = sv.data();
-    for (std::uint64_t i = 0; i < dim; ++i) {
+    for (std::uint64_t i = 0; i < amp.size(); ++i) {
       const double ar = amp[i].real(), ai = amp[i].imag();
-      p[map_bits(i, cp)] += ar * ar + ai * ai;
+      p[t.local_outcome[i]] += ar * ar + ai * ai;
     }
-    return mit::cvar_from_distribution(p, vt, spec.cvar_alpha, spec.cvar_maximize);
-  }
-
-  // Trajectory noise: the same fixed batch grid and per-shot child streams
-  // as run() — the parent rng advances by exactly one draw — but each shot
-  // contributes its exact terminal distribution instead of one sample, so
-  // the only residual stochastic element is the trajectory unraveling
-  // itself. All per-shot reductions merge in shot order, making the result
-  // bit-identical for every thread count and lane width.
-  HGP_REQUIRE(shots > 0, "Executor::run_expectation: need at least one shot");
-  const noise::NoiseModel& nm = dev_.noise_model();
-  const std::size_t num_batches = (shots + kShotsPerBatch - 1) / kShotsPerBatch;
-  const std::uint64_t base = rng.next_u64();
-  const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, options_.shot_batch_lanes);
-
-  if (options_.readout_error && spec.kind == ObjectiveKind::Expectation) {
-    // Readout confusion commutes into the value table: E[v(readout(b))] is a
-    // per-bit 2x2 mixing of the values, folded once instead of per shot.
-    for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
-      const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
-      const std::uint64_t bit = std::uint64_t{1} << i;
-      for (std::uint64_t idx = 0; idx < mdim; ++idx) {
-        if (idx & bit) continue;
-        const double v0 = vt[idx], v1 = vt[idx | bit];
-        vt[idx] = (1.0 - re.p1_given_0) * v0 + re.p1_given_0 * v1;
-        vt[idx | bit] = re.p0_given_1 * v0 + (1.0 - re.p0_given_1) * v1;
-      }
-    }
-  }
-
-  // Local-register lookup tables: per-basis-state value (Expectation) or
-  // measured-outcome index (CVaR).
-  std::vector<double> lvt;
-  std::vector<std::uint32_t> lmap;
-  if (spec.kind == ObjectiveKind::Expectation) {
-    lvt.resize(dim);
-    for (std::uint64_t i = 0; i < dim; ++i) lvt[i] = vt[map_bits(i, cp)];
   } else {
-    lmap.resize(dim);
-    for (std::uint64_t i = 0; i < dim; ++i)
-      lmap[i] = static_cast<std::uint32_t>(map_bits(i, cp));
-  }
-
-  // Per-batch accumulators, merged in batch order after the pool joins.
-  std::vector<double> batch_acc;
-  std::vector<double> batch_p;
-  if (spec.kind == ObjectiveKind::Expectation)
-    batch_acc.assign(num_batches, 0.0);
-  else
-    batch_p.assign(num_batches * mdim, 0.0);
-
-  const CancelToken* tok = options_.cancel.get();
-  auto run_batch = [&](std::size_t b) {
-    if (tok) tok->check();
-    const std::size_t first = b * kShotsPerBatch;
-    const std::size_t count = std::min(kShotsPerBatch, shots - first);
-    std::unique_ptr<sim::BatchedStatevector> full;
-    std::vector<double> num(lanes), den(lanes), mass;
-    for (std::size_t g = 0; g < count; g += lanes) {
-      if (tok) tok->check();
-      const std::size_t nl = std::min(lanes, count - g);
-      std::unique_ptr<sim::BatchedStatevector> tail;
-      sim::BatchedStatevector* bsv;
-      if (nl == lanes) {
-        if (full)
-          full->reset();
-        else
-          full = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), lanes);
-        bsv = full.get();
-      } else {
-        tail = std::make_unique<sim::BatchedStatevector>(cp.touched.size(), nl);
-        bsv = tail.get();
-      }
-      evolve_lanes(dev_, options_, cp, *bsv, base, first + g);
-      if (spec.kind == ObjectiveKind::Expectation) {
-        // Per-shot normalized expectation (den carries the trajectory's
-        // deferred-normalization weight), summed in shot-ascending order.
-        bsv->weighted_masses(lvt.data(), num.data(), den.data());
-        for (std::size_t l = 0; l < nl; ++l) batch_acc[b] += num[l] / den[l];
-      } else {
-        // Per-shot normalized outcome distribution into the batch average.
-        mass.assign(mdim * nl, 0.0);
-        bsv->accumulate_mapped(lmap.data(), mass.data());
-        double* pb = &batch_p[b * mdim];
-        for (std::size_t l = 0; l < nl; ++l) {
-          double d = 0.0;
-          for (std::size_t j = 0; j < mdim; ++j) d += mass[j * nl + l];
-          for (std::size_t j = 0; j < mdim; ++j) pb[j] += mass[j * nl + l] / d;
-        }
-      }
+    // Trajectory noise: run()'s shot grid, but each shot contributes its
+    // exact terminal distribution instead of one sample, so the only
+    // residual stochastic element is the trajectory unraveling itself.
+    // Per-shot reductions accumulate per batch in shot order and merge in
+    // batch order, making the result bit-identical for every thread count
+    // and lane width.
+    HGP_REQUIRE(shots > 0, "Executor::run_expectation: need at least one shot");
+    const std::size_t num_batches = shot_batches(shots);
+    std::vector<double> batch_acc(expectation ? num_batches : 0, 0.0);
+    std::vector<double> batch_p(expectation ? 0 : num_batches * mdim, 0.0);
+    for_each_lane_group<sim::BatchedStatevector>(
+        options_, cp.touched.size(), shots, rng,
+        [&](std::size_t b, sim::BatchedStatevector& bsv, std::uint64_t base,
+            std::size_t first) {
+          const std::size_t nl = bsv.lanes();
+          evolve_lanes(dev_, options_, cp, bsv, base, first);
+          if (expectation) {
+            // Per-shot normalized expectation (den carries the trajectory's
+            // deferred-normalization weight).
+            std::vector<double> num(nl), den(nl);
+            bsv.weighted_masses(t.local_value.data(), num.data(), den.data());
+            for (std::size_t l = 0; l < nl; ++l) batch_acc[b] += num[l] / den[l];
+            return;
+          }
+          // Per-shot normalized outcome distribution into the batch sum.
+          std::vector<double> mass(mdim * nl, 0.0);
+          bsv.accumulate_mapped(t.local_outcome.data(), mass.data());
+          double* pb = &batch_p[b * mdim];
+          for (std::size_t l = 0; l < nl; ++l) {
+            double d = 0.0;
+            for (std::size_t j = 0; j < mdim; ++j) d += mass[j * nl + l];
+            for (std::size_t j = 0; j < mdim; ++j) pb[j] += mass[j * nl + l] / d;
+          }
+        });
+    if (expectation) {
+      double total = 0.0;
+      for (std::size_t b = 0; b < num_batches; ++b) total += batch_acc[b];
+      return total / static_cast<double>(shots);
     }
-  };
-  for_each_batch(num_batches, options_.num_threads, run_batch);
-
-  if (spec.kind == ObjectiveKind::Expectation) {
-    double total = 0.0;
-    for (std::size_t b = 0; b < num_batches; ++b) total += batch_acc[b];
-    return total / static_cast<double>(shots);
+    // The tail statistic does not commute with per-shot averaging, so the
+    // confusion acts on the shot-averaged distribution, not on the values.
+    p.assign(mdim, 0.0);
+    for (std::size_t b = 0; b < num_batches; ++b)
+      for (std::size_t j = 0; j < mdim; ++j) p[j] += batch_p[b * mdim + j];
+    for (std::size_t j = 0; j < mdim; ++j) p[j] /= static_cast<double>(shots);
+    if (options_.readout_error) fold_readout(p, cp, nm, /*transpose=*/false);
   }
-
-  // CVaR of the shot-averaged distribution, readout confusion folded in
-  // density-style (the tail statistic does not commute with per-shot
-  // averaging, so confusion must act on the distribution, not the values).
-  std::vector<double> p(mdim, 0.0);
-  for (std::size_t b = 0; b < num_batches; ++b)
-    for (std::size_t j = 0; j < mdim; ++j) p[j] += batch_p[b * mdim + j];
-  for (std::size_t j = 0; j < mdim; ++j) p[j] /= static_cast<double>(shots);
-  if (options_.readout_error) {
-    for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
-      const noise::ReadoutError& re = nm.qubits[cp.measure_phys[i]].readout;
-      const std::uint64_t bit = std::uint64_t{1} << i;
-      for (std::uint64_t idx = 0; idx < mdim; ++idx) {
-        if (idx & bit) continue;
-        const double p0 = p[idx], p1 = p[idx | bit];
-        p[idx] = (1.0 - re.p1_given_0) * p0 + re.p0_given_1 * p1;
-        p[idx | bit] = re.p1_given_0 * p0 + (1.0 - re.p0_given_1) * p1;
-      }
-    }
-  }
-  return mit::cvar_from_distribution(p, vt, spec.cvar_alpha, spec.cvar_maximize);
+  return mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
 }
 
 std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& programs,
@@ -1408,28 +1389,20 @@ std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& 
       bsv.apply_matrix_per_lane(fused_us[s], fr.program.timeline[s].local);
   }
 
-  const std::size_t mdim = std::size_t{1} << c0.measure_local.size();
-  std::vector<double> vt(mdim);
-  for (std::uint64_t j = 0; j < mdim; ++j) vt[j] = spec.value(j);
-  const std::size_t dim = std::size_t{1} << c0.touched.size();
-
+  const OutcomeTables t = tabulate(c0, spec, nullptr);
+  const std::size_t mdim = t.value.size();
   std::vector<double> out(B);
   if (spec.kind == ObjectiveKind::Expectation) {
-    std::vector<double> lvt(dim);
-    for (std::uint64_t i = 0; i < dim; ++i) lvt[i] = vt[map_bits(i, c0)];
     std::vector<double> num(B), den(B);
-    bsv.weighted_masses(lvt.data(), num.data(), den.data());
+    bsv.weighted_masses(t.local_value.data(), num.data(), den.data());
     for (std::size_t l = 0; l < B; ++l) out[l] = num[l] / den[l];
   } else {
-    std::vector<std::uint32_t> lmap(dim);
-    for (std::uint64_t i = 0; i < dim; ++i)
-      lmap[i] = static_cast<std::uint32_t>(map_bits(i, c0));
     std::vector<double> mass(mdim * B, 0.0);
-    bsv.accumulate_mapped(lmap.data(), mass.data());
+    bsv.accumulate_mapped(t.local_outcome.data(), mass.data());
     std::vector<double> p(mdim);
     for (std::size_t l = 0; l < B; ++l) {
       for (std::size_t j = 0; j < mdim; ++j) p[j] = mass[j * B + l];
-      out[l] = mit::cvar_from_distribution(p, vt, spec.cvar_alpha, spec.cvar_maximize);
+      out[l] = mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
     }
   }
   return out;

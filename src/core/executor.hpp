@@ -232,10 +232,13 @@ class Executor {
                           const std::vector<std::size_t>& qubits) const;
 
   CompiledProgram compile_program(const Program& program, std::size_t max_qubits);
-  /// Compress measured bits out of a local-register basis index.
-  static std::uint64_t map_bits(std::uint64_t bits, const CompiledProgram& cp);
 
-  sim::Counts run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
+  /// The noiseless final state: fuse the timeline (recording the fused
+  /// length in report_), then one deterministic statevector evolve. Shared
+  /// by run_noiseless (which samples it) and the noiseless path of
+  /// run_expectation (which reduces it exactly).
+  sim::Statevector evolve_noiseless(const CompiledProgram& cp);
+  sim::Counts run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng);
   sim::Counts run_trajectories(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
   /// One trajectory: evolve `sv` (already reset) through the timeline and
   /// record a single readout into `out`.

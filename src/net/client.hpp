@@ -18,7 +18,7 @@ namespace hgp::net {
 /// connection. A Client is not thread-safe — it is one ordered conversation.
 /// For concurrent or future-returning use, open more clients (run_async
 /// below opens its own connection per job, the wire analogue of
-/// SweepRunner::submit's future).
+/// JobHandle::outcome).
 ///
 /// Submission takes the same serve::JobRequest that JobService::submit takes
 /// in process — the request is serialized with its schema version, validated

@@ -4,15 +4,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -73,9 +72,9 @@ class FairJobQueue {
 ///     objective evaluations an optimizer iteration produces. The submitting
 ///     thread helps drain the candidate queue while it waits, so a batch
 ///     submitted from inside a pool job can never deadlock the pool.
-///   - *jobs* (submit): long-lived run-level tasks (one SweepRunner run
-///     each), returned as futures. Workers prefer candidates over jobs, so
-///     in-flight runs finish their evaluations before new runs start.
+///   - *jobs* (post): long-lived run-level tasks (one JobService run each)
+///     on the weighted-fair job queue. Workers prefer candidates over jobs,
+///     so in-flight runs finish their evaluations before new runs start.
 ///
 /// Determinism: the service only changes *where* tasks execute, never what
 /// they compute — callers key every stochastic input to a candidate's index
@@ -88,7 +87,7 @@ class EvalService : public opt::BatchDispatcher {
     /// [min_workers, max_workers].
     std::size_t num_workers = 0;
     /// LRU bound of the shared compiled-block cache.
-    std::size_t cache_capacity = 4096;
+    std::size_t cache_capacity = 8192;
     /// Non-empty = persistent compiled-block store shared by every run on
     /// this service. The attach (load + write-through) happens lazily by the
     /// first executor that runs — the store's backend fingerprint comes from
@@ -144,23 +143,9 @@ class EvalService : public opt::BatchDispatcher {
     int priority = 0;
   };
 
-  /// Queue a bare task on the fair job queue (no future). The job layer
-  /// uses this — it tracks completion through its own Job promise.
+  /// Queue a task on the fair job queue. There is no future: the job layer
+  /// tracks completion through its own Job promise.
   void post(const SubmitOptions& options, std::function<void()> task);
-
-  /// Queue a job on the pool and get its future.
-  template <typename F>
-  auto submit(F job) -> std::future<std::invoke_result_t<F>> {
-    return submit(SubmitOptions{}, std::move(job));
-  }
-  template <typename F>
-  auto submit(const SubmitOptions& options, F job) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(job));
-    std::future<R> future = task->get_future();
-    post(options, [task] { (*task)(); });
-    return future;
-  }
 
   /// Jobs currently queued (excludes candidates and running jobs).
   std::size_t queued_jobs() const;

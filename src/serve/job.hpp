@@ -7,12 +7,31 @@
 #include <memory>
 #include <string>
 
+#include "backend/backend.hpp"
 #include "common/binio.hpp"
 #include "common/cancel.hpp"
+#include "core/models.hpp"
 #include "core/workflow.hpp"
-#include "serve/sweep.hpp"
+#include "graph/instances.hpp"
 
 namespace hgp::serve {
+
+/// One cell of a sweep grid (a Table II cell, a Fig. 5/6 ablation bar): a
+/// full machine-in-loop training run. `dev` is non-owning — keep the backend
+/// alive until the sweep finishes.
+struct SweepJob {
+  std::string label;
+  graph::Instance instance;
+  const backend::FakeBackend* dev = nullptr;
+  core::ModelKind kind = core::ModelKind::Hybrid;
+  core::RunConfig config;
+  /// Fair-share scheduling metadata (see FairJobQueue): jobs of one tenant
+  /// share that tenant's deficit-round-robin budget, scaled by `weight`;
+  /// `priority` orders jobs within the tenant (higher first).
+  std::string tenant = "default";
+  int priority = 0;
+  double weight = 1.0;
+};
 
 /// Unique per-service job identifier (monotonically increasing from 1).
 using JobId = std::uint64_t;
@@ -84,9 +103,9 @@ struct JobError {
 /// What a client submits: the run itself plus job-layer metadata. Tenant,
 /// priority, and fair-share weight ride on the SweepJob.
 ///
-/// This struct is *the* submission API — JobService::submit,
-/// SweepRunner::submit, and the net::Server wire front end all accept it —
-/// and it is the unit of the versioned wire schema: serialize() emits a
+/// This struct is *the* submission API — JobService::submit and the
+/// net::Server wire front end both accept it — and it is the unit of the
+/// versioned wire schema: serialize() emits a
 /// kSchemaVersion-stamped binio payload a peer deserializes bit-exactly
 /// (doubles travel as IEEE-754 bit patterns), so a request submitted over a
 /// socket trains the same run, to the bit, as the same request submitted

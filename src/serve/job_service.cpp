@@ -38,12 +38,7 @@ JobHandle settled_handle(JobId id, JobState state, JobError error) {
 
 }  // namespace
 
-JobService::JobService(Options options)
-    : options_(options),
-      service_(EvalService::Options{options.num_workers, options.cache_capacity,
-                                    std::move(options.block_store_path),
-                                    options.min_workers, options.max_workers,
-                                    options.adapt_interval}) {
+JobService::JobService(Options options) : options_(options), service_(std::move(options)) {
   obs::Registry& reg = obs::Registry::global();
   metrics_.accepted = &reg.counter("service.jobs_accepted");
   metrics_.rejected = &reg.counter("service.jobs_rejected");
@@ -264,8 +259,13 @@ void JobService::run_job(const std::shared_ptr<Job>& job) {
 
   const SweepJob& run = job->request().run;
   core::RunConfig cfg = run.config;
-  // Same discipline as SweepRunner::submit: the pool is the parallelism.
+  // The pool provides the parallelism: a default thread count (0 = hardware
+  // concurrency) would nest a full trajectory shot pool inside every worker
+  // and oversubscribe the machine. Counts are bit-identical for any thread
+  // count, so this changes scheduling only, never results.
   if (cfg.executor_threads == 0) cfg.executor_threads = 1;
+  // Jobs inherit the service-wide persistent store unless they bring their
+  // own; the first executor to construct attaches it to the shared cache.
   if (cfg.block_store_path.empty()) cfg.block_store_path = service_.block_store_path();
   cfg.cancel = job->token();
 

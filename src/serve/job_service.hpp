@@ -14,34 +14,25 @@
 
 namespace hgp::serve {
 
-/// Managed job front end of the serve subsystem: SweepRunner runs requests,
-/// JobService runs *jobs* — validated before any executor exists, admitted
-/// against queue and backlog limits, scheduled weighted-fair across tenants,
-/// cancellable mid-run, and expired when a soft deadline passes while they
-/// wait. Every outcome is a terminal JobState plus a structured JobError
-/// delivered through a future that always resolves with a value; the job
-/// layer never throws at a client.
+/// The serve subsystem's front door: every run, in process or from the
+/// net::Server wire front end, is a *job* — validated before any executor
+/// exists, admitted against queue and backlog limits, scheduled weighted-fair
+/// across tenants, cancellable mid-run, and expired when a soft deadline
+/// passes while it waits. Every outcome is a terminal JobState plus a
+/// structured JobError delivered through a future that always resolves with
+/// a value; the job layer never throws at a client.
 ///
 /// Scheduling rides on EvalService's deficit-round-robin job queue, and the
 /// runs themselves are ordinary run_qaoa calls on the shared worker pool and
-/// compiled-block cache — so jobs that complete normally are bit-identical
-/// to the same SweepJob run through SweepRunner (or alone), for any worker
-/// count.
+/// compiled-block cache — so every job of a grid shares compiled blocks, and
+/// jobs that complete normally are bit-identical to the same SweepJob run
+/// alone, for any worker count.
 class JobService {
  public:
-  struct Options {
-    /// Worker threads of the underlying EvalService (0 = hardware).
-    std::size_t num_workers = 0;
-    /// LRU bound of the shared compiled-block cache.
-    std::size_t cache_capacity = 8192;
-    /// Non-empty = persistent compiled-block store shared by every job.
-    std::string block_store_path;
-    /// Adaptive worker pool (see EvalService::Options): when max_workers > 0
-    /// the pool grows toward max_workers while jobs queue up and retires
-    /// idle workers toward min_workers. 0 = fixed pool.
-    std::size_t min_workers = 1;
-    std::size_t max_workers = 0;
-    std::chrono::milliseconds adapt_interval{25};
+  /// The pool and shared-cache fields of EvalService::Options (worker count,
+  /// adaptive bounds, cache capacity, and a persistent block store shared by
+  /// every job), plus admission control.
+  struct Options : EvalService::Options {
     /// Admission control: maximum jobs waiting in the queue. A submit that
     /// finds the queue at the limit is rejected with QueueFull —
     /// deterministically, the limit is exact, not advisory. 0 = unbounded.

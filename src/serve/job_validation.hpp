@@ -1,8 +1,6 @@
 #pragma once
 
-#include "common/error.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
 
 namespace hgp::serve {
 
@@ -23,19 +21,5 @@ inline constexpr std::size_t kMaxLanes = 4096;
 /// ordered cheapest-first and stop at the first failure, so the verdict for
 /// a given request is deterministic.
 JobError validate_job(const SweepJob& job);
-
-/// Exception form for the future-based SweepRunner API: carries the
-/// structured code alongside the message.
-class JobValidationError : public Error {
- public:
-  explicit JobValidationError(JobError error)
-      : Error("job validation failed [" + job_error_code_name(error.code) +
-              "]: " + error.message),
-        error_(std::move(error)) {}
-  const JobError& error() const { return error_; }
-
- private:
-  JobError error_;
-};
 
 }  // namespace hgp::serve

@@ -8,11 +8,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/presets.hpp"
 #include "common/cancel.hpp"
+#include "core/executor.hpp"
+#include "core/models.hpp"
 #include "core/workflow.hpp"
 #include "graph/instances.hpp"
 #include "obs/metrics.hpp"
@@ -21,7 +25,6 @@
 #include "serve/job.hpp"
 #include "serve/job_service.hpp"
 #include "serve/job_validation.hpp"
-#include "serve/sweep.hpp"
 
 using namespace hgp;
 using serve::FairJobQueue;
@@ -219,20 +222,6 @@ TEST(JobValidation, ErrorCodeNamesAndTransience) {
   EXPECT_TRUE(serve::job_error_transient(JobErrorCode::BacklogFull));
   EXPECT_FALSE(serve::job_error_transient(JobErrorCode::NullBackend));
   EXPECT_FALSE(serve::job_error_transient(JobErrorCode::DeadlineExpired));
-}
-
-TEST(JobValidation, SweepRunnerReturnsFailedFutureInsteadOfCrashing) {
-  serve::SweepRunner runner(serve::SweepRunner::Options{1, 64});
-  SweepJob job = good_job("null-dev");
-  job.dev = nullptr;  // used to be a hard HGP_REQUIRE (or worse, a segfault)
-  std::future<core::RunResult> f = runner.submit(serve::JobRequest{std::move(job)});
-  try {
-    f.get();
-    FAIL() << "expected JobValidationError";
-  } catch (const serve::JobValidationError& e) {
-    EXPECT_EQ(e.error().code, JobErrorCode::NullBackend);
-    EXPECT_NE(std::string(e.what()).find("null_backend"), std::string::npos);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -435,15 +424,23 @@ TEST(JobService, PruneDropsTerminalJobs) {
 
 TEST(JobService, RejectedSubmitResolvesImmediately) {
   JobService svc(JobService::Options{1, 64});
-  SweepJob bad = good_job("reject-me");
-  bad.config.optimizer = "bogus";
-  JobHandle h = svc.submit(JobRequest{std::move(bad)});
-  EXPECT_FALSE(h.accepted());
-  EXPECT_EQ(h.submit_state, JobState::Rejected);
-  EXPECT_EQ(h.submit_error.code, JobErrorCode::BadOptimizer);
-  const JobOutcome outcome = h.outcome.get();  // already resolved
-  EXPECT_EQ(outcome.state, JobState::Rejected);
-  EXPECT_FALSE(outcome.has_result);
+  SweepJob bad_optimizer = good_job("reject-me");
+  bad_optimizer.config.optimizer = "bogus";
+  SweepJob null_dev = good_job("null-dev");
+  null_dev.dev = nullptr;  // used to be a hard HGP_REQUIRE (or worse, a segfault)
+  const std::pair<SweepJob, JobErrorCode> cases[] = {
+      {bad_optimizer, JobErrorCode::BadOptimizer}, {null_dev, JobErrorCode::NullBackend}};
+  for (const auto& [job, code] : cases) {
+    SCOPED_TRACE(job.label);
+    JobHandle h = svc.submit(JobRequest{job});
+    EXPECT_FALSE(h.accepted());
+    EXPECT_EQ(h.submit_state, JobState::Rejected);
+    EXPECT_EQ(h.submit_error.code, code);
+    const JobOutcome outcome = h.outcome.get();  // already resolved
+    EXPECT_EQ(outcome.state, JobState::Rejected);
+    EXPECT_EQ(outcome.error.code, code);
+    EXPECT_FALSE(outcome.has_result);
+  }
 }
 
 TEST(JobService, CompletedJobsBitIdenticalToPlainRunForAnyWorkerCount) {
@@ -518,6 +515,57 @@ TEST(JobCancellation, TimeToCancelHistogramRecords) {
   svc.cancel(h.id);
   h.outcome.wait();
   EXPECT_EQ(h_ns.count(), before + 1);
+}
+
+TEST(JobCancellation, DeadlineStopsEveryShotGridMidRun) {
+  // Every trajectory shot grid polls the token at batch and lane-group
+  // boundaries. The deadline is armed a little ahead, so the entry check
+  // passes on a warm block cache and only the grid can observe it; the shot
+  // budget would take minutes uncancelled.
+  const graph::Instance inst = graph::paper_task1();
+  const core::QaoaModel model = core::QaoaModel::build(
+      inst.graph, toronto(), core::ModelKind::GateLevel, core::ModelConfig{});
+  const core::Program prog = model.instantiate(model.initial_parameters());
+  constexpr std::size_t kShots = std::size_t{1} << 22;
+  constexpr auto kArm = std::chrono::milliseconds(50);
+
+  const struct {
+    const char* name;
+    std::size_t lanes;
+    core::ObjectiveKind kind;  // Sample = Executor::run
+  } cases[] = {{"run lanes=1", 1, core::ObjectiveKind::Sample},
+               {"run lanes=16", 16, core::ObjectiveKind::Sample},
+               {"expectation", 16, core::ObjectiveKind::Expectation},
+               {"cvar", 16, core::ObjectiveKind::CVaR}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto token = std::make_shared<CancelToken>();
+    core::ExecutorOptions opts;
+    opts.num_threads = 1;
+    opts.shot_batch_lanes = c.lanes;
+    opts.cancel = token;
+    core::Executor ex(toronto(), opts);
+    Rng rng(1);
+    ex.run(prog, 16, rng);  // compile every block before the clock starts
+    core::ObjectiveSpec spec;
+    spec.kind = c.kind;
+    spec.value = [&inst](std::uint64_t bits) { return inst.graph.cut_value(bits); };
+
+    const auto start = std::chrono::steady_clock::now();
+    token->set_deadline(start + kArm);
+    try {
+      if (c.kind == core::ObjectiveKind::Sample)
+        ex.run(prog, kShots, rng);
+      else
+        ex.run_expectation(prog, kShots, rng, spec);
+      ADD_FAILURE() << "expected CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_EQ(e.reason(), CancelReason::DeadlineExpired);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(elapsed, kArm);
+    EXPECT_LT(elapsed, std::chrono::seconds(2));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,12 +503,15 @@ TEST(NetAdaptivePool, GrowsUnderBurstAndShrinksWhenIdle) {
 
   // A burst the single worker cannot drain within a tick: the manager must
   // grow toward max_workers.
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 16; ++i)
-    futures.push_back(svc.submit([] {
+  std::vector<std::future<void>> finished;
+  for (int i = 0; i < 16; ++i) {
+    auto done = std::make_shared<std::promise<void>>();
+    finished.push_back(done->get_future());
+    svc.post({}, [done] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return 1;
-    }));
+      done->set_value();
+    });
+  }
 
   std::size_t peak = 0;
   const auto grow_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -518,9 +523,7 @@ TEST(NetAdaptivePool, GrowsUnderBurstAndShrinksWhenIdle) {
   EXPECT_EQ(peak, 4u);
   EXPECT_GT(svc.pool_grow_events(), 0u);
 
-  int total = 0;
-  for (auto& f : futures) total += f.get();
-  EXPECT_EQ(total, 16);
+  for (std::future<void>& f : finished) f.get();
 
   // Idle queues: the pool must breathe back down to min_workers.
   const auto shrink_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -536,13 +539,16 @@ TEST(NetAdaptivePool, FixedPoolNeverResizes) {
   options.cache_capacity = 64;
   // max_workers defaults to 0: fixed pool.
   serve::EvalService svc(options);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(svc.submit([] {
+  std::vector<std::future<void>> finished;
+  for (int i = 0; i < 8; ++i) {
+    auto done = std::make_shared<std::promise<void>>();
+    finished.push_back(done->get_future());
+    svc.post({}, [done] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return 1;
-    }));
-  for (auto& f : futures) (void)f.get();
+      done->set_value();
+    });
+  }
+  for (std::future<void>& f : finished) f.get();
   EXPECT_EQ(svc.num_workers(), 2u);
   EXPECT_EQ(svc.pool_grow_events(), 0u);
   EXPECT_EQ(svc.pool_shrink_events(), 0u);

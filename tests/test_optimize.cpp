@@ -131,8 +131,11 @@ TEST(Adam, BatchedParameterShiftSubmitsOneBatchPerIteration) {
   o.mode = opt::Adam::GradientMode::BatchedParameterShift;
   const auto r = opt::Adam(o).minimize_batch(f, {0.1, 0.9, -0.4});
   EXPECT_EQ(r.iterations, 5);
-  for (std::size_t s : batch_sizes)
-    if (s != 1) EXPECT_EQ(s, 6u);  // gradient batches: 2 * 3 params
+  for (std::size_t s : batch_sizes) {
+    if (s != 1) {
+      EXPECT_EQ(s, 6u);  // gradient batches: 2 * 3 params
+    }
+  }
   // 1 initial probe + per iteration (1 gradient batch + 1 value probe) —
   // versus the serial modes' 2·n singleton calls per gradient.
   EXPECT_EQ(calls, 11u);

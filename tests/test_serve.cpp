@@ -1,11 +1,12 @@
 // The serve subsystem: the shared compiled-block cache (LRU semantics,
 // structure keys, calibration invalidation), the EvalService worker pool
 // (nested batches, error propagation), and the determinism contract —
-// batched runs are bit-identical for any worker count, and a SweepRunner
-// grid matches sequential execution exactly.
+// batched runs are bit-identical for any worker count, and a grid of jobs
+// through one JobService matches sequential execution exactly.
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -19,7 +20,7 @@
 #include "serve/block_cache.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 using namespace hgp;
 using core::ExecOp;
@@ -70,6 +71,20 @@ void expect_same_result(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(a.optimizer.evaluations, b.optimizer.evaluations);
   EXPECT_EQ(a.ar, b.ar);
   EXPECT_EQ(a.final_cost, b.final_cost);
+}
+
+/// Submit every request, then await each outcome in submission order.
+std::vector<core::RunResult> run_all(serve::JobService& svc,
+                                     const std::vector<serve::JobRequest>& requests) {
+  std::vector<serve::JobHandle> handles;
+  for (const serve::JobRequest& request : requests) handles.push_back(svc.submit(request));
+  std::vector<core::RunResult> results;
+  for (const serve::JobHandle& handle : handles) {
+    const serve::JobOutcome outcome = handle.outcome.get();
+    EXPECT_EQ(outcome.state, serve::JobState::Completed) << outcome.error.message;
+    results.push_back(outcome.result);
+  }
+  return results;
 }
 
 }  // namespace
@@ -249,8 +264,10 @@ TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {
   // the same pool — progress relies on the submitting thread helping drain.
   serve::EvalService svc(serve::EvalService::Options{2, 64});
   std::vector<std::future<double>> futures;
-  for (int j = 0; j < 4; ++j)
-    futures.push_back(svc.submit([&svc, j] {
+  for (int j = 0; j < 4; ++j) {
+    auto sum_of = std::make_shared<std::promise<double>>();
+    futures.push_back(sum_of->get_future());
+    svc.post({}, [&svc, sum_of, j] {
       std::vector<double> vals(8, 0.0);
       std::vector<std::function<void()>> tasks;
       for (int i = 0; i < 8; ++i)
@@ -258,8 +275,9 @@ TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {
       svc.run(tasks);
       double sum = 0.0;
       for (double v : vals) sum += v;
-      return sum;
-    }));
+      sum_of->set_value(sum);
+    });
+  }
   for (int j = 0; j < 4; ++j) EXPECT_DOUBLE_EQ(futures[j].get(), 800.0 * j + 28.0);
 }
 
@@ -301,8 +319,8 @@ TEST(Serve, SweepMatchesSequentialExecutionBitExactly) {
     sequential.push_back(core::run_qaoa(request.run.instance, *request.run.dev,
                                         request.run.kind, request.run.config));
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{4, 4096});
-  const std::vector<core::RunResult> parallel = runner.run_all(jobs);
+  serve::JobService svc(serve::JobService::Options{4, 4096});
+  const std::vector<core::RunResult> parallel = run_all(svc, jobs);
 
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -311,12 +329,12 @@ TEST(Serve, SweepMatchesSequentialExecutionBitExactly) {
   }
   // The whole grid shares one compiled-block cache: re-bound blocks across
   // iterations and runs must hit.
-  const serve::BlockCache::Stats stats = runner.cache_stats();
+  const serve::BlockCache::Stats stats = svc.cache_stats();
   EXPECT_GT(stats.hits, stats.misses);
 }
 
 TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
-  // Two identical hybrid runs through one SweepRunner: the second run's
+  // Two identical hybrid runs through one JobService: the second run's
   // pulse mixer blocks (every candidate angle) must be served from the
   // shared cache compiled by the first — the cross-run sharing the per-kind
   // stats exist to make visible.
@@ -327,8 +345,8 @@ TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
   jobs.push_back({{"hybrid-b", graph::paper_task1(), &dev, core::ModelKind::Hybrid,
                    tiny_config("cobyla")}});
 
-  serve::SweepRunner runner(serve::SweepRunner::Options{2, 4096});
-  const std::vector<core::RunResult> results = runner.run_all(jobs);
+  serve::JobService svc(serve::JobService::Options{2, 4096});
+  const std::vector<core::RunResult> results = run_all(svc, jobs);
   expect_same_result(results[0], results[1]);
 
   // Each run's final best-point evaluation re-binds angles its own
@@ -336,7 +354,7 @@ TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
   // two runs race in lockstep (concurrent first-touch lookups of one key
   // may legitimately both miss — the cache lets racing workers
   // double-compile rather than block).
-  const serve::BlockCache::Stats stats = runner.cache_stats();
+  const serve::BlockCache::Stats stats = svc.cache_stats();
   EXPECT_GT(stats.pulse_hits, 0u);
 }
 

@@ -21,7 +21,7 @@
 #include "serve/block_cache.hpp"
 #include "serve/block_store.hpp"
 #include "serve/job.hpp"
-#include "serve/sweep.hpp"
+#include "serve/job_service.hpp"
 
 using namespace hgp;
 using core::CompiledBlock;
@@ -430,21 +430,32 @@ TEST(BlockStore, ConcurrentSweepWriteThroughProducesLoadableStore) {
     jobs.push_back(std::move(request));
   }
 
-  serve::SweepRunner::Options opts;
+  serve::JobService::Options opts;
   opts.num_workers = 4;
   opts.block_store_path = path;
+  const auto run_all = [&](serve::JobService& svc) {
+    std::vector<serve::JobHandle> handles;
+    for (const serve::JobRequest& request : jobs) handles.push_back(svc.submit(request));
+    std::vector<core::RunResult> results;
+    for (const serve::JobHandle& handle : handles) {
+      const serve::JobOutcome outcome = handle.outcome.get();
+      EXPECT_EQ(outcome.state, serve::JobState::Completed) << outcome.error.message;
+      results.push_back(outcome.result);
+    }
+    return results;
+  };
   std::vector<core::RunResult> first;
   {
-    serve::SweepRunner runner(opts);
-    first = runner.run_all(jobs);
-    EXPECT_EQ(runner.service().block_store_path(), path);
-    EXPECT_GT(runner.cache_stats().misses, 0u);
+    serve::JobService svc(opts);
+    first = run_all(svc);
+    EXPECT_EQ(svc.service().block_store_path(), path);
+    EXPECT_GT(svc.cache_stats().misses, 0u);
   }
 
   // Second "process": same sweep, fresh service, warm from disk.
-  serve::SweepRunner warm_runner(opts);
-  const std::vector<core::RunResult> second = warm_runner.run_all(jobs);
-  const BlockCache::Stats stats = warm_runner.cache_stats();
+  serve::JobService warm_svc(opts);
+  const std::vector<core::RunResult> second = run_all(warm_svc);
+  const BlockCache::Stats stats = warm_svc.cache_stats();
   EXPECT_GT(stats.store_loaded, 0u);
   EXPECT_GT(stats.store_hits, 0u);
   EXPECT_GE(stats.store_hit_rate(), 0.95);

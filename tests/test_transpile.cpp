@@ -149,9 +149,10 @@ TEST(Sabre, RoutesToCoupledPairs) {
   c.cx(0, 4).cx(1, 3).cx(0, 2);
   const auto result = transpile::sabre_route(c, coupling, rng, 4);
   for (const qc::Op& op : result.circuit.ops()) {
-    if (op.qubits.size() == 2)
+    if (op.qubits.size() == 2) {
       EXPECT_TRUE(coupling.connected(op.qubits[0], op.qubits[1]))
           << op.qubits[0] << "," << op.qubits[1];
+    }
   }
   // The layout search can place this tiny circuit swap-free; routing just
   // must stay cheap.
@@ -207,9 +208,11 @@ TEST(GreedyRoute, UsesMoreSwapsThanSabre) {
   const std::vector<std::size_t> layout = {0, 1, 4, 7, 10, 12};
   const auto greedy = transpile::greedy_route(c, coupling, layout);
   const auto sabre = transpile::sabre_route(c, coupling, rng, 4, layout);
-  for (const qc::Op& op : greedy.circuit.ops())
-    if (op.qubits.size() == 2)
+  for (const qc::Op& op : greedy.circuit.ops()) {
+    if (op.qubits.size() == 2) {
       EXPECT_TRUE(coupling.connected(op.qubits[0], op.qubits[1]));
+    }
+  }
   // On this fully parallel gate set the lookahead has nothing to look at;
   // SABRE must still be competitive. (The pipeline-level test in
   // test_workflow checks that Step II reduces swaps on real QAOA circuits.)
@@ -254,8 +257,9 @@ TEST(Transpiler, EndToEndNativeBasis) {
                     op.kind == GateKind::X || op.kind == GateKind::CX ||
                     op.kind == GateKind::Barrier;
     EXPECT_TRUE(ok);
-    if (op.qubits.size() == 2)
+    if (op.qubits.size() == 2) {
       EXPECT_TRUE(dev.coupling().connected(op.qubits[0], op.qubits[1]));
+    }
   }
   EXPECT_EQ(result.circuit.num_parameters(), 2u);
 }

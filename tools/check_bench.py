@@ -2,8 +2,8 @@
 """Bench-regression gate for the BENCH_*.json baselines.
 
 Compares the JSON files the bench smoke emits (BENCH_shotloop.json,
-BENCH_sweep.json, BENCH_pulse.json, BENCH_gradient.json, BENCH_fusion.json,
-BENCH_obs.json, BENCH_jobs.json, BENCH_net.json)
+BENCH_pulse.json, BENCH_gradient.json, BENCH_fusion.json, BENCH_obs.json,
+BENCH_jobs.json, BENCH_net.json)
 against the committed baselines in bench/baselines/ and fails (exit 1) if:
 
   * any current file is missing or unparsable,
@@ -38,10 +38,10 @@ import sys
 # Dimensionless ratio fields gated per bench file. Higher is better for all.
 SPEEDUP_FIELDS = {
     "BENCH_shotloop.json": ["speedup"],
-    "BENCH_sweep.json": ["speedup"],
     "BENCH_pulse.json": ["speedup", "ir_speedup"],
     "BENCH_gradient.json": ["expectation_speedup", "gradient_speedup"],
     "BENCH_fusion.json": ["shotloop_speedup", "batch_speedup"],
+    "BENCH_jobs.json": ["speedup"],
 }
 # Ratio fields where *lower* is better (telemetry-on / telemetry-off run
 # time; wire / in-process wall clock): gated against a ceiling instead of a
