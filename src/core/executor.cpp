@@ -966,8 +966,8 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
       }
       if (active == 0) continue;
       if (active == 1) {
-        bsv.apply_matrix_lane(la::pauli_matrix(static_cast<la::Pauli>(codes[last])),
-                              qubits[i], last);
+        bsv.apply_matrix_one_lane(la::pauli_matrix(static_cast<la::Pauli>(codes[last])),
+                                  {qubits[i]}, last);
       } else {
         bsv.apply_pauli_lanes(qubits[i], codes.data());
       }
@@ -1144,7 +1144,8 @@ sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
   const bool noisy = options_.noise;
   const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp = compile_program(program, density ? 10 : 14);
+  const CompiledProgram cp =
+      compile_program(program, density ? kMaxDensityQubits : kMaxTrajectoryQubits);
   compile_span.finish();
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
@@ -1171,7 +1172,8 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   const bool noisy = options_.noise;
   const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp = compile_program(program, density ? 10 : 14);
+  const CompiledProgram cp =
+      compile_program(program, density ? kMaxDensityQubits : kMaxTrajectoryQubits);
   compile_span.finish();
   report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
                             cp.timeline.size()};
@@ -1294,7 +1296,7 @@ std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& 
   // ops whose parameters actually changed recompile (a full per-candidate
   // compile_program — key building, cache lookups, block copies — was the
   // dominant cost of small batches).
-  const CompiledProgram c0 = compile_program(p0, 14);
+  const CompiledProgram c0 = compile_program(p0, kMaxTrajectoryQubits);
   const std::size_t steps = c0.timeline.size();
 
   // Contributing ops per slot, in program order (virtual folds put several

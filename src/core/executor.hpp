@@ -70,6 +70,13 @@ struct ObjectiveSpec {
 /// measured by bench_shotloop_timing at 12-14 qubits on one core.
 inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 
+/// Register caps: the most touched qubits a program may have on the
+/// statevector paths (trajectories, noiseless runs, candidate lanes) and on
+/// the exact density engine. compile_program enforces them; serve's job
+/// validation checks them before any executor exists.
+inline constexpr std::size_t kMaxTrajectoryQubits = 14;
+inline constexpr std::size_t kMaxDensityQubits = 10;
+
 struct ExecutorOptions {
   /// Master switch: false = ideal (noiseless, exact gate matrices).
   bool noise = true;

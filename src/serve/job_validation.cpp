@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
+
 namespace hgp::serve {
 
 namespace {
@@ -37,11 +39,17 @@ JobError validate_job(const SweepJob& job) {
   if (job.instance.graph.num_edges() == 0)
     return fail(JobErrorCode::EmptyInstance, label + ": instance has no edges");
 
-  // Engine string before the engine-dependent register cap.
-  const bool density = cfg.engine == "density";
-  if (!density && cfg.engine != "trajectory")
+  // Engine and objective names go through the parsers the run itself uses,
+  // so the validator accepts exactly the names run_qaoa accepts. The engine
+  // comes before the engine-dependent register cap.
+  core::Engine engine = core::Engine::Trajectory;
+  try {
+    engine = core::engine_from_name(cfg.engine);
+  } catch (const Error&) {
     return fail(JobErrorCode::BadEngine, label + ": unknown engine '" + cfg.engine + "'");
-  const std::size_t cap = density ? kMaxDensityQubits : kMaxTrajectoryQubits;
+  }
+  const std::size_t cap = engine == core::Engine::ExactDensity ? core::kMaxDensityQubits
+                                                               : core::kMaxTrajectoryQubits;
   if (n > cap)
     return fail(JobErrorCode::TooManyQubits,
                 label + ": " + std::to_string(n) + "-vertex instance exceeds the " +
@@ -51,10 +59,14 @@ JobError validate_job(const SweepJob& job) {
                 label + ": instance needs " + std::to_string(n) + " qubits but backend '" +
                     job.dev->name() + "' has " + std::to_string(job.dev->num_qubits()));
 
-  if (cfg.objective != "sample" && cfg.objective != "expectation" && cfg.objective != "cvar")
+  core::ObjectiveKind objective = core::ObjectiveKind::Sample;
+  try {
+    objective = core::objective_from_name(cfg.objective);
+  } catch (const Error&) {
     return fail(JobErrorCode::BadObjective,
                 label + ": unknown objective '" + cfg.objective + "'");
-  if (cfg.m3 && cfg.objective != "sample")
+  }
+  if (cfg.m3 && objective != core::ObjectiveKind::Sample)
     return fail(JobErrorCode::IncompatibleM3,
                 label + ": M3 mitigation operates on sampled counts — use the 'sample' "
                         "objective");
@@ -84,7 +96,7 @@ JobError validate_job(const SweepJob& job) {
     return fail(JobErrorCode::BadLanes,
                 label + ": executor thread count exceeds " + std::to_string(kMaxLanes));
 
-  const bool uses_cvar = cfg.cvar || cfg.objective == "cvar";
+  const bool uses_cvar = cfg.cvar || objective == core::ObjectiveKind::CVaR;
   if (uses_cvar && !(cfg.cvar_alpha > 0.0 && cfg.cvar_alpha <= 1.0))
     return fail(JobErrorCode::BadCvarAlpha,
                 label + ": cvar_alpha must lie in (0, 1]");

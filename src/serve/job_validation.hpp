@@ -4,13 +4,10 @@
 
 namespace hgp::serve {
 
-/// Hard caps the validator enforces before any executor is constructed.
-/// The register caps mirror Executor::compile_program's per-engine limits
-/// (statevector trajectories to 14 touched qubits, the exact density engine
-/// to 10); the shot/evaluation caps bound the work a single job may claim so
+/// Hard caps the validator enforces before any executor is constructed,
+/// beside the executor's own register caps (core::kMaxTrajectoryQubits,
+/// core::kMaxDensityQubits): they bound the work a single job may claim so
 /// an absurd request cannot occupy a worker for hours.
-inline constexpr std::size_t kMaxTrajectoryQubits = 14;
-inline constexpr std::size_t kMaxDensityQubits = 10;
 inline constexpr std::size_t kMaxShots = std::size_t{1} << 26;  // 67M
 inline constexpr int kMaxEvaluations = 1 << 20;
 inline constexpr std::size_t kMaxLanes = 4096;

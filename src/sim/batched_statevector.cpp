@@ -12,14 +12,13 @@ using la::cxd;
 using la::CMat;
 using detail::for_each_one;
 using detail::for_each_pair_base;
-using detail::for_each_quad_base;
-using detail::is_zero;
 
-// Every arithmetic expression in this file mirrors the corresponding scalar
-// Statevector / executor kernel term-for-term (products first, then the same
+// Every arithmetic expression in this file mirrors the scalar body
+// (detail::apply_matrix_scalar in kernel_structure.hpp) or the executor's
+// scalar noise kernels term-for-term (products first, then the same
 // association of sums) so that, with FP contraction disabled, a lane evolves
 // bit-identically to a scalar shot. Do not "simplify" the arithmetic here
-// without changing the scalar kernels in lockstep.
+// without changing the scalar body in lockstep.
 
 BatchedStatevector::BatchedStatevector(std::size_t num_qubits, std::size_t lanes)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits), lanes_(lanes) {
@@ -51,13 +50,293 @@ void BatchedStatevector::set_amplitude(std::uint64_t i, std::size_t lane, cxd a)
 
 namespace {
 
-/// row *= c for every lane (mirror of amp[i] *= c).
-inline void mul_row(double* __restrict__ re, double* __restrict__ im, std::size_t L,
-                    double cr, double ci) {
+using detail::Cx;
+using detail::Structure;
+
+/// One lane of the [basis][lane] planes as the scalar body's amplitude
+/// accessor: `re`/`im` point at the lane's basis-0 entry.
+struct LaneAmps {
+  double* re;
+  double* im;
+  std::size_t stride;
+  Cx get(std::uint64_t i) const { return {re[i * stride], im[i * stride]}; }
+  void set(std::uint64_t i, Cx a) const {
+    re[i * stride] = a.r;
+    im[i * stride] = a.i;
+  }
+};
+
+/// What a lane-vectorized kernel sweeps: the planes, row i of lane l at
+/// re[i * lanes + l], and the 8-row gather scratch.
+struct Planes {
+  double* re;
+  double* im;
+  std::uint64_t dim;
+  std::size_t lanes;
+  double* sr;
+  double* si;
+};
+
+// Coefficient sources. A lane-vectorized kernel fetches matrix entry (r, c)
+// outside its lane loop as cf.re(r, c) / cf.im(r, c) and indexes the result
+// by lane inside it.
+
+/// One operator for every lane: each entry is a single scalar, invariant in
+/// the lane loop.
+struct Broadcast {
+  struct Entry {
+    double v;
+    double operator[](std::size_t) const { return v; }
+  };
+  const CMat& u;
+  Entry re(std::size_t r, std::size_t c) const { return {u(r, c).real()}; }
+  Entry im(std::size_t r, std::size_t c) const { return {u(r, c).imag()}; }
+};
+
+/// One operator per lane (us[l] acts on lane l): each entry is a row of
+/// per-lane values, packed so the lane loop reads it unit-stride.
+class PerLane {
+ public:
+  struct Entry {
+    const double* v;
+    double operator[](std::size_t l) const { return v[l]; }
+  };
+  explicit PerLane(const std::vector<CMat>& us)
+      : n_(us.front().rows()), lanes_(us.size()), re_(n_ * n_ * lanes_), im_(re_.size()) {
+    for (std::size_t l = 0; l < lanes_; ++l)
+      for (std::size_t e = 0; e < n_ * n_; ++e) {
+        re_[e * lanes_ + l] = us[l](e / n_, e % n_).real();
+        im_[e * lanes_ + l] = us[l](e / n_, e % n_).imag();
+      }
+  }
+  Entry re(std::size_t r, std::size_t c) const { return {&re_[(r * n_ + c) * lanes_]}; }
+  Entry im(std::size_t r, std::size_t c) const { return {&im_[(r * n_ + c) * lanes_]}; }
+
+ private:
+  std::size_t n_, lanes_;
+  std::vector<double> re_, im_;
+};
+
+/// row *= c over the lanes (mirror of amp[i] *= c), with c one scalar or one
+/// value per lane. The restrict-qualified parameters let the lane loop
+/// vectorize without run-time alias checks.
+template <typename Entry>
+inline void mul_row(double* __restrict__ re, double* __restrict__ im, std::size_t L, Entry cr,
+                    Entry ci) {
   for (std::size_t l = 0; l < L; ++l) {
     const double ar = re[l], ai = im[l];
-    re[l] = cr * ar - ci * ai;
-    im[l] = cr * ai + ci * ar;
+    re[l] = cr[l] * ar - ci[l] * ai;
+    im[l] = cr[l] * ai + ci[l] * ar;
+  }
+}
+
+/// Copy the n rows i | off[s] of every lane into the gather scratch.
+inline void gather_rows(const Planes& p, std::size_t n, std::uint64_t i,
+                        const std::uint64_t* off, double* sr, double* si) {
+  const std::size_t L = p.lanes;
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* __restrict__ r = p.re + (i | off[s]) * L;
+    const double* __restrict__ m = p.im + (i | off[s]) * L;
+    for (std::size_t l = 0; l < L; ++l) {
+      sr[s * L + l] = r[l];
+      si[s * L + l] = m[l];
+    }
+  }
+}
+
+/// Diagonal, 1-3 qubits (N = 2^k): each row times its own phase.
+template <std::size_t N, typename Coefs>
+void lanes_diagonal(const Planes& p, const Coefs& cf, const std::uint64_t* off) {
+  typename Coefs::Entry dr[N], di[N];
+  for (std::size_t s = 0; s < N; ++s) {
+    dr[s] = cf.re(s, s);
+    di[s] = cf.im(s, s);
+  }
+  const std::size_t L = p.lanes;
+  detail::for_each_block_base<N>(p.dim, off, [&](std::uint64_t i) {
+    for (std::size_t s = 0; s < N; ++s)
+      mul_row(p.re + (i | off[s]) * L, p.im + (i | off[s]) * L, L, dr[s], di[s]);
+  });
+}
+
+/// Anti-diagonal 1q (X/Y-like): a paired swap with phases.
+template <typename Coefs>
+void lanes_antidiagonal(const Planes& p, const Coefs& cf, const std::uint64_t* off) {
+  const auto p01r = cf.re(0, 1), p01i = cf.im(0, 1);
+  const auto p10r = cf.re(1, 0), p10i = cf.im(1, 0);
+  const std::size_t L = p.lanes;
+  for_each_pair_base(p.dim, off[1], [&](std::uint64_t i) {
+    double* __restrict__ r0 = p.re + i * L;
+    double* __restrict__ m0 = p.im + i * L;
+    double* __restrict__ r1 = p.re + (i | off[1]) * L;
+    double* __restrict__ m1 = p.im + (i | off[1]) * L;
+    for (std::size_t l = 0; l < L; ++l) {
+      const double ar0 = r0[l], ai0 = m0[l];
+      const double ar1 = r1[l], ai1 = m1[l];
+      r0[l] = p01r[l] * ar1 - p01i[l] * ai1;
+      m0[l] = p01r[l] * ai1 + p01i[l] * ar1;
+      r1[l] = p10r[l] * ar0 - p10i[l] * ai0;
+      m1[l] = p10r[l] * ai0 + p10i[l] * ar0;
+    }
+  });
+}
+
+/// Generalized 2q permutation: gather the four rows, scatter each to its
+/// target row with its phase.
+template <typename Coefs>
+void lanes_permutation(const Planes& p, const Coefs& cf, const std::uint64_t* off,
+                       const detail::Perm4& p4) {
+  typename Coefs::Entry pr[4], pi[4];
+  for (std::size_t s = 0; s < 4; ++s) {
+    pr[s] = cf.re(p4.perm[s], s);
+    pi[s] = cf.im(p4.perm[s], s);
+  }
+  const std::size_t L = p.lanes;
+  detail::for_each_block_base<4>(p.dim, off, [&](std::uint64_t i) {
+    gather_rows(p, 4, i, off, p.sr, p.si);
+    for (std::size_t s = 0; s < 4; ++s) {
+      double* __restrict__ r = p.re + (i | off[p4.perm[s]]) * L;
+      double* __restrict__ m = p.im + (i | off[p4.perm[s]]) * L;
+      const double* __restrict__ ar = p.sr + s * L;
+      const double* __restrict__ ai = p.si + s * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        r[l] = pr[s][l] * ar[l] - pi[s][l] * ai[l];
+        m[l] = pr[s][l] * ai[l] + pi[s][l] * ar[l];
+      }
+    }
+  });
+}
+
+/// Dense 1q: both output rows from the two input rows held in registers.
+template <typename Coefs>
+void lanes_dense1(const Planes& p, const Coefs& cf, const std::uint64_t* off) {
+  const auto u00r = cf.re(0, 0), u00i = cf.im(0, 0);
+  const auto u01r = cf.re(0, 1), u01i = cf.im(0, 1);
+  const auto u10r = cf.re(1, 0), u10i = cf.im(1, 0);
+  const auto u11r = cf.re(1, 1), u11i = cf.im(1, 1);
+  const std::size_t L = p.lanes;
+  for_each_pair_base(p.dim, off[1], [&](std::uint64_t i) {
+    double* __restrict__ r0 = p.re + i * L;
+    double* __restrict__ m0 = p.im + i * L;
+    double* __restrict__ r1 = p.re + (i | off[1]) * L;
+    double* __restrict__ m1 = p.im + (i | off[1]) * L;
+    for (std::size_t l = 0; l < L; ++l) {
+      const double ar0 = r0[l], ai0 = m0[l];
+      const double ar1 = r1[l], ai1 = m1[l];
+      r0[l] = (u00r[l] * ar0 - u00i[l] * ai0) + (u01r[l] * ar1 - u01i[l] * ai1);
+      m0[l] = (u00r[l] * ai0 + u00i[l] * ar0) + (u01r[l] * ai1 + u01i[l] * ar1);
+      r1[l] = (u10r[l] * ar0 - u10i[l] * ai0) + (u11r[l] * ar1 - u11i[l] * ai1);
+      m1[l] = (u10r[l] * ai0 + u10i[l] * ar0) + (u11r[l] * ai1 + u11i[l] * ar1);
+    }
+  });
+}
+
+/// One output row of the dense 2q kernel over the lanes:
+/// ((p0 + p1) + p2) + p3 with p_s = u_s * a_s, every product rounded first.
+/// The restrict-qualified parameters let the lane loop vectorize without
+/// run-time alias checks.
+template <typename Entry>
+inline void dense2_row(double* __restrict__ outr, double* __restrict__ outm,
+                       const double* __restrict__ sr, const double* __restrict__ si,
+                       std::size_t L, const Entry (&ur)[4], const Entry (&ui)[4]) {
+  for (std::size_t l = 0; l < L; ++l) {
+    const double p0r = ur[0][l] * sr[0 * L + l] - ui[0][l] * si[0 * L + l];
+    const double p0i = ur[0][l] * si[0 * L + l] + ui[0][l] * sr[0 * L + l];
+    const double p1r = ur[1][l] * sr[1 * L + l] - ui[1][l] * si[1 * L + l];
+    const double p1i = ur[1][l] * si[1 * L + l] + ui[1][l] * sr[1 * L + l];
+    const double p2r = ur[2][l] * sr[2 * L + l] - ui[2][l] * si[2 * L + l];
+    const double p2i = ur[2][l] * si[2 * L + l] + ui[2][l] * sr[2 * L + l];
+    const double p3r = ur[3][l] * sr[3 * L + l] - ui[3][l] * si[3 * L + l];
+    const double p3i = ur[3][l] * si[3 * L + l] + ui[3][l] * sr[3 * L + l];
+    outr[l] = ((p0r + p1r) + p2r) + p3r;
+    outm[l] = ((p0i + p1i) + p2i) + p3i;
+  }
+}
+
+/// Dense 2q: gather the four rows, then each output row by dense2_row.
+template <typename Coefs>
+void lanes_dense2(const Planes& p, const Coefs& cf, const std::uint64_t* off) {
+  typename Coefs::Entry ur[4][4], ui[4][4];
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) {
+      ur[r][c] = cf.re(r, c);
+      ui[r][c] = cf.im(r, c);
+    }
+  const std::size_t L = p.lanes;
+  detail::for_each_block_base<4>(p.dim, off, [&](std::uint64_t i) {
+    gather_rows(p, 4, i, off, p.sr, p.si);
+    for (std::size_t r = 0; r < 4; ++r)
+      dense2_row(p.re + (i | off[r]) * L, p.im + (i | off[r]) * L, p.sr, p.si, L, ur[r],
+                 ui[r]);
+  });
+}
+
+/// Dense 3q and generic k, one block base i: gather the n rows, then each
+/// output row accumulated from zero over ascending s, every product rounded
+/// before it is added.
+template <typename Coefs>
+void lanes_accumulate(const Planes& p, const Coefs& cf, std::size_t n, std::uint64_t i,
+                      const std::uint64_t* off, double* sr, double* si) {
+  const std::size_t L = p.lanes;
+  gather_rows(p, n, i, off, sr, si);
+  for (std::size_t r = 0; r < n; ++r) {
+    double* __restrict__ outr = p.re + (i | off[r]) * L;
+    double* __restrict__ outm = p.im + (i | off[r]) * L;
+    for (std::size_t l = 0; l < L; ++l) {
+      outr[l] = 0.0;
+      outm[l] = 0.0;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      const auto cr = cf.re(r, s), ci = cf.im(r, s);
+      const double* __restrict__ ar = sr + s * L;
+      const double* __restrict__ ai = si + s * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        const double pr = cr[l] * ar[l] - ci[l] * ai[l];
+        const double pi = cr[l] * ai[l] + ci[l] * ar[l];
+        outr[l] += pr;
+        outm[l] += pi;
+      }
+    }
+  }
+}
+
+/// The lane-vectorized kernel set, dispatched on the structure class the
+/// scalar body would pick for the same operator.
+template <typename Coefs>
+void apply_lanes(const Planes& p, const Coefs& cf, const std::vector<std::size_t>& qubits,
+                 Structure structure, const detail::Perm4& p4) {
+  const std::size_t k = qubits.size();
+  if (structure == Structure::Generic) {
+    const std::size_t n = std::size_t{1} << k;
+    std::vector<std::uint64_t> off(n);
+    detail::sub_offsets(qubits, off.data());
+    std::vector<double> sr(n * p.lanes), si(n * p.lanes);
+    detail::for_each_base(p.dim, qubits, [&](std::uint64_t i) {
+      lanes_accumulate(p, cf, n, i, off.data(), sr.data(), si.data());
+    });
+    return;
+  }
+  std::uint64_t off[8];
+  detail::sub_offsets(qubits, off);
+  switch (structure) {
+    case Structure::Diagonal:
+      if (k == 1) lanes_diagonal<2>(p, cf, off);
+      if (k == 2) lanes_diagonal<4>(p, cf, off);
+      if (k == 3) lanes_diagonal<8>(p, cf, off);
+      return;
+    case Structure::AntiDiagonal:
+      lanes_antidiagonal(p, cf, off);
+      return;
+    case Structure::Permutation:
+      lanes_permutation(p, cf, off, p4);
+      return;
+    default:
+      if (k == 1) lanes_dense1(p, cf, off);
+      if (k == 2) lanes_dense2(p, cf, off);
+      if (k == 3)
+        detail::for_each_block_base<8>(p.dim, off, [&](std::uint64_t i) {
+          lanes_accumulate(p, cf, 8, i, off, p.sr, p.si);
+        });
   }
 }
 
@@ -70,249 +349,10 @@ void BatchedStatevector::apply_matrix(const CMat& u,
               "BatchedStatevector::apply_matrix: matrix size mismatch");
   for (std::size_t q : qubits)
     HGP_REQUIRE(q < num_qubits_, "BatchedStatevector::apply_matrix: qubit out of range");
-  const std::size_t L = lanes_;
-
-  if (k == 1) {
-    const std::uint64_t bit = std::uint64_t{1} << qubits[0];
-    const cxd u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-    if (is_zero(u01) && is_zero(u10)) {
-      // Diagonal: pure per-amplitude phases, broadcast over lanes.
-      const double d0r = u00.real(), d0i = u00.imag();
-      const double d1r = u11.real(), d1i = u11.imag();
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        mul_row(&re_[i * L], &im_[i * L], L, d0r, d0i);
-        mul_row(&re_[(i | bit) * L], &im_[(i | bit) * L], L, d1r, d1i);
-      });
-      return;
-    }
-    if (is_zero(u00) && is_zero(u11)) {
-      // Anti-diagonal: paired swap with phases.
-      const double p01r = u01.real(), p01i = u01.imag();
-      const double p10r = u10.real(), p10i = u10.imag();
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = p01r * ar1 - p01i * ai1;
-          m0[l] = p01r * ai1 + p01i * ar1;
-          r1[l] = p10r * ar0 - p10i * ai0;
-          m1[l] = p10r * ai0 + p10i * ar0;
-        }
-      });
-      return;
-    }
-    const double u00r = u00.real(), u00i = u00.imag();
-    const double u01r = u01.real(), u01i = u01.imag();
-    const double u10r = u10.real(), u10i = u10.imag();
-    const double u11r = u11.real(), u11i = u11.imag();
-    for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-      double* __restrict__ r0 = &re_[i * L];
-      double* __restrict__ m0 = &im_[i * L];
-      double* __restrict__ r1 = &re_[(i | bit) * L];
-      double* __restrict__ m1 = &im_[(i | bit) * L];
-      for (std::size_t l = 0; l < L; ++l) {
-        const double ar0 = r0[l], ai0 = m0[l];
-        const double ar1 = r1[l], ai1 = m1[l];
-        r0[l] = (u00r * ar0 - u00i * ai0) + (u01r * ar1 - u01i * ai1);
-        m0[l] = (u00r * ai0 + u00i * ar0) + (u01r * ai1 + u01i * ar1);
-        r1[l] = (u10r * ar0 - u10i * ai0) + (u11r * ar1 - u11i * ai1);
-        m1[l] = (u10r * ai0 + u10i * ar0) + (u11r * ai1 + u11i * ar1);
-      }
-    });
-    return;
-  }
-
-  if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    std::uint64_t offset[4];
-    for (std::size_t s = 0; s < 4; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-
-    if (detail::is_diagonal4(u)) {
-      const cxd d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s)
-          mul_row(&re_[(i | offset[s]) * L], &im_[(i | offset[s]) * L], L, d[s].real(),
-                  d[s].imag());
-      });
-      return;
-    }
-
-    detail::Perm4 p4;
-    if (detail::as_permutation4(u, p4)) {
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double pr = p4.phase[s].real(), pi = p4.phase[s].imag();
-          double* __restrict__ r = &re_[(i | offset[p4.perm[s]]) * L];
-          double* __restrict__ m = &im_[(i | offset[p4.perm[s]]) * L];
-          const double* __restrict__ ar = &sr[s * L];
-          const double* __restrict__ ai = &si[s * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            r[l] = pr * ar[l] - pi * ai[l];
-            m[l] = pr * ai[l] + pi * ar[l];
-          }
-        }
-      });
-      return;
-    }
-
-    double ur[4][4], ui[4][4];
-    for (std::size_t r = 0; r < 4; ++r)
-      for (std::size_t c = 0; c < 4; ++c) {
-        ur[r][c] = u(r, c).real();
-        ui[r][c] = u(r, c).imag();
-      }
-    std::vector<double>& sr = scratch_re_;
-    std::vector<double>& si = scratch_im_;
-    for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-      for (std::size_t s = 0; s < 4; ++s) {
-        const double* __restrict__ r = &re_[(i | offset[s]) * L];
-        const double* __restrict__ m = &im_[(i | offset[s]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          sr[s * L + l] = r[l];
-          si[s * L + l] = m[l];
-        }
-      }
-      // Mirror of the scalar row expression u(r,0)*a0 + u(r,1)*a1 + ... :
-      // each product rounded first, sums associated left-to-right.
-      for (std::size_t r = 0; r < 4; ++r) {
-        double* __restrict__ outr = &re_[(i | offset[r]) * L];
-        double* __restrict__ outm = &im_[(i | offset[r]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double p0r = ur[r][0] * sr[0 * L + l] - ui[r][0] * si[0 * L + l];
-          const double p0i = ur[r][0] * si[0 * L + l] + ui[r][0] * sr[0 * L + l];
-          const double p1r = ur[r][1] * sr[1 * L + l] - ui[r][1] * si[1 * L + l];
-          const double p1i = ur[r][1] * si[1 * L + l] + ui[r][1] * sr[1 * L + l];
-          const double p2r = ur[r][2] * sr[2 * L + l] - ui[r][2] * si[2 * L + l];
-          const double p2i = ur[r][2] * si[2 * L + l] + ui[r][2] * sr[2 * L + l];
-          const double p3r = ur[r][3] * sr[3 * L + l] - ui[r][3] * si[3 * L + l];
-          const double p3i = ur[r][3] * si[3 * L + l] + ui[r][3] * sr[3 * L + l];
-          outr[l] = ((p0r + p1r) + p2r) + p3r;
-          outm[l] = ((p0i + p1i) + p2i) + p3i;
-        }
-      }
-    });
-    return;
-  }
-
-  if (k == 3) {
-    // Dense 3q kernel for width-3 fused blocks: same dispatch as the scalar
-    // backend, lane-major unit-stride inner loops, and the generic path's
-    // summation order (products rounded first, accumulated in s order).
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-    std::uint64_t offset[8];
-    for (std::size_t s = 0; s < 8; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-
-    if (detail::is_diagonal_n(u)) {
-      cxd d[8];
-      for (std::size_t s = 0; s < 8; ++s) d[s] = u(s, s);
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s)
-          mul_row(&re_[(i | offset[s]) * L], &im_[(i | offset[s]) * L], L, d[s].real(),
-                  d[s].imag());
-      });
-      return;
-    }
-
-    std::vector<double>& sr = scratch_re_;
-    std::vector<double>& si = scratch_im_;
-    detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-      for (std::size_t s = 0; s < 8; ++s) {
-        const double* __restrict__ r = &re_[(i | offset[s]) * L];
-        const double* __restrict__ m = &im_[(i | offset[s]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          sr[s * L + l] = r[l];
-          si[s * L + l] = m[l];
-        }
-      }
-      for (std::size_t r = 0; r < 8; ++r) {
-        double* __restrict__ outr = &re_[(i | offset[r]) * L];
-        double* __restrict__ outm = &im_[(i | offset[r]) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          outr[l] = 0.0;
-          outm[l] = 0.0;
-        }
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double cr = u(r, s).real(), ci = u(r, s).imag();
-          const double* __restrict__ ar = &sr[s * L];
-          const double* __restrict__ ai = &si[s * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double pr = cr * ar[l] - ci * ai[l];
-            const double pi = cr * ai[l] + ci * ar[l];
-            outr[l] += pr;
-            outm[l] += pi;
-          }
-        }
-      }
-    });
-    return;
-  }
-
-  // Generic k-qubit path: block enumeration of the 2^(n-k) base indices,
-  // same as the scalar backend.
-  const std::size_t dim = std::size_t{1} << k;
-  std::vector<std::uint64_t> masks(k);
-  for (std::size_t j = 0; j < k; ++j) masks[j] = std::uint64_t{1} << qubits[j];
-  std::vector<std::uint64_t> sorted_masks = masks;
-  std::sort(sorted_masks.begin(), sorted_masks.end());
-
-  std::vector<double> lr(dim * L), li(dim * L);
-  std::vector<std::uint64_t> idx(dim);
-  const std::uint64_t num_bases = dim_ >> k;
-  for (std::uint64_t t = 0; t < num_bases; ++t) {
-    const std::uint64_t base = detail::expand_base(t, sorted_masks.data(), k);
-    for (std::uint64_t s = 0; s < dim; ++s) {
-      std::uint64_t i = base;
-      for (std::size_t j = 0; j < k; ++j)
-        if ((s >> j) & 1) i |= masks[j];
-      idx[s] = i;
-      const double* __restrict__ r = &re_[i * L];
-      const double* __restrict__ m = &im_[i * L];
-      for (std::size_t l = 0; l < L; ++l) {
-        lr[s * L + l] = r[l];
-        li[s * L + l] = m[l];
-      }
-    }
-    for (std::uint64_t r = 0; r < dim; ++r) {
-      double* __restrict__ outr = &re_[idx[r] * L];
-      double* __restrict__ outm = &im_[idx[r] * L];
-      for (std::size_t l = 0; l < L; ++l) {
-        outr[l] = 0.0;
-        outm[l] = 0.0;
-      }
-      // acc += u(r,s) * local[s], product rounded before the accumulate —
-      // the scalar path's exact summation order.
-      for (std::uint64_t s = 0; s < dim; ++s) {
-        const double cr = u(r, s).real(), ci = u(r, s).imag();
-        const double* __restrict__ ar = &lr[s * L];
-        const double* __restrict__ ai = &li[s * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double pr = cr * ar[l] - ci * ai[l];
-          const double pi = cr * ai[l] + ci * ar[l];
-          outr[l] += pr;
-          outm[l] += pi;
-        }
-      }
-    }
-  }
+  detail::Perm4 p4{};
+  const Structure structure = detail::classify(u, k, p4);
+  apply_lanes(Planes{re_.data(), im_.data(), dim_, lanes_, scratch_re_.data(), scratch_im_.data()},
+              Broadcast{u}, qubits, structure, p4);
 }
 
 void BatchedStatevector::apply_phase_ratio(std::size_t q, cxd ratio) {
@@ -321,7 +361,9 @@ void BatchedStatevector::apply_phase_ratio(std::size_t q, cxd ratio) {
   const std::uint64_t bit = std::uint64_t{1} << q;
   const double rr = ratio.real(), ri = ratio.imag();
   const std::size_t L = lanes_;
-  for_each_one(dim_, bit, [&](std::uint64_t i) { mul_row(&re_[i * L], &im_[i * L], L, rr, ri); });
+  for_each_one(dim_, bit, [&](std::uint64_t i) {
+    mul_row(&re_[i * L], &im_[i * L], L, Broadcast::Entry{rr}, Broadcast::Entry{ri});
+  });
 }
 
 void BatchedStatevector::masses_one(std::size_t q, double* m1) const {
@@ -374,47 +416,13 @@ void BatchedStatevector::damp_or_jump(std::size_t q, const double* take,
   });
 }
 
-void BatchedStatevector::apply_matrix_lane(const CMat& u, std::size_t q, std::size_t lane) {
-  HGP_REQUIRE(u.rows() == 2 && u.cols() == 2, "apply_matrix_lane: expected a 2x2 operator");
-  HGP_REQUIRE(q < num_qubits_ && lane < lanes_, "apply_matrix_lane: out of range");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  const std::size_t L = lanes_;
-  const cxd u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-  auto at = [&](std::uint64_t i) -> cxd { return {re_[i * L + lane], im_[i * L + lane]}; };
-  auto put = [&](std::uint64_t i, cxd a) {
-    re_[i * L + lane] = a.real();
-    im_[i * L + lane] = a.imag();
-  };
-  // Same dispatch and arithmetic as the scalar 1q kernels, restricted to one
-  // lane (strided access — this is the rare per-lane Pauli-branch path).
-  if (is_zero(u01) && is_zero(u10)) {
-    for (std::uint64_t i = 0; i < dim_; ++i) put(i, at(i) * ((i & bit) ? u11 : u00));
-    return;
-  }
-  if (is_zero(u00) && is_zero(u11)) {
-    for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-      const cxd a0 = at(i);
-      put(i, u01 * at(i | bit));
-      put(i | bit, u10 * a0);
-    });
-    return;
-  }
-  for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-    const cxd a0 = at(i);
-    const cxd a1 = at(i | bit);
-    put(i, u00 * a0 + u01 * a1);
-    put(i | bit, u10 * a0 + u11 * a1);
-  });
-}
-
 void BatchedStatevector::apply_pauli_lanes(std::size_t q, const std::uint8_t* codes) {
   HGP_REQUIRE(q < num_qubits_, "apply_pauli_lanes: qubit out of range");
   const std::uint64_t bit = std::uint64_t{1} << q;
   const std::size_t L = lanes_;
-  // Literal complex products with the 0 / ±1 Pauli entries, in the exact
-  // operand order of the scalar kernels (u * a for the anti-diagonal X/Y
-  // paths, a * u for the diagonal Z path) — without fast-math the compiler
-  // cannot fold 0.0 * x, so each lane rounds like apply_matrix_lane.
+  // Literal complex products with the 0 / ±1 Pauli entries — without
+  // fast-math the compiler cannot fold 0.0 * x, so each lane rounds like the
+  // scalar body's anti-diagonal (X/Y) and diagonal (Z) kernels.
   for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
     double* __restrict__ r0 = &re_[i * L];
     double* __restrict__ m0 = &im_[i * L];
@@ -461,290 +469,20 @@ void BatchedStatevector::apply_matrix_per_lane(const std::vector<CMat>& us,
   for (std::size_t q : qubits)
     HGP_REQUIRE(q < num_qubits_, "apply_matrix_per_lane: qubit out of range");
 
-  if (k == 1) {
-    const std::uint64_t bit = std::uint64_t{1} << qubits[0];
-    bool all_diag = true, all_anti = true;
-    for (const CMat& u : us) {
-      if (!detail::is_diagonal2(u)) all_diag = false;
-      if (!detail::is_antidiagonal2(u)) all_anti = false;
-    }
-    if (all_diag) {
-      // Per-lane diagonal phases: d0/d1 coefficient rows in the gather
-      // scratch, one mul_row-shaped pass per half.
-      double* __restrict__ d0r = &scratch_re_[0];
-      double* __restrict__ d1r = &scratch_re_[L];
-      double* __restrict__ d0i = &scratch_im_[0];
-      double* __restrict__ d1i = &scratch_im_[L];
-      for (std::size_t l = 0; l < L; ++l) {
-        d0r[l] = us[l](0, 0).real();
-        d0i[l] = us[l](0, 0).imag();
-        d1r[l] = us[l](1, 1).real();
-        d1i[l] = us[l](1, 1).imag();
-      }
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = d0r[l] * ar0 - d0i[l] * ai0;
-          m0[l] = d0r[l] * ai0 + d0i[l] * ar0;
-          r1[l] = d1r[l] * ar1 - d1i[l] * ai1;
-          m1[l] = d1r[l] * ai1 + d1i[l] * ar1;
-        }
-      });
-      return;
-    }
-    if (all_anti) {
-      double* __restrict__ p01r = &scratch_re_[0];
-      double* __restrict__ p10r = &scratch_re_[L];
-      double* __restrict__ p01i = &scratch_im_[0];
-      double* __restrict__ p10i = &scratch_im_[L];
-      for (std::size_t l = 0; l < L; ++l) {
-        p01r[l] = us[l](0, 1).real();
-        p01i[l] = us[l](0, 1).imag();
-        p10r[l] = us[l](1, 0).real();
-        p10i[l] = us[l](1, 0).imag();
-      }
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = p01r[l] * ar1 - p01i[l] * ai1;
-          m0[l] = p01r[l] * ai1 + p01i[l] * ar1;
-          r1[l] = p10r[l] * ar0 - p10i[l] * ai0;
-          m1[l] = p10r[l] * ai0 + p10i[l] * ar0;
-        }
-      });
-      return;
-    }
-    bool all_dense = true;
-    for (const CMat& u : us)
-      if (detail::is_diagonal2(u) || detail::is_antidiagonal2(u)) all_dense = false;
-    if (all_dense) {
-      std::vector<double> cr(4 * L), ci(4 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t e = 0; e < 4; ++e) {
-          cr[e * L + l] = us[l](e >> 1, e & 1).real();
-          ci[e * L + l] = us[l](e >> 1, e & 1).imag();
-        }
-      const double* __restrict__ u00r = &cr[0 * L];
-      const double* __restrict__ u01r = &cr[1 * L];
-      const double* __restrict__ u10r = &cr[2 * L];
-      const double* __restrict__ u11r = &cr[3 * L];
-      const double* __restrict__ u00i = &ci[0 * L];
-      const double* __restrict__ u01i = &ci[1 * L];
-      const double* __restrict__ u10i = &ci[2 * L];
-      const double* __restrict__ u11i = &ci[3 * L];
-      for_each_pair_base(dim_, bit, [&](std::uint64_t i) {
-        double* __restrict__ r0 = &re_[i * L];
-        double* __restrict__ m0 = &im_[i * L];
-        double* __restrict__ r1 = &re_[(i | bit) * L];
-        double* __restrict__ m1 = &im_[(i | bit) * L];
-        for (std::size_t l = 0; l < L; ++l) {
-          const double ar0 = r0[l], ai0 = m0[l];
-          const double ar1 = r1[l], ai1 = m1[l];
-          r0[l] = (u00r[l] * ar0 - u00i[l] * ai0) + (u01r[l] * ar1 - u01i[l] * ai1);
-          m0[l] = (u00r[l] * ai0 + u00i[l] * ar0) + (u01r[l] * ai1 + u01i[l] * ar1);
-          r1[l] = (u10r[l] * ar0 - u10i[l] * ai0) + (u11r[l] * ar1 - u11i[l] * ai1);
-          m1[l] = (u10r[l] * ai0 + u10i[l] * ar0) + (u11r[l] * ai1 + u11i[l] * ar1);
-        }
-      });
-      return;
-    }
-    // Mixed structure classes: each lane takes its own scalar dispatch.
-    for (std::size_t l = 0; l < L; ++l) apply_matrix_lane(us[l], qubits[0], l);
+  // Lane-vectorized when every lane is diagonal, every lane anti-diagonal,
+  // or every lane dense. Permutations (whose pattern may differ by lane),
+  // generic widths, and mixed classes take the scalar body lane by lane.
+  detail::Perm4 p4{};
+  const Structure structure = detail::classify(us.front(), k, p4);
+  bool same = structure == Structure::Diagonal || structure == Structure::AntiDiagonal ||
+              structure == Structure::Dense;
+  for (std::size_t l = 1; l < L && same; ++l) same = detail::classify(us[l], k, p4) == structure;
+  if (!same) {
+    for (std::size_t l = 0; l < L; ++l) apply_matrix_one_lane(us[l], qubits, l);
     return;
   }
-
-  if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    std::uint64_t offset[4];
-    for (std::size_t s = 0; s < 4; ++s)
-      offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-
-    bool all_diag = true;
-    for (const CMat& u : us)
-      if (!detail::is_diagonal4(u)) all_diag = false;
-    if (all_diag) {
-      // The per-lane-theta RZZ kernel: four per-lane phase rows, one
-      // quad-base sweep.
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t s = 0; s < 4; ++s) {
-          scratch_re_[s * L + l] = us[l](s, s).real();
-          scratch_im_[s * L + l] = us[l](s, s).imag();
-        }
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ dr = &scratch_re_[s * L];
-          const double* __restrict__ di = &scratch_im_[s * L];
-          double* __restrict__ r = &re_[(i | offset[s]) * L];
-          double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double ar = r[l], ai = m[l];
-            r[l] = dr[l] * ar - di[l] * ai;
-            m[l] = dr[l] * ai + di[l] * ar;
-          }
-        }
-      });
-      return;
-    }
-
-    bool any_structured = false;
-    detail::Perm4 p4;
-    for (const CMat& u : us)
-      if (detail::is_diagonal4(u) || detail::as_permutation4(u, p4)) any_structured = true;
-    if (!any_structured) {
-      // All-dense: per-lane 4x4 coefficient rows, gather scratch as in the
-      // broadcast kernel, the same product/association order per lane.
-      std::vector<double> cr(16 * L), ci(16 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t r = 0; r < 4; ++r)
-          for (std::size_t c = 0; c < 4; ++c) {
-            cr[(r * 4 + c) * L + l] = us[l](r, c).real();
-            ci[(r * 4 + c) * L + l] = us[l](r, c).imag();
-          }
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 4; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t r = 0; r < 4; ++r) {
-          double* __restrict__ outr = &re_[(i | offset[r]) * L];
-          double* __restrict__ outm = &im_[(i | offset[r]) * L];
-          const double* __restrict__ ur0 = &cr[(r * 4 + 0) * L];
-          const double* __restrict__ ur1 = &cr[(r * 4 + 1) * L];
-          const double* __restrict__ ur2 = &cr[(r * 4 + 2) * L];
-          const double* __restrict__ ur3 = &cr[(r * 4 + 3) * L];
-          const double* __restrict__ ui0 = &ci[(r * 4 + 0) * L];
-          const double* __restrict__ ui1 = &ci[(r * 4 + 1) * L];
-          const double* __restrict__ ui2 = &ci[(r * 4 + 2) * L];
-          const double* __restrict__ ui3 = &ci[(r * 4 + 3) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double p0r = ur0[l] * sr[0 * L + l] - ui0[l] * si[0 * L + l];
-            const double p0i = ur0[l] * si[0 * L + l] + ui0[l] * sr[0 * L + l];
-            const double p1r = ur1[l] * sr[1 * L + l] - ui1[l] * si[1 * L + l];
-            const double p1i = ur1[l] * si[1 * L + l] + ui1[l] * sr[1 * L + l];
-            const double p2r = ur2[l] * sr[2 * L + l] - ui2[l] * si[2 * L + l];
-            const double p2i = ur2[l] * si[2 * L + l] + ui2[l] * sr[2 * L + l];
-            const double p3r = ur3[l] * sr[3 * L + l] - ui3[l] * si[3 * L + l];
-            const double p3i = ur3[l] * si[3 * L + l] + ui3[l] * sr[3 * L + l];
-            outr[l] = ((p0r + p1r) + p2r) + p3r;
-            outm[l] = ((p0i + p1i) + p2i) + p3i;
-          }
-        }
-      });
-      return;
-    }
-  }
-
-  if (k == 3) {
-    bool all_diag = true;
-    for (const CMat& u : us)
-      if (!detail::is_diagonal_n(u)) all_diag = false;
-    if (all_diag) {
-      // Width-3 fused diagonal chains with per-lane parameters: eight
-      // per-lane phase rows, one oct-base sweep.
-      const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-      const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-      const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-      std::uint64_t offset[8];
-      for (std::size_t s = 0; s < 8; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t s = 0; s < 8; ++s) {
-          scratch_re_[s * L + l] = us[l](s, s).real();
-          scratch_im_[s * L + l] = us[l](s, s).imag();
-        }
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double* __restrict__ dr = &scratch_re_[s * L];
-          const double* __restrict__ di = &scratch_im_[s * L];
-          double* __restrict__ r = &re_[(i | offset[s]) * L];
-          double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            const double ar = r[l], ai = m[l];
-            r[l] = dr[l] * ar - di[l] * ai;
-            m[l] = dr[l] * ai + di[l] * ar;
-          }
-        }
-      });
-      return;
-    }
-
-    bool any_diag = false;
-    for (const CMat& u : us)
-      if (detail::is_diagonal_n(u)) any_diag = true;
-    if (!any_diag) {
-      // All-dense width-3 fused blocks with per-lane parameters: per-lane
-      // 8x8 coefficient rows, gather scratch, and the broadcast dense
-      // kernel's product/association order per lane (products rounded
-      // first, summed in ascending s).
-      const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-      const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-      const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-      std::uint64_t offset[8];
-      for (std::size_t s = 0; s < 8; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0) | ((s & 4) ? b2 : 0);
-      std::vector<double> cr(64 * L), ci(64 * L);
-      for (std::size_t l = 0; l < L; ++l)
-        for (std::size_t r = 0; r < 8; ++r)
-          for (std::size_t c = 0; c < 8; ++c) {
-            cr[(r * 8 + c) * L + l] = us[l](r, c).real();
-            ci[(r * 8 + c) * L + l] = us[l](r, c).imag();
-          }
-      std::vector<double>& sr = scratch_re_;
-      std::vector<double>& si = scratch_im_;
-      detail::for_each_oct_base(dim_, b0, b1, b2, [&](std::uint64_t i) {
-        for (std::size_t s = 0; s < 8; ++s) {
-          const double* __restrict__ r = &re_[(i | offset[s]) * L];
-          const double* __restrict__ m = &im_[(i | offset[s]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            sr[s * L + l] = r[l];
-            si[s * L + l] = m[l];
-          }
-        }
-        for (std::size_t r = 0; r < 8; ++r) {
-          double* __restrict__ outr = &re_[(i | offset[r]) * L];
-          double* __restrict__ outm = &im_[(i | offset[r]) * L];
-          for (std::size_t l = 0; l < L; ++l) {
-            outr[l] = 0.0;
-            outm[l] = 0.0;
-          }
-          for (std::size_t s = 0; s < 8; ++s) {
-            const double* __restrict__ ur = &cr[(r * 8 + s) * L];
-            const double* __restrict__ ui = &ci[(r * 8 + s) * L];
-            const double* __restrict__ ar = &sr[s * L];
-            const double* __restrict__ ai = &si[s * L];
-            for (std::size_t l = 0; l < L; ++l) {
-              const double pr = ur[l] * ar[l] - ui[l] * ai[l];
-              const double pi = ur[l] * ai[l] + ui[l] * ar[l];
-              outr[l] += pr;
-              outm[l] += pi;
-            }
-          }
-        }
-      });
-      return;
-    }
-  }
-
-  // Mixed structure, permutation, or k > 2: per-lane strided applies with
-  // the scalar dispatch.
-  for (std::size_t l = 0; l < L; ++l) apply_matrix_one_lane(us[l], qubits, l);
+  apply_lanes(Planes{re_.data(), im_.data(), dim_, lanes_, scratch_re_.data(), scratch_im_.data()},
+              PerLane(us), qubits, structure, p4);
 }
 
 void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
@@ -756,91 +494,7 @@ void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
   HGP_REQUIRE(lane < lanes_, "apply_matrix_one_lane: lane out of range");
   for (std::size_t q : qubits)
     HGP_REQUIRE(q < num_qubits_, "apply_matrix_one_lane: qubit out of range");
-  if (k == 1) {
-    apply_matrix_lane(u, qubits[0], lane);
-    return;
-  }
-  const std::size_t L = lanes_;
-  auto at = [&](std::uint64_t i) -> cxd { return {re_[i * L + lane], im_[i * L + lane]}; };
-  auto put = [&](std::uint64_t i, cxd a) {
-    re_[i * L + lane] = a.real();
-    im_[i * L + lane] = a.imag();
-  };
-
-  if (k == 2) {
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    if (detail::is_diagonal4(u)) {
-      const cxd d[4] = {u(0, 0), u(1, 1), u(2, 2), u(3, 3)};
-      for (std::uint64_t i = 0; i < dim_; ++i) {
-        const std::size_t sub = ((i & b0) ? 1u : 0u) | ((i & b1) ? 2u : 0u);
-        put(i, at(i) * d[sub]);
-      }
-      return;
-    }
-    detail::Perm4 p4;
-    if (detail::as_permutation4(u, p4)) {
-      std::uint64_t offset[4];
-      for (std::size_t s = 0; s < 4; ++s)
-        offset[s] = ((s & 1) ? b0 : 0) | ((s & 2) ? b1 : 0);
-      for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-        cxd a[4];
-        for (std::size_t s = 0; s < 4; ++s) a[s] = at(i | offset[s]);
-        for (std::size_t s = 0; s < 4; ++s) put(i | offset[p4.perm[s]], p4.phase[s] * a[s]);
-      });
-      return;
-    }
-    for_each_quad_base(dim_, b0, b1, [&](std::uint64_t i) {
-      const std::uint64_t i0 = i, i1 = i | b0, i2 = i | b1, i3 = i | b0 | b1;
-      const cxd a0 = at(i0), a1 = at(i1), a2 = at(i2), a3 = at(i3);
-      put(i0, u(0, 0) * a0 + u(0, 1) * a1 + u(0, 2) * a2 + u(0, 3) * a3);
-      put(i1, u(1, 0) * a0 + u(1, 1) * a1 + u(1, 2) * a2 + u(1, 3) * a3);
-      put(i2, u(2, 0) * a0 + u(2, 1) * a1 + u(2, 2) * a2 + u(2, 3) * a3);
-      put(i3, u(3, 0) * a0 + u(3, 1) * a1 + u(3, 2) * a2 + u(3, 3) * a3);
-    });
-    return;
-  }
-
-  if (k == 3 && detail::is_diagonal_n(u)) {
-    // Mirror of the scalar backend's diagonal-8 fast path, one lane's stride.
-    const std::uint64_t b0 = std::uint64_t{1} << qubits[0];
-    const std::uint64_t b1 = std::uint64_t{1} << qubits[1];
-    const std::uint64_t b2 = std::uint64_t{1} << qubits[2];
-    cxd d[8];
-    for (std::size_t s = 0; s < 8; ++s) d[s] = u(s, s);
-    for (std::uint64_t i = 0; i < dim_; ++i) {
-      const std::size_t sub =
-          ((i & b0) ? 1u : 0u) | ((i & b1) ? 2u : 0u) | ((i & b2) ? 4u : 0u);
-      put(i, at(i) * d[sub]);
-    }
-    return;
-  }
-
-  // Generic k: the scalar backend's block enumeration, one lane's stride.
-  const std::size_t dim = std::size_t{1} << k;
-  std::vector<std::uint64_t> masks(k);
-  for (std::size_t j = 0; j < k; ++j) masks[j] = std::uint64_t{1} << qubits[j];
-  std::vector<std::uint64_t> sorted_masks = masks;
-  std::sort(sorted_masks.begin(), sorted_masks.end());
-  std::vector<cxd> local(dim);
-  const std::uint64_t num_bases = dim_ >> k;
-  for (std::uint64_t t = 0; t < num_bases; ++t) {
-    const std::uint64_t base = detail::expand_base(t, sorted_masks.data(), k);
-    for (std::uint64_t s = 0; s < dim; ++s) {
-      std::uint64_t idx = base;
-      for (std::size_t j = 0; j < k; ++j)
-        if ((s >> j) & 1) idx |= masks[j];
-      local[s] = at(idx);
-    }
-    for (std::uint64_t r = 0; r < dim; ++r) {
-      cxd acc{0.0, 0.0};
-      for (std::uint64_t s = 0; s < dim; ++s) acc += u(r, s) * local[s];
-      std::uint64_t idx = base;
-      for (std::size_t j = 0; j < k; ++j)
-        if ((r >> j) & 1) idx |= masks[j];
-      put(idx, acc);
-    }
-  }
+  detail::apply_matrix_scalar(LaneAmps{&re_[lane], &im_[lane], lanes_}, dim_, u, qubits);
 }
 
 void BatchedStatevector::weighted_masses(const double* values, double* num,

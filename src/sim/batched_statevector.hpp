@@ -11,19 +11,24 @@ namespace hgp::sim {
 
 /// B statevector trajectories evolved in lockstep: a structure-of-lanes
 /// layout with separate real/imaginary planes, `re_[i * lanes + l]` holding
-/// the real part of basis index i in lane l. Deterministic gates apply once
-/// across all lanes — the 1q/2q kernels (including the diagonal /
-/// anti-diagonal / permutation fast paths) loop over the contiguous lane
-/// dimension with scalar-broadcast matrix elements, so a single core
-/// auto-vectorizes the inner loop instead of re-dispatching per shot.
+/// the real part of basis index i in lane l. Gates run through two kernel
+/// bodies:
+///  - the lane-vectorized body (diagonal, anti-diagonal, permutation, dense
+///    1q/2q/3q, generic k) loops over the contiguous lane dimension, so a
+///    single core auto-vectorizes the inner loop instead of re-dispatching
+///    per shot. Its matrix entries come from one of two sources: a scalar
+///    broadcast to every lane (apply_matrix) or one value per lane
+///    (apply_matrix_per_lane);
+///  - the scalar body (sim/kernel_structure.hpp, shared with `Statevector`)
+///    runs on a single strided lane (apply_matrix_one_lane).
 ///
-/// Determinism contract: every kernel mirrors the scalar `Statevector`
-/// kernel's complex arithmetic expression-for-expression (same products,
-/// same association, structure dispatch shared via sim/kernel_structure.hpp)
-/// and the build disables FP contraction, so a lane's amplitudes stay
-/// bit-identical (up to the sign of zeros) to a scalar shot evolved through
-/// the same operations — which is what lets the executor pin scalar-vs-
-/// batched counts exactly for every lane count.
+/// Determinism contract: the lane-vectorized body spells out the scalar
+/// body's complex arithmetic expression-for-expression (same products, same
+/// association, same structure dispatch) and the build disables FP
+/// contraction, so a lane's amplitudes stay bit-identical (up to the sign of
+/// zeros) to a scalar shot evolved through the same operations — which is
+/// what lets the executor pin scalar-vs-batched counts exactly for every
+/// lane count.
 class BatchedStatevector {
  public:
   BatchedStatevector(std::size_t num_qubits, std::size_t lanes);
@@ -67,17 +72,13 @@ class BatchedStatevector {
   /// lanes with take[l] == 0.0 keep |0> and scale |1> by scale1[l].
   void damp_or_jump(std::size_t q, const double* take, const double* scale1);
 
-  /// Apply a 1-qubit operator to one lane only (the rare Pauli-jump path of
-  /// per-lane depolarizing branches). Mirrors the scalar 1q kernels exactly.
-  void apply_matrix_lane(const la::CMat& u, std::size_t q, std::size_t lane);
-
   /// Grouped Pauli pass of the depolarizing channel: codes[l] in {0=I, 1=X,
   /// 2=Y, 3=Z} selects the Pauli applied to lane l on qubit q (code 0 leaves
   /// the lane untouched). One pair-base sweep replaces up to lanes() strided
-  /// apply_matrix_lane calls when several lanes drew a charge at once; the
-  /// per-lane arithmetic is the literal complex product with the 0 / ±1
-  /// Pauli entries, so each lane is bitwise what apply_matrix_lane with the
-  /// same Pauli would produce.
+  /// apply_matrix_one_lane calls when several lanes drew a charge at once;
+  /// the per-lane arithmetic is the literal complex product with the 0 / ±1
+  /// Pauli entries, so each lane is bitwise what apply_matrix_one_lane with
+  /// the same Pauli would produce.
   void apply_pauli_lanes(std::size_t q, const std::uint8_t* codes);
 
   // ---- per-lane operators (candidate-lane batching) ----
@@ -85,18 +86,19 @@ class BatchedStatevector {
   /// Apply a *different* operator per lane in one pass — the parameterized
   /// blocks of a candidate-lane batch, where every lane shares the circuit
   /// structure but carries its own rotation angle. us[l] acts on lane l
-  /// (us.size() == lanes()). When all lanes share one structure class (all
-  /// 1q diagonal / anti-diagonal / dense, or all 2q diagonal / dense) the
-  /// kernel is lane-vectorized with per-lane coefficient rows; mixed classes
-  /// and k > 2 fall back to per-lane strided applies. Either way lane l ends
-  /// up bitwise identical (up to zero signs) to a scalar
+  /// (us.size() == lanes()). When every lane is diagonal, every lane
+  /// anti-diagonal, or every lane dense (1-3 qubits), the lane-vectorized
+  /// body runs with per-lane coefficient rows; permutations, wider operators
+  /// and mixed classes fall back to apply_matrix_one_lane per lane. Either
+  /// way lane l ends up bitwise identical (up to zero signs) to a scalar
   /// Statevector::apply_matrix(us[l], qubits).
   void apply_matrix_per_lane(const std::vector<la::CMat>& us,
                              const std::vector<std::size_t>& qubits);
 
-  /// Apply a k-qubit operator to one lane only (strided), with the scalar
-  /// backend's full structure dispatch — the mixed-structure fallback of
-  /// apply_matrix_per_lane. Generalizes apply_matrix_lane beyond one qubit.
+  /// Apply a k-qubit operator to one lane only (strided) through the scalar
+  /// body `Statevector::apply_matrix` runs — the mixed-structure fallback of
+  /// apply_matrix_per_lane and the lone-lane Pauli jump of the trajectory
+  /// engine.
   void apply_matrix_one_lane(const la::CMat& u, const std::vector<std::size_t>& qubits,
                              std::size_t lane);
 

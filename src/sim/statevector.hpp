@@ -12,10 +12,12 @@
 namespace hgp::sim {
 
 /// Exact statevector of an n-qubit register with in-place gate application.
-/// Little-endian: qubit q is bit q of the basis index. Structured 1q/2q
-/// operators (diagonal, anti-diagonal/X-like, permutation) are detected at
-/// apply time and dispatched to specialized kernels that skip the dense
-/// matrix product.
+/// Little-endian: qubit q is bit q of the basis index. Gates run through the
+/// scalar body in sim/kernel_structure.hpp: structured operators (diagonal,
+/// anti-diagonal/X-like, permutation) are detected at apply time and
+/// dispatched to specialized kernels that skip the dense matrix product. It
+/// is the reference the lane-batched `BatchedStatevector` kernels match bit
+/// for bit.
 class Statevector final : public QuantumState {
  public:
   explicit Statevector(std::size_t num_qubits);
@@ -30,8 +32,8 @@ class Statevector final : public QuantumState {
   std::unique_ptr<QuantumState> clone() const override;
 
   /// Apply a dense k-qubit operator to the listed qubits (first listed qubit
-  /// = least significant sub-index bit). Optimized paths for k = 1, 2 plus
-  /// structure-specialized kernels (diagonal / permutation).
+  /// = least significant sub-index bit). Optimized paths for k = 1-3 plus
+  /// structure-specialized kernels (diagonal / anti-diagonal / permutation).
   void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits) override;
 
   std::vector<double> probabilities() const override;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "backend/presets.hpp"
 #include "common/rng.hpp"
@@ -165,48 +167,123 @@ TEST(BatchedTrajectories, CallerRngAdvanceIsShotAndLaneIndependent) {
 
 // ---- kernel-level parity ----------------------------------------------------
 
-TEST(BatchedKernels, BroadcastMatrixMatchesScalarPerLane) {
-  constexpr std::size_t kLanes = 5;
-  sim::BatchedStatevector bsv(3, kLanes);
-  std::vector<sim::Statevector> ref(kLanes, sim::Statevector(3));
+namespace {
 
-  // Diverge the lanes first with per-lane rotations, then broadcast the full
-  // kernel zoo: dense 1q, diagonal 1q, anti-diagonal 1q, permutation 2q,
-  // diagonal 2q, dense 2q, generic 3q.
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const la::CMat r = rotation(0.2 + 0.17 * static_cast<double>(l));
-    bsv.apply_matrix_lane(r, 0, l);
-    ref[l].apply_matrix(r, {0});
-    bsv.apply_matrix_lane(rotation(0.4 * static_cast<double>(l)), 2, l);
-    ref[l].apply_matrix(rotation(0.4 * static_cast<double>(l)), {2});
-  }
-  const la::CMat sx = qc::gate_matrix(qc::GateKind::SX);
-  const la::CMat rz = qc::gate_matrix(qc::GateKind::RZ, {0.7});
-  const la::CMat x = qc::gate_matrix(qc::GateKind::X);
-  const la::CMat cx = qc::gate_matrix(qc::GateKind::CX);
-  const la::CMat rzz = qc::gate_matrix(qc::GateKind::RZZ, {0.31});
-  const la::CMat dense2 = la::kron(sx, rotation(0.9));
-  const la::CMat generic3 = la::kron(rz, la::kron(sx, rotation(0.5)));
+/// One operator per (width, structure class), parameterized by an angle so a
+/// per-lane apply can hand every lane its own operator of the same class.
+struct KernelCase {
+  const char* name;
+  std::size_t width;
+  std::function<la::CMat(double)> make;
+};
 
-  auto broadcast = [&](const la::CMat& u, const std::vector<std::size_t>& qs) {
-    bsv.apply_matrix(u, qs);
-    for (auto& sv : ref) sv.apply_matrix(u, qs);
+la::CMat phases(std::size_t n, double t) {
+  la::CMat d(n, n);
+  for (std::size_t s = 0; s < n; ++s) d(s, s) = std::polar(1.0, t * (0.7 + 0.3 * s));
+  return d;
+}
+
+const std::vector<KernelCase>& kernel_cases() {
+  static const std::vector<KernelCase> cases = {
+      {"1q diagonal", 1, [](double t) { return phases(2, t); }},
+      {"1q anti-diagonal", 1,
+       [](double t) {
+         la::CMat u(2, 2);
+         u(0, 1) = std::polar(1.0, -t);
+         u(1, 0) = std::polar(1.0, 0.5 * t);
+         return u;
+       }},
+      {"1q dense", 1, [](double t) { return qc::gate_matrix(qc::GateKind::U3, {t, 0.4, -t}); }},
+      {"2q diagonal", 2, [](double t) { return qc::gate_matrix(qc::GateKind::RZZ, {t}); }},
+      {"2q permutation", 2,
+       [](double t) {
+         const std::size_t perm[4] = {2, 0, 3, 1};
+         la::CMat u(4, 4);
+         for (std::size_t c = 0; c < 4; ++c) u(perm[c], c) = std::polar(1.0, t * (c + 1.0));
+         return u;
+       }},
+      {"2q dense", 2,
+       [](double t) { return la::kron(qc::gate_matrix(qc::GateKind::SX), rotation(t)); }},
+      {"3q diagonal", 3, [](double t) { return phases(8, t); }},
+      {"3q dense", 3,
+       [](double t) {
+         return la::kron(rotation(t), la::kron(qc::gate_matrix(qc::GateKind::SX),
+                                               qc::gate_matrix(qc::GateKind::RX, {2.0 * t})));
+       }},
+      {"4q generic", 4,
+       [](double t) {
+         return la::kron(la::kron(rotation(t), qc::gate_matrix(qc::GateKind::RZ, {t})),
+                         la::kron(qc::gate_matrix(qc::GateKind::SX), rotation(0.5 * t)));
+       }},
   };
-  broadcast(sx, {1});
-  broadcast(rz, {0});
-  broadcast(x, {2});
-  broadcast(cx, {0, 2});
-  broadcast(rzz, {1, 2});
-  broadcast(dense2, {2, 0});
-  broadcast(generic3, {0, 1, 2});
+  return cases;
+}
 
-  for (std::size_t l = 0; l < kLanes; ++l)
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      const la::cxd got = bsv.amplitude(i, l);
-      const la::cxd want = ref[l].data()[i];
-      EXPECT_NEAR(got.real(), want.real(), 1e-12) << "lane " << l << " i " << i;
-      EXPECT_NEAR(got.imag(), want.imag(), 1e-12) << "lane " << l << " i " << i;
+}  // namespace
+
+TEST(BatchedKernels, BroadcastMatrixMatchesScalarPerLane) {
+  // Every lane-vectorized kernel, fed by both coefficient sources, against
+  // the scalar Statevector reference with exact == on every amplitude:
+  // broadcast (one operator, all lanes), per-lane with one structure class
+  // (every lane its own operator of the same class), and per-lane with the
+  // classes of one width mixed across lanes (the one-lane fallback).
+  constexpr std::size_t kQubits = 5;
+  constexpr std::size_t kLanes = 7;
+  // Scattered, unsorted targets per width exercise the sub-index mapping.
+  const std::vector<std::vector<std::size_t>> targets = {
+      {}, {3}, {4, 1}, {1, 4, 2}, {4, 0, 2, 1}};
+
+  enum class Mode { Broadcast, PerLaneOneClass, PerLaneMixed };
+  auto check = [&](Mode mode, const std::string& label, std::size_t width,
+                   const std::function<la::CMat(std::size_t)>& op_of_lane) {
+    // Lanes start in distinct entangled complex states built by the reference.
+    sim::BatchedStatevector bsv(kQubits, kLanes);
+    std::vector<sim::Statevector> ref(kLanes, sim::Statevector(kQubits));
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t q = 0; q < kQubits; ++q) {
+        const double theta = 0.3 + 0.2 * static_cast<double>(q) + 0.1 * static_cast<double>(l);
+        ref[l].apply_matrix(
+            qc::gate_matrix(qc::GateKind::U3, {theta, 0.2 * static_cast<double>(l), 0.5}), {q});
+      }
+      for (std::size_t q = 0; q + 1 < kQubits; ++q)
+        ref[l].apply_matrix(qc::gate_matrix(qc::GateKind::CX), {q, q + 1});
+      for (std::uint64_t i = 0; i < bsv.dim(); ++i) bsv.set_amplitude(i, l, ref[l].data()[i]);
     }
+
+    const std::vector<std::size_t>& qubits = targets[width];
+    std::vector<la::CMat> us;
+    for (std::size_t l = 0; l < kLanes; ++l) us.push_back(op_of_lane(l));
+    if (mode == Mode::Broadcast)
+      bsv.apply_matrix(us[0], qubits);
+    else
+      bsv.apply_matrix_per_lane(us, qubits);
+    for (std::size_t l = 0; l < kLanes; ++l) ref[l].apply_matrix(us[l], qubits);
+
+    std::size_t mismatches = 0;
+    for (std::size_t l = 0; l < kLanes; ++l)
+      for (std::uint64_t i = 0; i < bsv.dim(); ++i) {
+        const la::cxd got = bsv.amplitude(i, l);
+        const la::cxd want = ref[l].data()[i];
+        if (!(got.real() == want.real() && got.imag() == want.imag())) ++mismatches;
+      }
+    EXPECT_EQ(mismatches, 0u) << label;
+  };
+
+  for (const KernelCase& c : kernel_cases()) {
+    check(Mode::Broadcast, std::string("broadcast ") + c.name, c.width,
+          [&](std::size_t) { return c.make(0.37); });
+    check(Mode::PerLaneOneClass, std::string("per-lane ") + c.name, c.width,
+          [&](std::size_t l) { return c.make(0.37 + 0.11 * static_cast<double>(l)); });
+  }
+  for (std::size_t width = 1; width <= 3; ++width) {
+    std::vector<const KernelCase*> of_width;
+    for (const KernelCase& c : kernel_cases())
+      if (c.width == width) of_width.push_back(&c);
+    check(Mode::PerLaneMixed, "per-lane mixed " + std::to_string(width) + "q", width,
+          [&](std::size_t l) {
+            return of_width[l % of_width.size()]->make(0.37 + 0.11 * static_cast<double>(l));
+          });
+  }
 }
 
 TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
@@ -217,9 +294,9 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
 
   for (std::size_t l = 0; l < kLanes; ++l) {
     const la::CMat r = rotation(0.3 + 0.25 * static_cast<double>(l));
-    bsv.apply_matrix_lane(r, kQ, l);
+    bsv.apply_matrix_one_lane(r, {kQ}, l);
     ref[l].apply_matrix(r, {kQ});
-    bsv.apply_matrix_lane(rotation(0.6), 0, l);
+    bsv.apply_matrix_one_lane(rotation(0.6), {0}, l);
     ref[l].apply_matrix(rotation(0.6), {0});
   }
 
@@ -290,9 +367,9 @@ TEST(BatchedKernels, SampleLanesMatchesScalarScan) {
   std::vector<sim::Statevector> ref(kLanes, sim::Statevector(2));
   for (std::size_t l = 0; l < kLanes; ++l) {
     const la::CMat r = rotation(0.5 + 0.4 * static_cast<double>(l));
-    bsv.apply_matrix_lane(r, 0, l);
+    bsv.apply_matrix_one_lane(r, {0}, l);
     ref[l].apply_matrix(r, {0});
-    bsv.apply_matrix_lane(rotation(1.1), 1, l);
+    bsv.apply_matrix_one_lane(rotation(1.1), {1}, l);
     ref[l].apply_matrix(rotation(1.1), {1});
   }
   const double x[kLanes] = {0.05, 0.5, 0.93};

@@ -150,11 +150,18 @@ TEST(JobValidation, RejectsEachMalformation) {
   j.config.engine = "teleport";
   EXPECT_EQ(code_of(j), JobErrorCode::BadEngine);
 
-  // 12 vertices: fine for trajectories (cap 14), over the density cap (10).
+  // 12 vertices: fine for trajectories (cap 14), over the density cap (10)
+  // under either of the density engine's names.
   j = big_job("bad");
   EXPECT_EQ(code_of(j), JobErrorCode::None);
-  j.config.engine = "density";
-  EXPECT_EQ(code_of(j), JobErrorCode::TooManyQubits);
+  for (const char* density : {"density", "exact_density"}) {
+    j = big_job("bad");
+    j.config.engine = density;
+    EXPECT_EQ(code_of(j), JobErrorCode::TooManyQubits) << density;
+    j = good_job("bad");
+    j.config.engine = density;
+    EXPECT_EQ(code_of(j), JobErrorCode::None) << density;
+  }
 
   j = good_job("bad");
   j.config.objective = "fidelity";
