@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/fusion.hpp"
+#include "core/models.hpp"
 #include "core/qaoa.hpp"
 #include "graph/instances.hpp"
 #include "linalg/eig.hpp"
@@ -373,6 +374,26 @@ static void BM_ExecutorExactDensity(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_ExecutorExactDensity)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
+static void BM_ExecutorWarmRun6q(benchmark::State& state) {
+  // A noiseless 1-shot run of the task-1 gate-level program on a warm
+  // shared cache: every block hits, so this is mostly the compile walk (one
+  // key and one cache probe per block) plus a 6-qubit fused evolve.
+  const backend::FakeBackend dev = backend::make_toronto();
+  const graph::Instance inst = graph::paper_task1();
+  const core::QaoaModel model = core::QaoaModel::build(
+      inst.graph, dev, core::ModelKind::GateLevel, core::ModelConfig{});
+  const core::Program prog = model.instantiate(model.initial_parameters());
+  core::ExecutorOptions opts;
+  opts.noise = false;
+  opts.block_cache = std::make_shared<serve::BlockCache>();
+  core::Executor ex(dev, opts);
+  Rng rng(23);
+  ex.run(prog, 1, rng);  // compile every block into the shared cache
+  for (auto _ : state) benchmark::DoNotOptimize(ex.run(prog, 1, rng));
+  state.SetLabel(std::to_string(prog.ops.size()) + " ops");
+}
+BENCHMARK(BM_ExecutorWarmRun6q)->Unit(benchmark::kMicrosecond);
 
 static void BM_StatevectorCx(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

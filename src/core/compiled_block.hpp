@@ -27,9 +27,9 @@ struct CompiledBlock {
   /// Transient identity of this block under the executor's cache keying —
   /// the suffix of its BlockCache key (no backend-fingerprint prefix).
   /// Stamped by the compile pipeline so the fusion pass can derive cache
-  /// keys for merged blocks by concatenation. NOT serialized: a store
-  /// round-trip leaves it empty, and the executor re-stamps it on every
-  /// cache hit.
+  /// keys for merged blocks by concatenation. NOT serialized and not
+  /// cached: BlockCache clears it on insert (its map key is the one copy),
+  /// and the executor re-stamps it on every cache hit.
   std::string structure_key;
 
   /// Append the block to `out` in the store's binary encoding. The unitary

@@ -134,6 +134,14 @@ void fill_schedule_metadata(CompiledBlock& block, const pulse::Schedule& sched) 
   }
 }
 
+/// A cache hit as the compile pipeline hands it on: a copy of the stored
+/// block (which carries no structure_key) stamped with its key suffix.
+CompiledBlock stamped(const CompiledBlock& cached, std::string structure_key) {
+  CompiledBlock block = cached;
+  block.structure_key = std::move(structure_key);
+  return block;
+}
+
 bool has_frequency_instruction(const pulse::Schedule& sched) {
   for (const pulse::TimedInstruction& ti : sched.instructions())
     if (std::holds_alternative<pulse::ShiftFrequency>(ti.inst) ||
@@ -561,8 +569,12 @@ CompiledBlock Executor::compile_block(const ExecOp& op) {
   for (std::size_t q : op.qubits) key << "," << q;
   key << ",fp=" << std::hex << op.schedule.fingerprint() << std::dec
       << ",dur=" << op.schedule.duration();
-  return lower_schedule_block(key.str(), serve::BlockKind::Pulse, op.schedule, op.qubits,
-                              nullptr, false);
+  std::string structure_key = key.str();
+  const std::string cache_key = key_prefix_ + structure_key;
+  if (const auto cached = cache_->find(cache_key, serve::BlockKind::Pulse))
+    return stamped(*cached, std::move(structure_key));
+  return lower_schedule_block(cache_key, std::move(structure_key), serve::BlockKind::Pulse,
+                              op.schedule, op.qubits, nullptr, false);
 }
 
 CompiledBlock Executor::compile_gate(const qc::Op& op) {
@@ -596,13 +608,33 @@ CompiledBlock Executor::compile_gate(const qc::Op& op) {
     block.structure_key = key.str();
     return block;
   }
+  if (op.kind != qc::GateKind::SX && op.kind != qc::GateKind::X &&
+      op.kind != qc::GateKind::CX && op.kind != qc::GateKind::RZZ)
+    throw Error("Executor: program not in native basis (got " + qc::gate_name(op.kind) +
+                "); transpile first");
 
-  const pulse::CalibrationSet& cal = dev_.calibrations();
-  pulse::Schedule sched;
+  // The key is the gate name, its physical qubits and (RZZ) its exact
+  // angle; no schedule is built for it. CalibrationSet::sx/x/cx/rzz_direct
+  // read only the qubits, theta, the QubitCalibration/CrCalibration fields
+  // and the control-channel map, which follows the coupling map; the
+  // backend fingerprint in key_prefix_ hashes all of those (and the
+  // coherent-noise fields simulate_block reads). The schedule duration
+  // follows from sx_duration/cr_duration, so it adds no identity.
   std::ostringstream key;
   key << qc::gate_name(op.kind);
   for (std::size_t q : op.qubits) key << "," << q;
+  // Exact (hexfloat) parameter formatting: the default 6-sig-fig ostream
+  // rendering made nearby angles collide on one cache slot, replaying a
+  // stale compiled block for a different theta.
+  if (op.kind == qc::GateKind::RZZ)
+    key << ",theta=" << std::hexfloat << op.params[0].value() << std::defaultfloat;
+  std::string structure_key = key.str();
+  const std::string cache_key = key_prefix_ + structure_key;
+  if (const auto cached = cache_->find(cache_key, serve::BlockKind::Gate))
+    return stamped(*cached, std::move(structure_key));
 
+  const pulse::CalibrationSet& cal = dev_.calibrations();
+  pulse::Schedule sched;
   switch (op.kind) {
     case qc::GateKind::SX:
       sched = cal.sx(op.qubits[0]);
@@ -613,47 +645,27 @@ CompiledBlock Executor::compile_gate(const qc::Op& op) {
     case qc::GateKind::CX:
       sched = cal.cx(op.qubits[0], op.qubits[1]);
       break;
-    case qc::GateKind::RZZ: {
+    default:
       // An RZZ surviving to execution means the pulse-efficient direct-CR
       // realization was requested.
-      const double theta = op.params[0].value();
-      sched = cal.rzz_direct(op.qubits[0], op.qubits[1], theta);
-      // Exact (hexfloat) parameter formatting: the default 6-sig-fig ostream
-      // rendering made nearby angles collide on one cache slot, replaying a
-      // stale compiled block for a different theta.
-      key << ",theta=" << std::hexfloat << theta << std::defaultfloat;
+      sched = cal.rzz_direct(op.qubits[0], op.qubits[1], op.params[0].value());
       break;
-    }
-    default:
-      throw Error("Executor: program not in native basis (got " + qc::gate_name(op.kind) +
-                  "); transpile first");
   }
-  // Duration disambiguates parameter-dependent calibrations further (e.g. a
-  // re-calibrated schedule at the same angle but a different stretch).
-  key << ",dur=" << sched.duration();
-
   la::CMat exact;
   const bool coherent = options_.noise && options_.coherent_noise;
   if (!coherent) exact = qc::gate_matrix(op.kind, op.constant_params());
-  return lower_schedule_block(key.str(), serve::BlockKind::Gate, sched, op.qubits,
-                              coherent ? nullptr : &exact,
+  return lower_schedule_block(cache_key, std::move(structure_key), serve::BlockKind::Gate,
+                              sched, op.qubits, coherent ? nullptr : &exact,
                               op.kind == qc::GateKind::CX || op.kind == qc::GateKind::RZZ);
 }
 
-CompiledBlock Executor::lower_schedule_block(const std::string& structure_key,
+CompiledBlock Executor::lower_schedule_block(const std::string& cache_key,
+                                             std::string structure_key,
                                              serve::BlockKind kind,
                                              const pulse::Schedule& sched,
                                              const std::vector<std::size_t>& qubits,
                                              const la::CMat* exact_unitary,
                                              bool fold_cx_phase_defect) {
-  const std::string cache_key = key_prefix_ + structure_key;
-  if (const auto cached = cache_->find(cache_key, kind)) {
-    CompiledBlock block = *cached;
-    // Transient, not serialized: store-loaded entries come back without it.
-    block.structure_key = structure_key;
-    return block;
-  }
-
   // A miss means a real compile (pulse-ODE simulation for coherent blocks):
   // span it so the trace separates compile time from cache-hit replay. Hit
   // traffic is counted by the cache's own block_cache.* series.
@@ -676,9 +688,8 @@ CompiledBlock Executor::lower_schedule_block(const std::string& structure_key,
                       block.unitary;
     }
   }
-  cache_->insert(cache_key, block, kind, dev_.fingerprint());
-  block.structure_key = structure_key;
-  return block;
+  return stamped(*cache_->insert(cache_key, std::move(block), kind, dev_.fingerprint()),
+                 std::move(structure_key));
 }
 
 CompiledProgram Executor::compile_program(const Program& program,

@@ -218,21 +218,22 @@ class Executor {
   /// The single block-lowering entry point: every program step — gate or
   /// pulse — routes through here. Virtual (free diagonal) gates and explicit
   /// delays compile to exact matrices without touching the cache; everything
-  /// else builds a structure key (gate kind + hexfloat parameters, or the
-  /// pulse schedule's content fingerprint) and goes through
-  /// lower_schedule_block's cached path.
+  /// else builds a structure key (gate kind + qubits + hexfloat parameters,
+  /// or the pulse schedule's content fingerprint), probes the cache once
+  /// under key_prefix_ + key, and goes to lower_schedule_block only on a
+  /// miss. Calibration identity comes from the fingerprint prefix.
   CompiledBlock compile_block(const ExecOp& op);
-  /// Gate front-end of compile_block: resolves the calibrated schedule and
-  /// the structure key for a native gate, then lowers through the shared
-  /// cached path.
+  /// Gate front-end of compile_block: keys a native gate by name, physical
+  /// qubits and exact parameters, and builds its calibrated schedule only on
+  /// a miss — a hit builds no schedule.
   CompiledBlock compile_gate(const qc::Op& op);
-  /// Shared lowering tail for every schedule-backed block: cache lookup
-  /// under key_prefix_ + structure_key, else simulate (or take the exact
-  /// unitary when pulse-accurate compilation is off), fill the
-  /// schedule-derived metadata, and insert. `fold_cx_phase_defect` folds the
+  /// Miss-only lowering tail for every schedule-backed block: simulate (or
+  /// take the exact unitary when pulse-accurate compilation is off), fill
+  /// the schedule-derived metadata, insert under `cache_key`, and return the
+  /// block stamped with `structure_key`. `fold_cx_phase_defect` folds the
   /// backend's static two-qubit phase error into simulated CX/RZZ blocks.
-  CompiledBlock lower_schedule_block(const std::string& structure_key, serve::BlockKind kind,
-                                     const pulse::Schedule& sched,
+  CompiledBlock lower_schedule_block(const std::string& cache_key, std::string structure_key,
+                                     serve::BlockKind kind, const pulse::Schedule& sched,
                                      const std::vector<std::size_t>& qubits,
                                      const la::CMat* exact_unitary, bool fold_cx_phase_defect);
   la::CMat simulate_block(const pulse::Schedule& physical_sched,

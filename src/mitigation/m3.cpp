@@ -37,17 +37,23 @@ QuasiDistribution M3Mitigator::mitigate(const sim::Counts& counts) const {
   }
   const std::size_t k = keys.size();
 
-  // Per-qubit single-bit assignment probabilities.
-  auto bit_prob = [&](std::size_t q, bool measured, bool truth) -> double {
+  // Per-qubit single-bit assignment probabilities as one 2x2 table per bit,
+  // built once per call: bit_prob[4q + 2*measured + truth].
+  const std::size_t n = errors_.size();
+  std::vector<double> bit_prob(4 * n);
+  for (std::size_t q = 0; q < n; ++q) {
     const noise::ReadoutError& e = errors_[q];
-    if (truth) return measured ? 1.0 - e.p0_given_1 : e.p0_given_1;
-    return measured ? e.p1_given_0 : 1.0 - e.p1_given_0;
-  };
-  // A[i][j] = P(measure keys[i] | true keys[j]).
+    bit_prob[4 * q + 0] = 1.0 - e.p1_given_0;
+    bit_prob[4 * q + 1] = e.p0_given_1;
+    bit_prob[4 * q + 2] = e.p1_given_0;
+    bit_prob[4 * q + 3] = 1.0 - e.p0_given_1;
+  }
+  // A[i][j] = P(measure keys[i] | true keys[j]), applied on the fly (never
+  // stored: k reaches 16,384 outcomes on a 14-bit register).
   auto assignment = [&](std::size_t i, std::size_t j) {
     double p = 1.0;
-    for (std::size_t q = 0; q < errors_.size(); ++q)
-      p *= bit_prob(q, (keys[i] >> q) & 1, (keys[j] >> q) & 1);
+    for (std::size_t q = 0; q < n; ++q)
+      p *= bit_prob[4 * q + 2 * ((keys[i] >> q) & 1) + ((keys[j] >> q) & 1)];
     return p;
   };
 

@@ -97,19 +97,24 @@ bool BlockCache::insert_locked(const std::string& key,
                                std::shared_ptr<const core::CompiledBlock> block,
                                BlockKind kind, std::uint64_t fingerprint,
                                bool from_store) {
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.block = std::move(block);
-    it->second.kind = kind;
-    it->second.fingerprint = fingerprint;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  const auto [slot, fresh] = map_.try_emplace(key);
+  Entry& entry = slot->second;
+  entry.block = std::move(block);
+  entry.kind = kind;
+  entry.fingerprint = fingerprint;
+  if (!fresh) {
+    lru_.splice(lru_.begin(), lru_, entry.lru_pos);
     return false;
   }
-  lru_.push_front(key);
-  map_[key] = Entry{std::move(block), lru_.begin(), kind, fingerprint, from_store};
+  entry.from_store = from_store;
+  lru_.push_front(&slot->first);
+  entry.lru_pos = lru_.begin();
   while (map_.size() > capacity_) {
-    map_.erase(lru_.back());
+    // Erase through the map iterator: the LRU tail points into the very
+    // node being erased, so it must not be the key erase() compares with.
+    const auto victim = map_.find(*lru_.back());
     lru_.pop_back();
+    map_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     reg_.evictions->inc();
   }
@@ -121,6 +126,7 @@ std::shared_ptr<const core::CompiledBlock> BlockCache::insert(const std::string&
                                                               core::CompiledBlock block,
                                                               BlockKind kind,
                                                               std::uint64_t fingerprint) {
+  block.structure_key.clear();  // the map key is the entry's one copy
   auto shared = std::make_shared<const core::CompiledBlock>(std::move(block));
   std::shared_ptr<BlockStore> store;
   {
@@ -151,8 +157,8 @@ std::size_t BlockCache::save(const std::string& path, std::uint64_t fingerprint)
     // front-to-back reconstructs the same LRU ranking (the hottest entries
     // end up most recently used and survive a smaller-capacity load).
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      const Entry& e = map_.at(*it);
-      entries.emplace_back(*it, e.kind, e.fingerprint, e.block);
+      const Entry& e = map_.at(**it);
+      entries.emplace_back(**it, e.kind, e.fingerprint, e.block);
     }
   }
   return BlockStore::save_file(path, fingerprint, entries);
@@ -243,8 +249,8 @@ std::size_t BlockCache::compact_store() {
     entries.reserve(map_.size());
     // LRU order, oldest first — same convention as save().
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      const Entry& e = map_.at(*it);
-      entries.emplace_back(*it, e.kind, e.fingerprint, e.block);
+      const Entry& e = map_.at(**it);
+      entries.emplace_back(**it, e.kind, e.fingerprint, e.block);
     }
   }
   // Off the cache lock, like write-through appends: the store serializes

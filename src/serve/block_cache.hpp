@@ -19,15 +19,20 @@ namespace hgp::serve {
 
 /// Thread-safe, LRU-bounded map from structure keys to compiled blocks.
 ///
-/// The key encodes everything a block's unitary depends on — backend
-/// fingerprint, compile options, gate kind, physical qubits, exact
-/// (hexfloat) parameters, schedule fingerprint, and schedule duration — so
-/// one cache can be shared process-wide: across optimizer candidates of one
-/// run, across COBYLA iterations (only parameter-bearing blocks recompile),
-/// and across the concurrent runs of a sweep (including the pulse mixer
-/// blocks of hybrid runs at repeated candidate angles). Values are
+/// The key encodes everything a block's unitary depends on. Calibration
+/// identity comes from the prefix: the backend fingerprint (every
+/// calibration and coherent-noise field the schedules and the pulse
+/// simulator read) plus the compile options. The suffix names the block:
+/// gate kind, physical qubits and exact (hexfloat) parameters, or a pulse
+/// schedule's content fingerprint and duration. One cache can therefore be
+/// shared process-wide: across optimizer candidates of one run, across
+/// COBYLA iterations (only parameter-bearing blocks recompile), and across
+/// the concurrent runs of a sweep (including the pulse mixer blocks of
+/// hybrid runs at repeated candidate angles). A hit is one hash probe; the
+/// executor builds a gate's calibrated schedule only on a miss. Values are
 /// immutable and handed out as shared_ptr, so eviction never invalidates a
-/// block another thread is still holding.
+/// block another thread is still holding. Each entry holds its key once,
+/// in the map; stored blocks carry no structure_key.
 ///
 /// The cache also survives across processes: save()/load() snapshot it
 /// through serve::BlockStore's versioned on-disk format, and attach_store()
@@ -92,11 +97,13 @@ class BlockCache {
   ~BlockCache();
 
   /// Look up a block, refreshing its LRU position. Null on miss. `kind`
-  /// selects which per-kind hit/miss counters the lookup charges.
+  /// selects which per-kind hit/miss counters the lookup charges. The
+  /// returned block's structure_key is empty; callers stamp their own.
   std::shared_ptr<const core::CompiledBlock> find(const std::string& key,
                                                   BlockKind kind = BlockKind::Gate);
 
-  /// Insert (or refresh) a block and return the cached instance. Two workers
+  /// Insert (or refresh) a block and return the cached instance (with its
+  /// structure_key cleared: the map key is the one copy). Two workers
   /// racing to compile the same key both insert identical blocks — last one
   /// wins, which is benign. A *new* key is also appended to the attached
   /// store, if any (write-through). `fingerprint` records which backend the
@@ -150,9 +157,14 @@ class BlockCache {
   void clear();
 
  private:
+  /// LRU order as pointers to the map's own keys: unordered_map nodes never
+  /// move, so the pointers stay valid across rehash, and each key is stored
+  /// once.
+  using LruList = std::list<const std::string*>;
+
   struct Entry {
     std::shared_ptr<const core::CompiledBlock> block;
-    std::list<std::string>::iterator lru_pos;
+    LruList::iterator lru_pos;
     BlockKind kind = BlockKind::Gate;
     std::uint64_t fingerprint = 0;  // backend the block was compiled for
     bool from_store = false;        // merged from disk, not compiled here
@@ -170,7 +182,7 @@ class BlockCache {
                                    std::vector<std::string>* loaded_keys);
 
   mutable std::mutex mutex_;
-  std::list<std::string> lru_;  // front = most recently used
+  LruList lru_;  // front = most recently used
   std::unordered_map<std::string, Entry> map_;
   std::size_t capacity_;
   /// Traffic counters are atomics, not lock-guarded ints: stats() snapshots

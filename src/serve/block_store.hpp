@@ -48,7 +48,10 @@ namespace hgp::serve {
 class BlockStore {
  public:
   static constexpr std::uint32_t kMagic = 0x42504748u;  // "HGPB" little-endian
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// Bumped whenever the record layout or the cache-key format changes: a
+  /// store written under other keys holds records no lookup can reach, so
+  /// the mismatch resets it on attach.
+  static constexpr std::uint32_t kFormatVersion = 2;
   /// Upper bound on one record body — a corrupted length field may not ask
   /// the reader to allocate unbounded memory. Generous: the largest real
   /// payload (a 4-qubit block unitary) is ~4 KiB.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -78,6 +79,53 @@ TEST(M3, QuasiProbsSumToOne) {
   double sum = 0.0;
   for (const auto& [bits, p] : quasi.probs) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+TEST(M3, QuasiProbsArePinnedBitForBit) {
+  // A fixed 6-bit, 61-outcome count set: the solve must reproduce these
+  // quasi-probabilities exactly, so any change to the order of the
+  // assignment products or of (A_ij / col_norm_j) * x_j shows up here.
+  const std::vector<ReadoutError> errors = {{0.012, 0.031}, {0.021, 0.045},
+                                            {0.008, 0.027}, {0.017, 0.052},
+                                            {0.025, 0.038}, {0.014, 0.049}};
+  Counts counts;
+  for (std::uint64_t b = 0; b < 64; ++b)
+    if (b % 16 != 5) counts[b] = 1 + (b * b * 7 + b * 3) % 41;
+  counts[0b010101] += 300;
+  counts[0b101010] += 280;
+  const std::vector<double> expected = {
+      -0x1.0f504c71c509dp-9, 0x1.0643a806c21bfp-8, 0x1.1fbee701e2b9dp-6,
+      0x1.1527812e36afp-6, -0x1.e2d172e1f4abcp-10, 0x1.abf2642a60c02p-7,
+      0x1.4b282525313d4p-6, 0x1.83e838ee619d6p-7, 0x1.693ec19977741p-7,
+      0x1.4c55c06552851p-7, 0x1.4514f3ecb947ap-7, 0x1.299a1c8236c65p-7,
+      0x1.325eb63bfb8e5p-6, 0x1.58146a7c859c2p-7, 0x1.824f7359cad22p-7,
+      0x1.38465f882b9ap-6, 0x1.0feba0fcd01fdp-7, 0x1.cfa6bdbf94de4p-7,
+      -0x1.43ae63664cb5ep-10, 0x1.70343407ee692p-7, 0x1.61dd057f7bae8p-3,
+      0x1.f446a24732c59p-9, -0x1.4f663e451a684p-8, 0x1.69d2f187f7c6dp-12,
+      0x1.7c781bc519959p-7, 0x1.a4e41919f1ba7p-8, 0x1.51c02b0e9e0dep-7,
+      0x1.5f88ffcdc562ap-6, 0x1.b3560701e198dp-7, 0x1.4fad171567134p-6,
+      0x1.121edf4f71ab5p-7, 0x1.401aa87e7da3p-9, 0x1.fa1ec4d7948c7p-8,
+      0x1.622f2fb661a51p-7, 0x1.038f31181b0eap-6, 0x1.59c275fd68536p-6,
+      0x1.80a8ae699f978p-8, 0x1.9096ccde7360ap-7, -0x1.b25f3e473256ap-8,
+      -0x1.8e6f61b5c1badp-10, 0x1.770cd6d4962a1p-3, 0x1.354b3c2d4a496p-6,
+      0x1.36f111d7f6e56p-6, -0x1.8b2f2559741f5p-11, 0x1.c772b3f7736cfp-7,
+      0x1.fa0d002ab67dbp-7, 0x1.4a3cfb9c81bdep-6, 0x1.5db766a0c3065p-7,
+      0x1.49de42800578dp-7, 0x1.3ed1ce19b8462p-6, 0x1.50e7e6129e6f2p-7,
+      0x1.3d21e53d2a5a8p-6, 0x1.876044dd6f544p-7, 0x1.8f2a5658d6eap-7,
+      0x1.65e182fa87d7dp-6, 0x1.3abf32e8187c8p-7, 0x1.03a0e6679a51cp-6,
+      -0x1.92143a7bf1b72p-10, 0x1.3b2de87944ba9p-6, 0x1.622148443a4b2p-6,
+      0x1.76ae397f41fdcp-8,
+  };
+  const auto quasi = M3Mitigator(errors).mitigate(counts);
+  EXPECT_TRUE(quasi.converged);
+  EXPECT_EQ(quasi.solver_iterations, 13);
+  EXPECT_EQ(quasi.overhead, 0x1.0a9928c83518cp+0);
+  ASSERT_EQ(quasi.probs.size(), expected.size());
+  std::size_t i = 0;
+  for (const auto& [bits, p] : quasi.probs) {
+    EXPECT_EQ(p, expected[i]) << "outcome " << bits;
+    ++i;
+  }
 }
 
 TEST(M3, RejectsBadInput) {

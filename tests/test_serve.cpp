@@ -5,8 +5,11 @@
 // through one JobService matches sequential execution exactly.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <future>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -147,16 +150,92 @@ TEST(BlockCache, KeyDiscriminatesParametersAndCalibration) {
   ex.run(rzz_program(0.3000001), 16, rng);  // nearby angle: its own slot
   EXPECT_EQ(cache->stats().misses, 2u);
 
+  ex.run(bell_program(), 16, rng);  // SX(0) + CX(0,1)
+  EXPECT_EQ(cache->stats().misses, 4u);
+
   // Recalibration: a drifted device must not replay blocks compiled for the
-  // original calibration out of the same shared cache.
+  // original calibration out of the same shared cache. The SX and CX keys
+  // carry no parameter and no schedule duration, so only the calibration
+  // fingerprint prefix tells the two devices' blocks apart.
   backend::FakeBackend drifted = backend::make_toronto();
   drifted.mutable_noise_model().qubits[0].freq_drift_ghz += 1e-4;
   EXPECT_NE(dev.fingerprint(), drifted.fingerprint());
   Executor ex2(drifted, opts);
   const serve::BlockCache::Stats before = cache->stats();
   ex2.run(rzz_program(0.3), 16, rng);
+  ex2.run(bell_program(), 16, rng);
   EXPECT_EQ(cache->stats().hits, before.hits);
-  EXPECT_EQ(cache->stats().misses, before.misses + 1);
+  EXPECT_EQ(cache->stats().misses, before.misses + 3);
+
+  // The original calibration still hits its own entries.
+  ex.run(bell_program(), 16, rng);
+  EXPECT_EQ(cache->stats().hits, before.hits + 2);
+  EXPECT_EQ(cache->stats().misses, before.misses + 3);
+}
+
+TEST(BlockCache, StoredBlocksCarryNoStructureKey) {
+  serve::BlockCache cache(4);
+  core::CompiledBlock block;
+  block.duration_dt = 160;
+  block.structure_key = "SX,0";
+  const auto inserted = cache.insert("prefix;SX,0", block);
+  EXPECT_TRUE(inserted->structure_key.empty());
+  const auto found = cache.find("prefix;SX,0");
+  ASSERT_NE(found, nullptr);
+  EXPECT_TRUE(found->structure_key.empty());  // the map key is the one copy
+  EXPECT_EQ(found->duration_dt, 160);
+}
+
+TEST(BlockCache, ConcurrentEvictionKeepsKeysValid) {
+  // 64 keys through a capacity-8 cache from 4 threads: nearly every insert
+  // evicts, so the LRU list's pointers into the map's keys are exercised
+  // under contention (ASan/TSan run this in the sanitizer jobs).
+  constexpr int kKeys = 64;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 5000;
+  serve::BlockCache cache(8);
+  auto key_of = [](int i) { return "calibration-prefix#coh;SX," + std::to_string(i); };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const int i = (op * 7 + t * 13) % kKeys;
+        if (const auto hit = cache.find(key_of(i))) {
+          EXPECT_EQ(hit->duration_dt, i);
+        } else {
+          core::CompiledBlock block;
+          block.duration_dt = i;
+          cache.insert(key_of(i), block);
+        }
+      }
+    });
+  for (std::thread& th : threads) th.join();
+
+  const serve::BlockCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.size, 8u);
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_GT(stats.evictions, 0u);
+
+  std::vector<int> resident;
+  for (int i = 0; i < kKeys; ++i)
+    if (cache.find(key_of(i)) != nullptr) resident.push_back(i);
+  ASSERT_EQ(resident.size(), 8u);
+
+  // A save/load round trip returns exactly the resident keys.
+  const std::string path = ::testing::TempDir() + "hgp_concurrent_eviction.bin";
+  std::remove(path.c_str());
+  EXPECT_EQ(cache.save(path, 1u), 8u);
+  serve::BlockCache loaded(kKeys);
+  EXPECT_EQ(loaded.load(path, 1u).loaded, 8u);
+  std::vector<int> reloaded;
+  for (int i = 0; i < kKeys; ++i)
+    if (const auto block = loaded.find(key_of(i))) {
+      EXPECT_EQ(block->duration_dt, i);
+      reloaded.push_back(i);
+    }
+  EXPECT_EQ(reloaded, resident);
+  std::remove(path.c_str());
 }
 
 namespace {
