@@ -148,9 +148,11 @@ static void BM_Kernel3qDenseBatched(benchmark::State& state) {
   us.reserve(lanes);
   for (std::size_t l = 0; l < lanes; ++l)
     us.push_back(dense_3q_unitary(0.37 + 0.01 * static_cast<double>(l)));
+  std::vector<const la::CMat*> lane_ops;
+  for (const la::CMat& u : us) lane_ops.push_back(&u);
   sim::BatchedStatevector bsv(n, lanes);
   for (auto _ : state) {
-    bsv.apply_matrix_per_lane(us, {0, 1, 2});
+    bsv.apply_matrix_per_lane(lane_ops, {0, 1, 2});
     benchmark::DoNotOptimize(&bsv);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
@@ -280,8 +282,10 @@ static void BM_LanesPerLaneThetaRzzBatched(benchmark::State& state) {
   std::vector<la::CMat> us;
   for (std::size_t l = 0; l < lanes; ++l)
     us.push_back(qc::gate_matrix(qc::GateKind::RZZ, {0.37 + 0.01 * static_cast<double>(l)}));
+  std::vector<const la::CMat*> lane_ops;
+  for (const la::CMat& u : us) lane_ops.push_back(&u);
   for (auto _ : state) {
-    bsv.apply_matrix_per_lane(us, {0, 1});
+    bsv.apply_matrix_per_lane(lane_ops, {0, 1});
     benchmark::DoNotOptimize(&bsv);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
@@ -377,8 +381,9 @@ BENCHMARK(BM_ExecutorExactDensity)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond
 
 static void BM_ExecutorWarmRun6q(benchmark::State& state) {
   // A noiseless 1-shot run of the task-1 gate-level program on a warm
-  // shared cache: every block hits, so this is mostly the compile walk (one
-  // key and one cache probe per block) plus a 6-qubit fused evolve.
+  // shared cache, through the Program overload: every block hits, so this
+  // is mostly the per-call compile (one key and one cache probe per block,
+  // then composing the fused groups) plus a 6-qubit fused evolve.
   const backend::FakeBackend dev = backend::make_toronto();
   const graph::Instance inst = graph::paper_task1();
   const core::QaoaModel model = core::QaoaModel::build(
@@ -394,6 +399,34 @@ static void BM_ExecutorWarmRun6q(benchmark::State& state) {
   state.SetLabel(std::to_string(prog.ops.size()) + " ops");
 }
 BENCHMARK(BM_ExecutorWarmRun6q)->Unit(benchmark::kMicrosecond);
+
+static void BM_ExecutorBoundRun6q(benchmark::State& state) {
+  // The optimizer-loop form of the run above: one template of the task-1
+  // gate-level program, bound each iteration to one of 8 moved-θ programs
+  // and run noiseless with 1 shot. A bind recomputes only the γ/β phase
+  // folds and the fused groups holding them, then evolves and samples.
+  const backend::FakeBackend dev = backend::make_toronto();
+  const graph::Instance inst = graph::paper_task1();
+  const core::QaoaModel model = core::QaoaModel::build(
+      inst.graph, dev, core::ModelKind::GateLevel, core::ModelConfig{});
+  const std::vector<double> x0 = model.initial_parameters();
+  std::vector<core::Program> moved;
+  for (std::size_t k = 0; k < 8; ++k) {
+    std::vector<double> x = x0;
+    for (std::size_t j = 0; j < x.size(); ++j) x[j] += 0.01 * static_cast<double>(k + j + 1);
+    moved.push_back(model.instantiate(x));
+  }
+  core::ExecutorOptions opts;
+  opts.noise = false;
+  opts.block_cache = std::make_shared<serve::BlockCache>();
+  core::Executor ex(dev, opts);
+  const auto tmpl = ex.compile(model.instantiate(x0));
+  Rng rng(29);
+  std::size_t k = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(ex.run(*tmpl, moved[k++ % moved.size()], 1, rng));
+  state.SetLabel(std::to_string(moved.front().ops.size()) + " ops");
+}
+BENCHMARK(BM_ExecutorBoundRun6q)->Unit(benchmark::kMicrosecond);
 
 static void BM_StatevectorCx(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -11,7 +11,7 @@ namespace hgp::core {
 
 /// One program step compiled down to its simulated unitary plus the noise
 /// bookkeeping the engines charge against it. Blocks are deterministic
-/// functions of (device calibrations, compile options, structure key), which
+/// functions of (device calibrations, compile options, cache key), which
 /// is what makes them shareable across executors, optimizer candidates, and
 /// concurrent runs through serve::BlockCache — and, serialized, across
 /// processes and hosts through serve::BlockStore.
@@ -24,14 +24,6 @@ struct CompiledBlock {
   bool virtual_only = false;         // exact & free (RZ etc.)
   bool explicit_idle = false;        // Delay: relaxation + coherent drift
 
-  /// Transient identity of this block under the executor's cache keying —
-  /// the suffix of its BlockCache key (no backend-fingerprint prefix).
-  /// Stamped by the compile pipeline so the fusion pass can derive cache
-  /// keys for merged blocks by concatenation. NOT serialized and not
-  /// cached: BlockCache clears it on insert (its map key is the one copy),
-  /// and the executor re-stamps it on every cache hit.
-  std::string structure_key;
-
   /// Append the block to `out` in the store's binary encoding. The unitary
   /// round-trips by IEEE-754 bit pattern, so a deserialized block reproduces
   /// bit-identical counts.
@@ -39,6 +31,26 @@ struct CompiledBlock {
   /// Decode one block from `in`. False (out untouched in spirit — contents
   /// unspecified) on truncated or malformed input; never throws.
   static bool deserialize(io::Reader& in, CompiledBlock& out);
+};
+
+/// One block placed on the ASAP timeline in local qubit coordinates.
+struct Scheduled {
+  CompiledBlock block;
+  std::vector<std::size_t> local;   // local qubit indices
+  std::vector<int> idle_before_dt;  // per local qubit of the block
+};
+
+/// A program compiled down to the engine-independent representation: the
+/// block timeline over the compressed (touched-only) register plus the
+/// measurement maps. Every engine — scalar trajectory, lane-batched
+/// trajectory, exact density — walks this same structure.
+struct CompiledProgram {
+  std::vector<Scheduled> timeline;
+  std::vector<std::size_t> touched;        // sorted physical qubits
+  std::vector<std::size_t> measure_phys;   // physical qubit per measured bit
+  std::vector<std::size_t> measure_local;  // local qubit per measured bit
+  std::vector<int> clock;                  // per-local end time
+  int makespan_dt = 0;
 };
 
 }  // namespace hgp::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <iomanip>
 #include <map>
@@ -13,7 +14,6 @@
 #include <type_traits>
 
 #include "common/error.hpp"
-#include "core/fusion.hpp"
 #include "mitigation/cvar.hpp"
 #include "noise/channels.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +23,22 @@
 namespace hgp::core {
 
 using la::CMat;
+
+/// One evaluation's view of a template: the template's blocks and fused
+/// compositions used in place, except where the evaluation's changed ops
+/// dirtied a slot or a fused group — those point at this binding's own.
+struct BoundProgram {
+  const ProgramTemplate* t = nullptr;
+  /// Per unfused timeline slot: the block the engines apply.
+  std::vector<const CompiledBlock*> blocks;
+  /// Per fused slot (noiseless templates): the unitary the evolve applies.
+  std::vector<const CMat*> fused;
+  /// Owners of the recomputed parts, reserved up front so the pointers above
+  /// stay valid. Probed blocks stay alive even if the cache evicts them.
+  std::vector<std::shared_ptr<const CompiledBlock>> probed;
+  std::vector<CompiledBlock> folds;
+  std::vector<CMat> composed;
+};
 
 namespace {
 
@@ -96,29 +112,6 @@ bool is_virtual_gate(qc::GateKind k) {
   return qc::gate_is_diagonal(k) && qc::gate_arity(k) == 1;
 }
 
-/// Run the post-compile fusion pass for a deterministic-unitary engine path
-/// and record its telemetry. A disabled width (0/1) still routes through
-/// fuse_program's pass-through mode so the engines walk one code path, but
-/// charges no fusion metrics.
-FusionResult fuse_for_engine(const CompiledProgram& cp, std::size_t max_qubits,
-                             serve::BlockCache* cache, const std::string& key_prefix,
-                             std::uint64_t fingerprint) {
-  FusionOptions opt;
-  opt.max_qubits = std::min<std::size_t>(max_qubits, 3);
-  const bool enabled = opt.max_qubits >= 2;
-  FusionResult fr =
-      fuse_program(cp, opt, enabled ? cache : nullptr, key_prefix, fingerprint);
-  if (enabled) {
-    ExecMetrics& em = ExecMetrics::get();
-    em.fusion_blocks_in.inc(fr.stats.ops_in);
-    em.fusion_blocks_out.inc(fr.stats.ops_out);
-    em.fusion_runs.inc(fr.stats.merged_runs);
-    for (const FusedSlot& s : fr.slots)
-      if (s.sources.size() >= 2) em.fusion_run_len.record(s.sources.size());
-  }
-  return fr;
-}
-
 /// Single source of truth for the schedule-derived block bookkeeping shared
 /// by the gate and pulse lowering paths: timeline duration plus the noise
 /// charge units (drive-channel and control-channel play counts).
@@ -134,12 +127,9 @@ void fill_schedule_metadata(CompiledBlock& block, const pulse::Schedule& sched) 
   }
 }
 
-/// A cache hit as the compile pipeline hands it on: a copy of the stored
-/// block (which carries no structure_key) stamped with its key suffix.
-CompiledBlock stamped(const CompiledBlock& cached, std::string structure_key) {
-  CompiledBlock block = cached;
-  block.structure_key = std::move(structure_key);
-  return block;
+/// The exact diagonal of a virtual gate — the unit a virtual slot folds.
+la::CMat virtual_unitary(const qc::Op& op) {
+  return qc::gate_matrix(op.kind, op.constant_params());
 }
 
 bool has_frequency_instruction(const pulse::Schedule& sched) {
@@ -251,35 +241,38 @@ std::uint64_t traj_sample_one(const sim::Statevector& sv, double weight, Rng& rn
 ///     engine applies the full unitary,
 ///   apply(unitary, locals), depolarize(qubits, p)
 template <typename Relax, typename Drift, typename Phase, typename Apply, typename Depol>
-void walk_noise_timeline(const CompiledProgram& cp, double dep1, double dep2,
-                         int readout_dt, Relax&& relax, Drift&& drift, Phase&& phase,
-                         Apply&& apply, Depol&& depolarize) {
-  for (const Scheduled& s : cp.timeline) {
+void walk_noise_timeline(const BoundProgram& b, double dep1, double dep2, int readout_dt,
+                         Relax&& relax, Drift&& drift, Phase&& phase, Apply&& apply,
+                         Depol&& depolarize) {
+  const CompiledProgram& cp = b.t->program;
+  for (std::size_t slot = 0; slot < cp.timeline.size(); ++slot) {
+    const Scheduled& s = cp.timeline[slot];
+    const CompiledBlock& block = *b.blocks[slot];
     for (std::size_t i = 0; i < s.local.size(); ++i) {
       relax(s.local[i], s.idle_before_dt[i]);
       drift(s.local[i], s.idle_before_dt[i]);
     }
-    if (s.block.virtual_only && s.local.size() == 1 && is_diagonal2(s.block.unitary)) {
+    if (block.virtual_only && s.local.size() == 1 && is_diagonal2(block.unitary)) {
       // Virtual Z-frame blocks are diagonal: half-pass, global phase dropped.
-      phase(s.local[0], s.block.unitary(1, 1) / s.block.unitary(0, 0), s.block.unitary);
+      phase(s.local[0], block.unitary(1, 1) / block.unitary(0, 0), block.unitary);
       continue;
     }
-    apply(s.block.unitary, s.local);
-    if (s.block.virtual_only) continue;
-    for (std::size_t lq : s.local) relax(lq, s.block.duration_dt);
-    if (s.block.explicit_idle) {
-      for (std::size_t lq : s.local) drift(lq, s.block.duration_dt);
+    apply(block.unitary, s.local);
+    if (block.virtual_only) continue;
+    for (std::size_t lq : s.local) relax(lq, block.duration_dt);
+    if (block.explicit_idle) {
+      for (std::size_t lq : s.local) drift(lq, block.duration_dt);
       continue;
     }
-    if (s.block.drive_plays > 0) {
+    if (block.drive_plays > 0) {
       // Charge 1q depolarizing per drive pulse, spread over the block's
       // qubits (exact for 1q blocks; even split for multi-qubit blocks).
-      const double p = dep1 * static_cast<double>(s.block.drive_plays) /
+      const double p = dep1 * static_cast<double>(block.drive_plays) /
                        static_cast<double>(s.local.size());
       for (std::size_t lq : s.local) depolarize({lq}, p);
     }
-    if (s.block.cr_halves > 0 && s.local.size() >= 2) {
-      const double p = dep2 * static_cast<double>(s.block.cr_halves) / 2.0;
+    if (block.cr_halves > 0 && s.local.size() >= 2) {
+      const double p = dep2 * static_cast<double>(block.cr_halves) / 2.0;
       depolarize({s.local[0], s.local[1]}, p);
     }
   }
@@ -457,9 +450,8 @@ void for_each_lane_group(const ExecutorOptions& options, std::size_t num_qubits,
   });
 }
 
-/// Delta-compilation equality for candidate-lane batching: two ops share a
-/// timeline structure when they agree on everything except parameter values,
-/// and share a block unitary when the parameter values agree exactly too.
+/// Bind equality: two ops share a timeline structure when they agree on
+/// everything except parameter values (and pulse schedule contents).
 bool same_op_structure(const ExecOp& a, const ExecOp& b) {
   if (a.is_pulse != b.is_pulse) return false;
   if (a.is_pulse) return a.qubits == b.qubits;
@@ -467,14 +459,22 @@ bool same_op_structure(const ExecOp& a, const ExecOp& b) {
          a.gate.params.size() == b.gate.params.size();
 }
 
-bool same_op_unitary(const ExecOp& a, const ExecOp& b) {
-  if (a.is_pulse)
-    return a.schedule.duration() == b.schedule.duration() &&
-           a.schedule.fingerprint() == b.schedule.fingerprint();
-  for (std::size_t i = 0; i < a.gate.params.size(); ++i) {
-    const qc::Param& pa = a.gate.params[i];
-    const qc::Param& pb = b.gate.params[i];
-    if (pa.index() != pb.index() || pa.scale() != pb.scale() || pa.offset() != pb.offset())
+/// Bitwise double equality: -0.0 and 0.0 key (and compile) differently.
+bool same_bits(double a, double b) {
+  std::uint64_t ua = 0, ub = 0;
+  std::memcpy(&ua, &a, sizeof a);
+  std::memcpy(&ub, &b, sizeof b);
+  return ua == ub;
+}
+
+/// Two structurally equal gate ops share a block unitary when their
+/// parameters agree bit for bit.
+bool same_gate_params(const qc::Op& a, const qc::Op& b) {
+  for (std::size_t i = 0; i < a.params.size(); ++i) {
+    const qc::Param& pa = a.params[i];
+    const qc::Param& pb = b.params[i];
+    if (pa.index() != pb.index() || !same_bits(pa.scale(), pb.scale()) ||
+        !same_bits(pa.offset(), pb.offset()))
       return false;
   }
   return true;
@@ -558,54 +558,43 @@ CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
   return u;
 }
 
-CompiledBlock Executor::compile_block(const ExecOp& op) {
-  if (!op.is_pulse) return compile_gate(op.gate);
+std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
+                                                            std::uint64_t pulse_fp,
+                                                            const ProgramTemplate& t) {
+  if (!op.is_pulse) return compile_gate(op.gate, t);
   // Raw pulse block (the hybrid/pulse-level models' trainable layers): the
-  // structure key is the schedule's canonical content fingerprint, so a
-  // parametric schedule rebound at a repeated candidate angle keys
-  // identically while a nearby amplitude gets its own slot.
+  // key is the schedule's canonical content fingerprint, so a parametric
+  // schedule rebound at a repeated candidate angle keys identically while a
+  // nearby amplitude gets its own slot.
   std::ostringstream key;
-  key << "pulse";
+  key << t.key_prefix << "pulse";
   for (std::size_t q : op.qubits) key << "," << q;
-  key << ",fp=" << std::hex << op.schedule.fingerprint() << std::dec
-      << ",dur=" << op.schedule.duration();
-  std::string structure_key = key.str();
-  const std::string cache_key = key_prefix_ + structure_key;
-  if (const auto cached = cache_->find(cache_key, serve::BlockKind::Pulse))
-    return stamped(*cached, std::move(structure_key));
-  return lower_schedule_block(cache_key, std::move(structure_key), serve::BlockKind::Pulse,
-                              op.schedule, op.qubits, nullptr, false);
+  key << ",fp=" << std::hex << pulse_fp << std::dec << ",dur=" << op.schedule.duration();
+  const std::string cache_key = key.str();
+  if (auto cached = cache_->find(cache_key, serve::BlockKind::Pulse)) return cached;
+  return lower_schedule_block(cache_key, serve::BlockKind::Pulse, op.schedule, op.qubits,
+                              nullptr, false, t.fingerprint);
 }
 
-CompiledBlock Executor::compile_gate(const qc::Op& op) {
+std::shared_ptr<const CompiledBlock> Executor::compile_gate(const qc::Op& op,
+                                                           const ProgramTemplate& t) {
   if (is_virtual_gate(op.kind)) {
-    CompiledBlock block;
-    block.qubits = op.qubits;
-    block.unitary = qc::gate_matrix(op.kind, op.constant_params());
-    block.virtual_only = true;
-    // Virtual blocks are never cached (building the 2x2 diagonal is cheaper
-    // than a lookup), but they still need an identity for the fusion pass's
-    // composed-key construction — same format as the cached gate keys, with
-    // the exact hexfloat parameter rendering.
-    std::ostringstream key;
-    key << qc::gate_name(op.kind);
-    for (std::size_t q : op.qubits) key << "," << q;
-    for (double p : op.constant_params())
-      key << ",p=" << std::hexfloat << p << std::defaultfloat;
-    block.structure_key = key.str();
+    // Virtual blocks are never cached: building the 2x2 diagonal is cheaper
+    // than a lookup.
+    auto block = std::make_shared<CompiledBlock>();
+    block->qubits = op.qubits;
+    block->unitary = virtual_unitary(op);
+    block->virtual_only = true;
     return block;
   }
   if (op.kind == qc::GateKind::Delay) {
     // Timed identity: thermal relaxation and coherent frame drift act over
     // its span (it behaves exactly like idle time, which is what DD slices).
-    CompiledBlock block;
-    block.qubits = op.qubits;
-    block.unitary = la::CMat::identity(2);
-    block.duration_dt = static_cast<int>(op.params[0].value());
-    block.explicit_idle = true;
-    std::ostringstream key;
-    key << "delay," << op.qubits[0] << ",dur=" << block.duration_dt;
-    block.structure_key = key.str();
+    auto block = std::make_shared<CompiledBlock>();
+    block->qubits = op.qubits;
+    block->unitary = la::CMat::identity(2);
+    block->duration_dt = static_cast<int>(op.params[0].value());
+    block->explicit_idle = true;
     return block;
   }
   if (op.kind != qc::GateKind::SX && op.kind != qc::GateKind::X &&
@@ -617,21 +606,19 @@ CompiledBlock Executor::compile_gate(const qc::Op& op) {
   // angle; no schedule is built for it. CalibrationSet::sx/x/cx/rzz_direct
   // read only the qubits, theta, the QubitCalibration/CrCalibration fields
   // and the control-channel map, which follows the coupling map; the
-  // backend fingerprint in key_prefix_ hashes all of those (and the
+  // backend fingerprint in the key prefix hashes all of those (and the
   // coherent-noise fields simulate_block reads). The schedule duration
   // follows from sx_duration/cr_duration, so it adds no identity.
   std::ostringstream key;
-  key << qc::gate_name(op.kind);
+  key << t.key_prefix << qc::gate_name(op.kind);
   for (std::size_t q : op.qubits) key << "," << q;
   // Exact (hexfloat) parameter formatting: the default 6-sig-fig ostream
   // rendering made nearby angles collide on one cache slot, replaying a
   // stale compiled block for a different theta.
   if (op.kind == qc::GateKind::RZZ)
     key << ",theta=" << std::hexfloat << op.params[0].value() << std::defaultfloat;
-  std::string structure_key = key.str();
-  const std::string cache_key = key_prefix_ + structure_key;
-  if (const auto cached = cache_->find(cache_key, serve::BlockKind::Gate))
-    return stamped(*cached, std::move(structure_key));
+  const std::string cache_key = key.str();
+  if (auto cached = cache_->find(cache_key, serve::BlockKind::Gate)) return cached;
 
   const pulse::CalibrationSet& cal = dev_.calibrations();
   pulse::Schedule sched;
@@ -654,18 +641,16 @@ CompiledBlock Executor::compile_gate(const qc::Op& op) {
   la::CMat exact;
   const bool coherent = options_.noise && options_.coherent_noise;
   if (!coherent) exact = qc::gate_matrix(op.kind, op.constant_params());
-  return lower_schedule_block(cache_key, std::move(structure_key), serve::BlockKind::Gate,
-                              sched, op.qubits, coherent ? nullptr : &exact,
-                              op.kind == qc::GateKind::CX || op.kind == qc::GateKind::RZZ);
+  return lower_schedule_block(cache_key, serve::BlockKind::Gate, sched, op.qubits,
+                              coherent ? nullptr : &exact,
+                              op.kind == qc::GateKind::CX || op.kind == qc::GateKind::RZZ,
+                              t.fingerprint);
 }
 
-CompiledBlock Executor::lower_schedule_block(const std::string& cache_key,
-                                             std::string structure_key,
-                                             serve::BlockKind kind,
-                                             const pulse::Schedule& sched,
-                                             const std::vector<std::size_t>& qubits,
-                                             const la::CMat* exact_unitary,
-                                             bool fold_cx_phase_defect) {
+std::shared_ptr<const CompiledBlock> Executor::lower_schedule_block(
+    const std::string& cache_key, serve::BlockKind kind, const pulse::Schedule& sched,
+    const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
+    bool fold_cx_phase_defect, std::uint64_t fingerprint) {
   // A miss means a real compile (pulse-ODE simulation for coherent blocks):
   // span it so the trace separates compile time from cache-hit replay. Hit
   // traffic is counted by the cache's own block_cache.* series.
@@ -688,48 +673,73 @@ CompiledBlock Executor::lower_schedule_block(const std::string& cache_key,
                       block.unitary;
     }
   }
-  return stamped(*cache_->insert(cache_key, std::move(block), kind, dev_.fingerprint()),
-                 std::move(structure_key));
+  return cache_->insert(cache_key, std::move(block), kind, fingerprint);
 }
 
-CompiledProgram Executor::compile_program(const Program& program,
-                                                    std::size_t max_qubits) {
-  CompiledProgram cp;
+std::uint32_t Executor::compile_mode() const {
+  // What a template's contents depend on besides the backend: how blocks
+  // lower (pulse-accurate or exact matrices), the register cap, and whether
+  // and how wide the timeline is fused (widths 0 and 1 both disable it).
+  const std::size_t width = std::min<std::size_t>(options_.fusion_max_qubits, 3);
+  if (!options_.noise) return width < 2 ? 0u : static_cast<std::uint32_t>(width);
+  return 4u | (options_.engine == Engine::ExactDensity ? 8u : 0u) |
+         (options_.coherent_noise ? 16u : 0u);
+}
 
+std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& reference) {
+  HGP_REQUIRE(!reference.measure_qubits.empty(), "Executor::compile: nothing to measure");
+  ExecMetrics& em = ExecMetrics::get();
+  obs::Span compile_span("executor.compile", &em.compile_ns);
+
+  auto t = std::make_shared<ProgramTemplate>();
+  t->reference = reference;
+  t->dev = &dev_;
+  t->mode = compile_mode();
+  t->fingerprint = dev_.fingerprint();  // hashed once; every key carries it
+  std::ostringstream prefix;
+  prefix << dev_.name() << '#' << std::hex << t->fingerprint << std::dec
+         << (options_.noise && options_.coherent_noise ? "#coh;" : "#exact;");
+  t->key_prefix = prefix.str();
+
+  CompiledProgram& cp = t->program;
+  const std::vector<ExecOp>& ops = reference.ops;
   // Physical -> local compression.
   auto touch = [&](std::size_t q) {
     if (std::find(cp.touched.begin(), cp.touched.end(), q) == cp.touched.end())
       cp.touched.push_back(q);
   };
-  for (const ExecOp& op : program.ops)
+  for (const ExecOp& op : ops)
     for (std::size_t q : (op.is_pulse ? op.qubits : op.gate.qubits)) touch(q);
-  for (std::size_t q : program.measure_qubits) touch(q);
+  for (std::size_t q : reference.measure_qubits) touch(q);
   std::sort(cp.touched.begin(), cp.touched.end());
-  HGP_REQUIRE(cp.touched.size() <= max_qubits,
+  const bool density = options_.noise && options_.engine == Engine::ExactDensity;
+  HGP_REQUIRE(cp.touched.size() <= (density ? kMaxDensityQubits : kMaxTrajectoryQubits),
               "Executor::run: too many active qubits to simulate");
   std::map<std::size_t, std::size_t> local_of;
   for (std::size_t i = 0; i < cp.touched.size(); ++i) local_of[cp.touched[i]] = i;
-  cp.measure_phys = program.measure_qubits;
-  for (std::size_t q : program.measure_qubits) cp.measure_local.push_back(local_of.at(q));
+  cp.measure_phys = reference.measure_qubits;
+  for (std::size_t q : reference.measure_qubits) cp.measure_local.push_back(local_of.at(q));
 
   // Compile blocks and lay out the ASAP timeline. Consecutive virtual
   // (diagonal Z-frame) blocks on a qubit fold into one diagonal unitary:
   // they commute with idle relaxation/drift up to a trajectory-global phase,
-  // and a fold halves the per-shot apply count of RZ-heavy programs.
+  // and a fold halves the per-shot apply count of RZ-heavy programs. A bind
+  // recomputes a dirty slot in this same order.
   cp.clock.assign(cp.touched.size(), 0);
-  cp.op_slot.assign(program.ops.size(), -1);
+  t->pulse_fp.assign(ops.size(), 0);
   std::vector<long> pending_virtual(cp.touched.size(), -1);
 
-  for (std::size_t oi = 0; oi < program.ops.size(); ++oi) {
-    const ExecOp& op = program.ops[oi];
+  for (std::size_t oi = 0; oi < ops.size(); ++oi) {
+    const ExecOp& op = ops[oi];
     if (!op.is_pulse && op.gate.kind == qc::GateKind::Barrier) {
-      const int t = *std::max_element(cp.clock.begin(), cp.clock.end());
-      std::fill(cp.clock.begin(), cp.clock.end(), t);
+      const int t0 = *std::max_element(cp.clock.begin(), cp.clock.end());
+      std::fill(cp.clock.begin(), cp.clock.end(), t0);
       continue;
     }
     if (!op.is_pulse && op.gate.kind == qc::GateKind::Measure) continue;
+    if (op.is_pulse) t->pulse_fp[oi] = op.schedule.fingerprint();
     Scheduled s;
-    s.block = compile_block(op);
+    s.block = *compile_block(op, t->pulse_fp[oi], *t);
     for (std::size_t q : s.block.qubits) s.local.push_back(local_of.at(q));
 
     if (s.block.virtual_only && s.local.size() == 1) {
@@ -737,14 +747,13 @@ CompiledProgram Executor::compile_program(const Program& program,
       if (pending_virtual[lq] >= 0) {
         CompiledBlock& pending = cp.timeline[pending_virtual[lq]].block;
         pending.unitary = s.block.unitary * pending.unitary;
-        pending.structure_key += "|" + s.block.structure_key;
-        cp.op_slot[oi] = pending_virtual[lq];
+        t->slot_ops[pending_virtual[lq]].push_back(oi);
         continue;
       }
       s.idle_before_dt.push_back(0);
       cp.timeline.push_back(std::move(s));
+      t->slot_ops.push_back({oi});
       pending_virtual[lq] = static_cast<long>(cp.timeline.size()) - 1;
-      cp.op_slot[oi] = pending_virtual[lq];
       continue;
     }
 
@@ -756,35 +765,136 @@ CompiledProgram Executor::compile_program(const Program& program,
       pending_virtual[lq] = -1;
     }
     cp.timeline.push_back(std::move(s));
-    cp.op_slot[oi] = static_cast<long>(cp.timeline.size()) - 1;
+    t->slot_ops.push_back({oi});
   }
   cp.makespan_dt =
       cp.clock.empty() ? 0 : *std::max_element(cp.clock.begin(), cp.clock.end());
-  return cp;
-}
 
-sim::Statevector Executor::evolve_noiseless(const CompiledProgram& cp) {
   // Fuse the timeline into fewer, bigger kernels. The noisy engines keep the
   // unfused timeline: fusion would change the FP rounding of the amplitudes
   // feeding every branch probability, and with it the RNG consumption
-  // pattern.
-  const FusionResult fr = fuse_for_engine(cp, options_.fusion_max_qubits, cache_.get(),
-                                          key_prefix_, dev_.fingerprint());
-  report_.fused_block_count = fr.program.timeline.size();
-  sim::Statevector sv(cp.touched.size());
-  for (const Scheduled& s : fr.program.timeline) sv.apply_matrix(s.block.unitary, s.local);
+  // pattern. A disabled width (0/1) passes every block through, so the
+  // engines walk one code path, but charges no fusion metrics.
+  if (options_.noise) return t;
+  FusionOptions fopt;
+  fopt.max_qubits = std::min<std::size_t>(options_.fusion_max_qubits, 3);
+  t->fusion = fuse_program(cp, fopt);
+  if (fopt.max_qubits >= 2) {
+    em.fusion_blocks_in.inc(t->fusion.stats.ops_in);
+    em.fusion_blocks_out.inc(t->fusion.stats.ops_out);
+    em.fusion_runs.inc(t->fusion.stats.merged_runs);
+    for (const FusedSlot& slot : t->fusion.slots)
+      if (slot.sources.size() >= 2) em.fusion_run_len.record(slot.sources.size());
+  }
+  return t;
+}
+
+BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) {
+  HGP_REQUIRE(t.dev == &dev_ && t.mode == compile_mode(),
+              "Executor: template was compiled for another backend or executor options");
+  const CompiledProgram& cp = t.program;
+  const Program& ref = t.reference;
+  HGP_REQUIRE(program.ops.size() == ref.ops.size() &&
+                  program.measure_qubits == ref.measure_qubits,
+              "Executor: program does not match the template's structure (op count or "
+              "measure map)");
+  const std::size_t steps = cp.timeline.size();
+  BoundProgram b;
+  b.t = &t;
+  b.blocks.resize(steps);
+  for (std::size_t s = 0; s < steps; ++s) b.blocks[s] = &cp.timeline[s].block;
+
+  // Diff the candidate op by op: its structure must be the template's, and
+  // a slot is dirty when any of its ops changed a parameter value or its
+  // pulse schedule. Each candidate pulse fingerprint is hashed once and
+  // serves both the check and the cache key.
+  std::vector<std::uint8_t> dirty(steps, 0);
+  std::vector<std::uint64_t> fp(ref.ops.size(), 0);
+  std::size_t n_dirty = 0, n_folds = 0;
+  for (std::size_t i = 0; i < ref.ops.size(); ++i)
+    HGP_REQUIRE(same_op_structure(program.ops[i], ref.ops[i]),
+                "Executor: program op " + std::to_string(i) +
+                    " does not match the template's structure");
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t i : t.slot_ops[s]) {
+      const ExecOp& op = program.ops[i];
+      if (op.is_pulse) {
+        fp[i] = op.schedule.fingerprint();
+        if (fp[i] == t.pulse_fp[i] && op.schedule.duration() == ref.ops[i].schedule.duration())
+          continue;
+      } else if (same_gate_params(op.gate, ref.ops[i].gate)) {
+        continue;
+      }
+      dirty[s] = 1;
+      ++n_dirty;
+      n_folds += cp.timeline[s].block.virtual_only ? 1 : 0;
+      break;
+    }
+  }
+
+  // Recompute each dirty slot in compile's fold order: the first op's block,
+  // then u_k * acc for the folded virtual ops after it.
+  b.probed.reserve(n_dirty - n_folds);
+  b.folds.reserve(n_folds);
+  for (std::size_t s = 0; s < steps && n_dirty > 0; ++s) {
+    if (!dirty[s]) continue;
+    const CompiledBlock& ref_block = cp.timeline[s].block;
+    const std::vector<std::size_t>& ops = t.slot_ops[s];
+    if (ref_block.virtual_only) {
+      CompiledBlock fold;
+      fold.qubits = ref_block.qubits;
+      fold.virtual_only = true;
+      fold.unitary = virtual_unitary(program.ops[ops.front()].gate);
+      for (std::size_t k = 1; k < ops.size(); ++k)
+        fold.unitary = virtual_unitary(program.ops[ops[k]].gate) * fold.unitary;
+      b.folds.push_back(std::move(fold));
+      b.blocks[s] = &b.folds.back();
+      continue;
+    }
+    b.probed.push_back(compile_block(program.ops[ops.front()], fp[ops.front()], t));
+    b.blocks[s] = b.probed.back().get();
+    HGP_REQUIRE(b.blocks[s]->duration_dt == ref_block.duration_dt,
+                "Executor: program changes a block's duration; compile a new template");
+  }
+  report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), steps,
+                            options_.noise ? steps : t.fusion.timeline.size()};
+  if (options_.noise) return b;
+
+  // Fused groups: a clean group uses the template's composition in place; a
+  // group holding a dirty slot takes that slot's block, or re-composes from
+  // the bound parts.
+  const std::vector<Scheduled>& groups = t.fusion.timeline;
+  b.fused.resize(groups.size());
+  b.composed.reserve(groups.size());
+  std::vector<FusePartView> parts;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<std::size_t>& srcs = t.fusion.slots[g].sources;
+    b.fused[g] = &groups[g].block.unitary;
+    if (std::none_of(srcs.begin(), srcs.end(), [&](std::size_t src) { return dirty[src]; }))
+      continue;
+    if (srcs.size() == 1) {
+      b.fused[g] = &b.blocks[srcs[0]]->unitary;
+      continue;
+    }
+    parts.clear();
+    for (std::size_t src : srcs)
+      parts.push_back(FusePartView{&b.blocks[src]->unitary, &cp.timeline[src].local});
+    b.composed.push_back(compose_fused(parts.data(), parts.size(), groups[g].local));
+    b.fused[g] = &b.composed.back();
+  }
+  return b;
+}
+
+sim::Statevector Executor::evolve_noiseless(const BoundProgram& b) {
+  const std::vector<Scheduled>& groups = b.t->fusion.timeline;
+  sim::Statevector sv(b.t->program.touched.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) sv.apply_matrix(*b.fused[g], groups[g].local);
   return sv;
 }
 
-sim::Counts Executor::run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng) {
-  const sim::Counts local_counts = evolve_noiseless(cp).sample(shots, rng);
-  sim::Counts out;
-  for (const auto& [bits, n] : local_counts) out[map_bits(bits, cp)] += n;
-  return out;
-}
-
-void Executor::run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng& rng,
+void Executor::run_one_shot(const BoundProgram& b, sim::Statevector& sv, Rng& rng,
                             sim::Counts& out) const {
+  const CompiledProgram& cp = b.t->program;
   const noise::NoiseModel& nm = dev_.noise_model();
   const double dep1 = nm.dep_per_1q_pulse;
   const double dep2 = nm.dep_per_2q_block;
@@ -812,7 +922,7 @@ void Executor::run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng
   };
 
   walk_noise_timeline(
-      cp, dep1, dep2, dev_.readout_duration_dt(), relax, idle_drift,
+      b, dep1, dep2, dev_.readout_duration_dt(), relax, idle_drift,
       [&](std::size_t lq, la::cxd ratio, const la::CMat&) { traj_phase(sv, lq, ratio); },
       [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
         sv.apply_matrix(u, locals);
@@ -835,8 +945,9 @@ namespace {
 /// streams positioned after the last noise draw, deferred-normalization
 /// weights, and diverged flags.
 LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptions& options,
-                            const CompiledProgram& cp, sim::BatchedStatevector& bsv,
+                            const BoundProgram& b, sim::BatchedStatevector& bsv,
                             std::uint64_t rng_base, std::size_t first_shot) {
+  const CompiledProgram& cp = b.t->program;
   const std::size_t nl = bsv.lanes();
   const noise::NoiseModel& nm = dev.noise_model();
   const double dep1 = nm.dep_per_1q_pulse;
@@ -986,7 +1097,7 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
   };
 
   walk_noise_timeline(
-      cp, dep1, dep2, dev.readout_duration_dt(), relax, idle_drift,
+      b, dep1, dep2, dev.readout_duration_dt(), relax, idle_drift,
       [&](std::size_t lq, la::cxd ratio, const la::CMat&) {
         bsv.apply_phase_ratio(lq, ratio);
       },
@@ -1006,14 +1117,15 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
 
 }  // namespace
 
-void Executor::run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector& bsv,
+void Executor::run_lane_group(const BoundProgram& b, sim::BatchedStatevector& bsv,
                               std::uint64_t rng_base, std::size_t first_shot,
                               sim::Counts& out) const {
+  const CompiledProgram& cp = b.t->program;
   const std::size_t nl = bsv.lanes();
   const noise::NoiseModel& nm = dev_.noise_model();
   ExecMetrics& em = ExecMetrics::get();
   obs::Span evolve_span("executor.lane_evolve", &em.lane_evolve_ns);
-  LaneWorkspace& ws = evolve_lanes(dev_, options_, cp, bsv, rng_base, first_shot);
+  LaneWorkspace& ws = evolve_lanes(dev_, options_, b, bsv, rng_base, first_shot);
   evolve_span.finish();
   obs::Span sample_span("executor.sample", &em.sample_ns);
   std::vector<Rng>& rngs = ws.rngs;
@@ -1048,8 +1160,9 @@ void Executor::run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector
   em.shots.inc(nl);
 }
 
-sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t shots,
+sim::Counts Executor::run_trajectories(const BoundProgram& b, std::size_t shots,
                                        Rng& rng) const {
+  const std::size_t num_qubits = b.t->program.touched.size();
   const std::size_t lanes = options_.shot_batch_lanes;
   std::vector<sim::Counts> batch_counts(shot_batches(shots));
   // Throughput gauges cover the whole shot grid (all batches, all threads);
@@ -1058,17 +1171,17 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   if (lanes <= 1) {
     // Scalar reference engine: one shot at a time on a reused statevector.
     for_each_lane_group<sim::Statevector>(
-        options_, cp.touched.size(), shots, rng,
-        [&](std::size_t b, sim::Statevector& sv, std::uint64_t base, std::size_t shot) {
+        options_, num_qubits, shots, rng,
+        [&](std::size_t batch, sim::Statevector& sv, std::uint64_t base, std::size_t shot) {
           Rng shot_rng = Rng::child(base, shot);
-          run_one_shot(cp, sv, shot_rng, batch_counts[b]);
+          run_one_shot(b, sv, shot_rng, batch_counts[batch]);
           ExecMetrics::get().shots.inc();
         });
   } else {
     for_each_lane_group<sim::BatchedStatevector>(
-        options_, cp.touched.size(), shots, rng,
-        [&](std::size_t b, sim::BatchedStatevector& bsv, std::uint64_t base,
-            std::size_t first) { run_lane_group(cp, bsv, base, first, batch_counts[b]); });
+        options_, num_qubits, shots, rng,
+        [&](std::size_t batch, sim::BatchedStatevector& bsv, std::uint64_t base,
+            std::size_t first) { run_lane_group(b, bsv, base, first, batch_counts[batch]); });
   }
   if (t0 != 0) {
     const double secs = static_cast<double>(obs::now_ns() - t0) * 1e-9;
@@ -1089,14 +1202,8 @@ sim::Counts Executor::run_trajectories(const CompiledProgram& cp, std::size_t sh
   return out;
 }
 
-sim::Counts Executor::run_exact_density(const CompiledProgram& cp, std::size_t shots,
-                                        Rng& rng) const {
-  // The only stochastic element: multinomial shot noise on the exact
-  // distribution.
-  return sim::sample_from_probabilities(density_distribution(cp), shots, rng);
-}
-
-std::vector<double> Executor::density_distribution(const CompiledProgram& cp) const {
+std::vector<double> Executor::density_distribution(const BoundProgram& b) const {
+  const CompiledProgram& cp = b.t->program;
   const noise::NoiseModel& nm = dev_.noise_model();
   sim::DensityMatrix dm(cp.touched.size());
 
@@ -1114,7 +1221,7 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
   };
 
   walk_noise_timeline(
-      cp, nm.dep_per_1q_pulse, nm.dep_per_2q_block, dev_.readout_duration_dt(), relax,
+      b, nm.dep_per_1q_pulse, nm.dep_per_2q_block, dev_.readout_duration_dt(), relax,
       idle_drift,
       // Exact evolution keeps the full virtual-diagonal unitary (global
       // phase cancels in U rho U†, so no fold is needed).
@@ -1135,59 +1242,52 @@ std::vector<double> Executor::density_distribution(const CompiledProgram& cp) co
   return p;
 }
 
-void Executor::refresh_key_prefix() {
-  // Refresh the cache-key prefix each run so a recalibrated (or
-  // noise-model-mutated) backend never replays stale compiled blocks out of
-  // a shared cache.
-  std::ostringstream prefix;
-  prefix << dev_.name() << '#' << std::hex << dev_.fingerprint() << std::dec
-         << (options_.noise && options_.coherent_noise ? "#coh;" : "#exact;");
-  key_prefix_ = prefix.str();
+sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
+  return run(*compile(program), program, shots, rng);
 }
 
-sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
-  HGP_REQUIRE(!program.measure_qubits.empty(), "Executor::run: nothing to measure");
+sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std::size_t shots,
+                         Rng& rng) {
   if (options_.cancel) options_.cancel->check();
-  refresh_key_prefix();
-
   ExecMetrics& em = ExecMetrics::get();
   obs::Span run_span("executor.run", &em.run_ns);
-  const bool noisy = options_.noise;
-  const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp =
-      compile_program(program, density ? kMaxDensityQubits : kMaxTrajectoryQubits);
+  const BoundProgram b = bind(t, program);
   compile_span.finish();
-  report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
-                            cp.timeline.size()};
 
-  if (!noisy) return run_noiseless(cp, shots, rng);
-  if (density) return run_exact_density(cp, shots, rng);
-  return run_trajectories(cp, shots, rng);
+  if (options_.noise && options_.engine == Engine::ExactDensity)
+    // The only stochastic element: multinomial shot noise on the exact
+    // distribution.
+    return sim::sample_from_probabilities(density_distribution(b), shots, rng);
+  if (options_.noise) return run_trajectories(b, shots, rng);
+  sim::Counts out;
+  for (const auto& [bits, n] : evolve_noiseless(b).sample(shots, rng))
+    out[map_bits(bits, t.program)] += n;
+  return out;
 }
 
 double Executor::run_expectation(const Program& program, std::size_t shots, Rng& rng,
                                  const ObjectiveSpec& spec) {
+  return run_expectation(*compile(program), program, shots, rng, spec);
+}
+
+double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& program,
+                                 std::size_t shots, Rng& rng, const ObjectiveSpec& spec) {
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation: Sample objectives go through run()");
   HGP_REQUIRE(static_cast<bool>(spec.value),
               "Executor::run_expectation: objective has no value function");
-  HGP_REQUIRE(!program.measure_qubits.empty(),
-              "Executor::run_expectation: nothing to measure");
   if (options_.cancel) options_.cancel->check();
 
-  refresh_key_prefix();
   ExecMetrics& em = ExecMetrics::get();
   // Objective aggregation (evolve + exact per-shot reduction) as one span.
   obs::Span objective_span("executor.objective", &em.aggregate_ns);
   const bool noisy = options_.noise;
   const bool density = noisy && options_.engine == Engine::ExactDensity;
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const CompiledProgram cp =
-      compile_program(program, density ? kMaxDensityQubits : kMaxTrajectoryQubits);
+  const BoundProgram b = bind(tmpl, program);
   compile_span.finish();
-  report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), cp.timeline.size(),
-                            cp.timeline.size()};
+  const CompiledProgram& cp = tmpl.program;
 
   const noise::NoiseModel& nm = dev_.noise_model();
   const bool expectation = spec.kind == ObjectiveKind::Expectation;
@@ -1202,7 +1302,7 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   std::vector<double> p;
   if (density) {
     // Exact objective over the folded distribution — no stochastic element.
-    p = density_distribution(cp);
+    p = density_distribution(b);
     if (expectation) {
       double num = 0.0, den = 0.0;
       for (std::size_t j = 0; j < mdim; ++j) {
@@ -1214,7 +1314,7 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
   } else if (!noisy) {
     // One deterministic evolve, one exact reduction — shots and rng are
     // untouched, and there is no sampling noise at all.
-    const sim::Statevector sv = evolve_noiseless(cp);
+    const sim::Statevector sv = evolve_noiseless(b);
     if (expectation) {
       double num = 0.0, den = 0.0;
       sv.weighted_mass(t.local_value.data(), num, den);
@@ -1242,22 +1342,22 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
     std::vector<double> batch_p(expectation ? 0 : num_batches * mdim, 0.0);
     for_each_lane_group<sim::BatchedStatevector>(
         options_, cp.touched.size(), shots, rng,
-        [&](std::size_t b, sim::BatchedStatevector& bsv, std::uint64_t base,
+        [&](std::size_t batch, sim::BatchedStatevector& bsv, std::uint64_t base,
             std::size_t first) {
           const std::size_t nl = bsv.lanes();
-          evolve_lanes(dev_, options_, cp, bsv, base, first);
+          evolve_lanes(dev_, options_, b, bsv, base, first);
           if (expectation) {
             // Per-shot normalized expectation (den carries the trajectory's
             // deferred-normalization weight).
             std::vector<double> num(nl), den(nl);
             bsv.weighted_masses(t.local_value.data(), num.data(), den.data());
-            for (std::size_t l = 0; l < nl; ++l) batch_acc[b] += num[l] / den[l];
+            for (std::size_t l = 0; l < nl; ++l) batch_acc[batch] += num[l] / den[l];
             return;
           }
           // Per-shot normalized outcome distribution into the batch sum.
           std::vector<double> mass(mdim * nl, 0.0);
           bsv.accumulate_mapped(t.local_outcome.data(), mass.data());
-          double* pb = &batch_p[b * mdim];
+          double* pb = &batch_p[batch * mdim];
           for (std::size_t l = 0; l < nl; ++l) {
             double d = 0.0;
             for (std::size_t j = 0; j < mdim; ++j) d += mass[j * nl + l];
@@ -1283,6 +1383,13 @@ double Executor::run_expectation(const Program& program, std::size_t shots, Rng&
 std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& programs,
                                                     const ObjectiveSpec& spec) {
   HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
+  return run_expectation_batch(*compile(programs.front()), programs, spec);
+}
+
+std::vector<double> Executor::run_expectation_batch(const ProgramTemplate& tmpl,
+                                                    const std::vector<Program>& programs,
+                                                    const ObjectiveSpec& spec) {
+  HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation_batch: Sample objectives go through run()");
   HGP_REQUIRE(static_cast<bool>(spec.value),
@@ -1291,118 +1398,39 @@ std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& 
               "Executor::run_expectation_batch: candidate-lane batching is noiseless only");
   if (options_.cancel) options_.cancel->check();
 
-  refresh_key_prefix();
   ExecMetrics& em = ExecMetrics::get();
   obs::Span batch_span("executor.candidate_batch");
   em.expectation_batches.inc();
   const std::size_t B = programs.size();
-  const Program& p0 = programs.front();
-  HGP_REQUIRE(!p0.measure_qubits.empty(),
-              "Executor::run_expectation_batch: nothing to measure");
+  obs::Span compile_span("executor.compile", &em.compile_ns);
+  std::vector<BoundProgram> lanes;
+  lanes.reserve(B);
+  for (std::size_t l = 0; l < B; ++l)
+    lanes.push_back(bind(tmpl, programs[l]));
+  compile_span.finish();
+  const CompiledProgram& cp = tmpl.program;
+  const std::vector<Scheduled>& groups = tmpl.fusion.timeline;
 
-  // Candidate-lane batching requires one shared circuit structure: the same
-  // register, measurement map, and block placement — only parameter values
-  // may differ lane to lane. So candidate 0 is compiled in full once and
-  // every other lane is delta-compiled against it: per timeline slot, only
-  // ops whose parameters actually changed recompile (a full per-candidate
-  // compile_program — key building, cache lookups, block copies — was the
-  // dominant cost of small batches).
-  const CompiledProgram c0 = compile_program(p0, kMaxTrajectoryQubits);
-  const std::size_t steps = c0.timeline.size();
-
-  // Contributing ops per slot, in program order (virtual folds put several
-  // ops into one slot).
-  std::vector<std::vector<std::size_t>> slot_ops(steps);
-  for (std::size_t i = 0; i < p0.ops.size(); ++i)
-    if (c0.op_slot[i] >= 0) slot_ops[static_cast<std::size_t>(c0.op_slot[i])].push_back(i);
-
-  // lane_us[s] empty => every lane shares candidate 0's unitary (broadcast).
-  std::vector<std::vector<la::CMat>> lane_us(steps);
-  // lane_dirty[s][l]: lane l's slot-s unitary was recompiled (differs from
-  // candidate 0's). Drives the per-lane recompose of fused slots below.
-  std::vector<std::vector<bool>> lane_dirty(steps);
-  for (std::size_t l = 1; l < B; ++l) {
-    const Program& pl = programs[l];
-    HGP_REQUIRE(pl.measure_qubits == p0.measure_qubits && pl.ops.size() == p0.ops.size(),
-                "Executor::run_expectation_batch: candidates are not structurally "
-                "identical");
-    for (std::size_t i = 0; i < pl.ops.size(); ++i)
-      HGP_REQUIRE(same_op_structure(pl.ops[i], p0.ops[i]),
-                  "Executor::run_expectation_batch: candidate timelines diverge");
-    for (std::size_t s = 0; s < steps; ++s) {
-      bool dirty = false;
-      for (std::size_t i : slot_ops[s])
-        if (!same_op_unitary(pl.ops[i], p0.ops[i])) {
-          dirty = true;
-          break;
-        }
-      if (!dirty) continue;
-      if (lane_us[s].empty()) {
-        lane_us[s].assign(B, c0.timeline[s].block.unitary);
-        lane_dirty[s].assign(B, false);
-      }
-      lane_dirty[s][l] = true;
-      // Recompute the slot's (possibly folded) unitary in compile_program's
-      // exact multiply order, so the lane stays bit-identical to a scalar
-      // compile of this candidate.
-      la::CMat u = compile_block(pl.ops[slot_ops[s].front()]).unitary;
-      for (std::size_t i = 1; i < slot_ops[s].size(); ++i)
-        u = compile_block(pl.ops[slot_ops[s][i]]).unitary * u;
-      lane_us[s][l] = std::move(u);
-    }
-  }
-  report_ = ExecutionReport{c0.makespan_dt, dev_.readout_duration_dt(), steps, steps};
-
-  // Fuse candidate 0's timeline, then route the delta-compiled lanes through
-  // the fused slots: a fused slot whose constituents are clean on every lane
-  // applies once broadcast; a slot with dirty lanes re-composes exactly those
-  // lanes' unitaries with compose_fused — the same composition fuse_program
-  // performs — so each lane stays bit-identical to a scalar fused run of
-  // that candidate.
-  const FusionResult fr = fuse_for_engine(c0, options_.fusion_max_qubits, cache_.get(),
-                                          key_prefix_, dev_.fingerprint());
-  const std::size_t fused_steps = fr.program.timeline.size();
-  report_.fused_block_count = fused_steps;
-  std::vector<std::vector<la::CMat>> fused_us(fused_steps);
-  for (std::size_t g = 0; g < fused_steps; ++g) {
-    const std::vector<std::size_t>& srcs = fr.slots[g].sources;
-    if (srcs.size() == 1) {
-      fused_us[g] = std::move(lane_us[srcs[0]]);
+  // One lane-batched evolve for all candidates. A fused slot whose bound
+  // unitary is the same on every lane — clean on all of them, or B = 1 —
+  // applies once broadcast; the others take the per-lane kernels.
+  // Broadcast and per-lane kernels give identical bits, so this choice only
+  // affects speed.
+  sim::BatchedStatevector bsv(cp.touched.size(), B);
+  std::vector<const CMat*> us(B);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    bool per_lane = false;
+    for (std::size_t l = 0; l < B && B > 1 && !per_lane; ++l)
+      per_lane = lanes[l].fused[g] != &groups[g].block.unitary;
+    if (!per_lane) {
+      bsv.apply_matrix(*lanes.front().fused[g], groups[g].local);
       continue;
     }
-    const bool any_varied = std::any_of(srcs.begin(), srcs.end(), [&](std::size_t src) {
-      return !lane_us[src].empty();
-    });
-    if (!any_varied) continue;  // broadcast the fused unitary
-    fused_us[g].assign(B, fr.program.timeline[g].block.unitary);
-    std::vector<FusePartView> parts(srcs.size());
-    for (std::size_t l = 1; l < B; ++l) {
-      const bool lane_varied = std::any_of(srcs.begin(), srcs.end(), [&](std::size_t src) {
-        return !lane_dirty[src].empty() && lane_dirty[src][l];
-      });
-      if (!lane_varied) continue;
-      for (std::size_t i = 0; i < srcs.size(); ++i) {
-        const std::size_t src = srcs[i];
-        parts[i].u = lane_us[src].empty() ? &c0.timeline[src].block.unitary
-                                          : &lane_us[src][l];
-        parts[i].local = &c0.timeline[src].local;
-      }
-      fused_us[g][l] = compose_fused(parts.data(), parts.size(), fr.program.timeline[g].local);
-    }
+    for (std::size_t l = 0; l < B; ++l) us[l] = lanes[l].fused[g];
+    bsv.apply_matrix_per_lane(us, groups[g].local);
   }
 
-  // One lane-batched evolve for all candidates: blocks whose unitaries agree
-  // across every lane (the unparameterized majority) apply once broadcast;
-  // parameterized blocks take the per-lane kernels.
-  sim::BatchedStatevector bsv(c0.touched.size(), B);
-  for (std::size_t s = 0; s < fused_steps; ++s) {
-    if (fused_us[s].empty())
-      bsv.apply_matrix(fr.program.timeline[s].block.unitary, fr.program.timeline[s].local);
-    else
-      bsv.apply_matrix_per_lane(fused_us[s], fr.program.timeline[s].local);
-  }
-
-  const OutcomeTables t = tabulate(c0, spec, nullptr);
+  const OutcomeTables t = tabulate(cp, spec, nullptr);
   const std::size_t mdim = t.value.size();
   std::vector<double> out(B);
   if (spec.kind == ObjectiveKind::Expectation) {

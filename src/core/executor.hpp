@@ -10,6 +10,7 @@
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "core/compiled_block.hpp"
+#include "core/fusion.hpp"
 #include "core/program.hpp"
 #include "serve/block_cache.hpp"
 #include "sim/batched_statevector.hpp"
@@ -72,7 +73,7 @@ inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 
 /// Register caps: the most touched qubits a program may have on the
 /// statevector paths (trajectories, noiseless runs, candidate lanes) and on
-/// the exact density engine. compile_program enforces them; serve's job
+/// the exact density engine. Executor::compile enforces them; serve's job
 /// validation checks them before any executor exists.
 inline constexpr std::size_t kMaxTrajectoryQubits = 14;
 inline constexpr std::size_t kMaxDensityQubits = 10;
@@ -143,31 +144,43 @@ struct ExecutionReport {
   std::size_t fused_block_count = 0;
 };
 
-/// One block placed on the ASAP timeline in local qubit coordinates.
-struct Scheduled {
-  CompiledBlock block;
-  std::vector<std::size_t> local;   // local qubit indices
-  std::vector<int> idle_before_dt;  // per local qubit of the block
+/// A program compiled once for a run: everything its evaluations share when
+/// only parameter values change between them. In the paper's hybrid model
+/// the problem layer is fixed gate-level code and only the γ phase gates
+/// and the mixer pulses train, so the optimizer's candidates all bind to the
+/// template of the run's initial point.
+///
+/// Validity: a template is valid for the backend state and the executor
+/// options it was compiled under. Its blocks and cache-key prefix capture
+/// the calibration at compile time, so a backend recalibrated afterwards is
+/// not seen by binds of this template (the Program overloads compile per
+/// call and always see the current calibration). Binding it on an executor
+/// of another backend object or other noise, engine or fusion settings throws.
+/// Immutable once built: many threads may bind one template at once.
+struct ProgramTemplate {
+  /// The program compiled; a bind diffs a candidate against its ops.
+  Program reference;
+  /// Per reference op: its pulse schedule's fingerprint (0 for gate ops).
+  std::vector<std::uint64_t> pulse_fp;
+  /// The unfused timeline, the touched and measure maps and the clock.
+  CompiledProgram program;
+  /// The ops of each timeline slot, in program order: consecutive virtual
+  /// gates on a qubit fold into one slot, so a slot may hold several.
+  std::vector<std::vector<std::size_t>> slot_ops;
+  /// Fusion grouping and the reference compositions (noiseless executors;
+  /// empty otherwise).
+  FusionResult fusion;
+  /// Backend name + fingerprint + lowering mode: the prefix of every cache
+  /// key, with the backend fingerprint hashed once.
+  std::string key_prefix;
+  std::uint64_t fingerprint = 0;
+  /// The backend and executor settings it was compiled under (see above).
+  const backend::FakeBackend* dev = nullptr;
+  std::uint32_t mode = 0;
 };
 
-/// A program compiled down to the engine-independent representation: the
-/// block timeline over the compressed (touched-only) register plus the
-/// measurement maps. Every engine — scalar trajectory, lane-batched
-/// trajectory, exact density — walks this same structure.
-struct CompiledProgram {
-  std::vector<Scheduled> timeline;
-  std::vector<std::size_t> touched;        // sorted physical qubits
-  std::vector<std::size_t> measure_phys;   // physical qubit per measured bit
-  std::vector<std::size_t> measure_local;  // local qubit per measured bit
-  std::vector<int> clock;                  // per-local end time
-  /// Timeline slot each program op landed in (-1 for barriers/measures).
-  /// Consecutive virtual blocks fold, so several ops may map to one slot —
-  /// this is what lets candidate-lane batching delta-compile: a candidate
-  /// that differs from the reference only in some ops' parameter values
-  /// recompiles exactly those ops' slots.
-  std::vector<long> op_slot;
-  int makespan_dt = 0;
-};
+/// One evaluation's view of a template (defined in executor.cpp).
+struct BoundProgram;
 
 /// The machine-in-loop execution engine: compiles a Program's steps into
 /// per-block unitaries (gate blocks through the backend's calibrated pulse
@@ -180,8 +193,27 @@ class Executor {
  public:
   Executor(const backend::FakeBackend& dev, ExecutorOptions options = {});
 
+  /// Compile `reference` into a template: the block timeline (one cache
+  /// probe per gate or pulse op), the fusion grouping and its compositions
+  /// (noiseless executors), and the cache-key prefix. Every evaluation of a
+  /// program with the same structure then binds to it (the overloads below
+  /// taking a ProgramTemplate).
+  std::shared_ptr<const ProgramTemplate> compile(const Program& reference);
+
   /// Run the program and return counts keyed in the order of
   /// program.measure_qubits (bit i = measure_qubits[i]).
+  ///
+  /// The template overloads bind `program` to `tmpl` first: the op count,
+  /// the measure map and every op's kind, qubits and parameter count must
+  /// match the template's reference (a mismatch throws hgp::Error, never
+  /// recompiles). Only the timeline slots whose ops' parameter values or
+  /// pulse schedules changed are recomputed — one cache probe per changed
+  /// gate or pulse block — and only the fused groups holding them
+  /// re-composed; everything else is used in place. A bind draws no RNG, so
+  /// results are bit-identical to the Program overload on `program`, which
+  /// is compile(program) followed by the bound call.
+  sim::Counts run(const ProgramTemplate& tmpl, const Program& program, std::size_t shots,
+                  Rng& rng);
   sim::Counts run(const Program& program, std::size_t shots, Rng& rng);
 
   /// Evaluate a diagonal objective without terminal sampling. Noiseless:
@@ -194,63 +226,69 @@ class Executor {
   /// the value table / the averaged distribution respectively). Density:
   /// exact objective over the folded distribution, no stochastic element at
   /// all. Deterministic for every thread and lane count.
+  double run_expectation(const ProgramTemplate& tmpl, const Program& program,
+                         std::size_t shots, Rng& rng, const ObjectiveSpec& spec);
   double run_expectation(const Program& program, std::size_t shots, Rng& rng,
                          const ObjectiveSpec& spec);
 
   /// Candidate-lane batching: evaluate B structurally identical programs
   /// (same gates and layout, different parameter values — SPSA pairs,
   /// simplex vertices, parameter-shift points) as B lanes of one lane-batched
-  /// evolve. Blocks whose unitaries agree across candidates apply once
-  /// broadcast; parameterized blocks take the per-lane kernels. Noiseless
-  /// only — result l is bit-identical to run_expectation(programs[l], ...)
-  /// on a scalar statevector.
+  /// evolve. A fused slot whose bound unitary is the template's on every
+  /// lane (or B = 1) applies once broadcast; the others take the per-lane
+  /// kernels. Noiseless only — result l is bit-identical to
+  /// run_expectation(programs[l], ...) on a scalar statevector. The
+  /// Program-only overload compiles programs.front() as the template.
+  std::vector<double> run_expectation_batch(const ProgramTemplate& tmpl,
+                                            const std::vector<Program>& programs,
+                                            const ObjectiveSpec& spec);
   std::vector<double> run_expectation_batch(const std::vector<Program>& programs,
                                             const ObjectiveSpec& spec);
 
   const ExecutionReport& last_report() const { return report_; }
 
-  /// The compiled-block cache this executor compiles into (private or
-  /// injected) and its hit/miss/evict counters.
-  const std::shared_ptr<serve::BlockCache>& block_cache() const { return cache_; }
+  /// Hit/miss/evict counters of the compiled-block cache this executor
+  /// compiles into (private or injected).
   serve::BlockCache::Stats cache_stats() const { return cache_->stats(); }
 
  private:
-  /// The single block-lowering entry point: every program step — gate or
-  /// pulse — routes through here. Virtual (free diagonal) gates and explicit
-  /// delays compile to exact matrices without touching the cache; everything
-  /// else builds a structure key (gate kind + qubits + hexfloat parameters,
-  /// or the pulse schedule's content fingerprint), probes the cache once
-  /// under key_prefix_ + key, and goes to lower_schedule_block only on a
-  /// miss. Calibration identity comes from the fingerprint prefix.
-  CompiledBlock compile_block(const ExecOp& op);
+  /// The single block-lowering entry point for gate and pulse steps.
+  /// Virtual (free diagonal) gates and explicit delays compile to exact
+  /// matrices without touching the cache; everything else probes the cache
+  /// once under the template's key prefix + its key (a pulse keys on
+  /// `pulse_fp`, its schedule's fingerprint) and lowers only on a miss.
+  std::shared_ptr<const CompiledBlock> compile_block(const ExecOp& op, std::uint64_t pulse_fp,
+                                                     const ProgramTemplate& t);
   /// Gate front-end of compile_block: keys a native gate by name, physical
   /// qubits and exact parameters, and builds its calibrated schedule only on
   /// a miss — a hit builds no schedule.
-  CompiledBlock compile_gate(const qc::Op& op);
+  std::shared_ptr<const CompiledBlock> compile_gate(const qc::Op& op, const ProgramTemplate& t);
   /// Miss-only lowering tail for every schedule-backed block: simulate (or
   /// take the exact unitary when pulse-accurate compilation is off), fill
-  /// the schedule-derived metadata, insert under `cache_key`, and return the
-  /// block stamped with `structure_key`. `fold_cx_phase_defect` folds the
-  /// backend's static two-qubit phase error into simulated CX/RZZ blocks.
-  CompiledBlock lower_schedule_block(const std::string& cache_key, std::string structure_key,
-                                     serve::BlockKind kind, const pulse::Schedule& sched,
-                                     const std::vector<std::size_t>& qubits,
-                                     const la::CMat* exact_unitary, bool fold_cx_phase_defect);
+  /// the schedule-derived metadata, and insert under `cache_key` (recording
+  /// `fingerprint` as the compiling backend). `fold_cx_phase_defect` folds
+  /// the backend's static two-qubit phase error into simulated CX/RZZ
+  /// blocks.
+  std::shared_ptr<const CompiledBlock> lower_schedule_block(
+      const std::string& cache_key, serve::BlockKind kind, const pulse::Schedule& sched,
+      const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
+      bool fold_cx_phase_defect, std::uint64_t fingerprint);
   la::CMat simulate_block(const pulse::Schedule& physical_sched,
                           const std::vector<std::size_t>& qubits) const;
 
-  CompiledProgram compile_program(const Program& program, std::size_t max_qubits);
+  /// The executor settings a template depends on (ProgramTemplate::mode).
+  std::uint32_t compile_mode() const;
+  /// The bind the template overloads share (see run()).
+  BoundProgram bind(const ProgramTemplate& t, const Program& program);
 
-  /// The noiseless final state: fuse the timeline (recording the fused
-  /// length in report_), then one deterministic statevector evolve. Shared
-  /// by run_noiseless (which samples it) and the noiseless path of
-  /// run_expectation (which reduces it exactly).
-  sim::Statevector evolve_noiseless(const CompiledProgram& cp);
-  sim::Counts run_noiseless(const CompiledProgram& cp, std::size_t shots, Rng& rng);
-  sim::Counts run_trajectories(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
+  /// The noiseless final state: one deterministic statevector evolve over
+  /// the bound fused timeline (recording its length in report_). run()
+  /// samples it; run_expectation() reduces it exactly.
+  sim::Statevector evolve_noiseless(const BoundProgram& b);
+  sim::Counts run_trajectories(const BoundProgram& b, std::size_t shots, Rng& rng) const;
   /// One trajectory: evolve `sv` (already reset) through the timeline and
   /// record a single readout into `out`.
-  void run_one_shot(const CompiledProgram& cp, sim::Statevector& sv, Rng& rng,
+  void run_one_shot(const BoundProgram& b, sim::Statevector& sv, Rng& rng,
                     sim::Counts& out) const;
   /// bsv.lanes() trajectories in lockstep: deterministic blocks apply once
   /// across all lanes, stochastic branches draw per lane from
@@ -258,26 +296,18 @@ class Executor {
   /// terminal sampling does one probability pass (shared sorted pass for
   /// lanes that took no stochastic branch). Counts land in `out` exactly as
   /// if run_one_shot had run each lane's shot.
-  void run_lane_group(const CompiledProgram& cp, sim::BatchedStatevector& bsv,
+  void run_lane_group(const BoundProgram& b, sim::BatchedStatevector& bsv,
                       std::uint64_t rng_base, std::size_t first_shot,
                       sim::Counts& out) const;
-  sim::Counts run_exact_density(const CompiledProgram& cp, std::size_t shots, Rng& rng) const;
   /// The exact-density outcome distribution over the measured bits,
-  /// marginalized and readout-folded — shared by run_exact_density (which
-  /// samples it) and the density path of run_expectation (which reduces it).
-  std::vector<double> density_distribution(const CompiledProgram& cp) const;
-  /// Rebuild key_prefix_ from the backend fingerprint and compile options
-  /// (called at the top of every run so recalibration invalidates stale
-  /// cache entries).
-  void refresh_key_prefix();
+  /// marginalized and readout-folded. run() samples it; run_expectation()
+  /// reduces it.
+  std::vector<double> density_distribution(const BoundProgram& b) const;
 
   const backend::FakeBackend& dev_;
   ExecutorOptions options_;
   ExecutionReport report_;
   std::shared_ptr<serve::BlockCache> cache_;
-  /// Backend-fingerprint + compile-option prefix of every cache key;
-  /// refreshed per run() so recalibration invalidates stale entries.
-  std::string key_prefix_;
 };
 
 }  // namespace hgp::core

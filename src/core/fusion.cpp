@@ -109,56 +109,37 @@ CMat compose_fused(const FusePartView* parts, std::size_t n,
   return acc;
 }
 
-FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
-                          serve::BlockCache* cache, const std::string& key_prefix,
-                          std::uint64_t fingerprint) {
+FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt) {
   FusionResult out;
   out.stats.ops_in = cp.timeline.size();
 
-  // Carry everything but the timeline over unchanged: fusion only reshapes
-  // which unitaries apply, not the register, measurement maps, or timing.
-  out.program.touched = cp.touched;
-  out.program.measure_phys = cp.measure_phys;
-  out.program.measure_local = cp.measure_local;
-  out.program.clock = cp.clock;
-  out.program.makespan_dt = cp.makespan_dt;
-
   // Greedy order-preserving grouping: extend the current run while the
   // support union stays within the width bound, flush otherwise. No
-  // commutation analysis — apply order is preserved exactly.
+  // commutation analysis — apply order is preserved exactly. Widths 0 and 1
+  // put every block in its own group.
   std::vector<FusedSlot> groups;
   std::vector<std::vector<std::size_t>> group_support;
-  if (opt.max_qubits >= 2) {
-    for (std::size_t s = 0; s < cp.timeline.size(); ++s) {
-      const std::vector<std::size_t> local = sorted(cp.timeline[s].local);
-      if (!groups.empty()) {
-        std::vector<std::size_t> u = support_union(group_support.back(), local);
-        if (u.size() <= opt.max_qubits) {
-          groups.back().sources.push_back(s);
-          group_support.back() = std::move(u);
-          continue;
-        }
+  for (std::size_t s = 0; s < cp.timeline.size(); ++s) {
+    const std::vector<std::size_t> local = sorted(cp.timeline[s].local);
+    if (opt.max_qubits >= 2 && !groups.empty()) {
+      std::vector<std::size_t> u = support_union(group_support.back(), local);
+      if (u.size() <= opt.max_qubits) {
+        groups.back().sources.push_back(s);
+        group_support.back() = std::move(u);
+        continue;
       }
-      groups.push_back(FusedSlot{{s}});
-      group_support.push_back(local);
     }
-  } else {
-    for (std::size_t s = 0; s < cp.timeline.size(); ++s) {
-      groups.push_back(FusedSlot{{s}});
-      group_support.push_back(sorted(cp.timeline[s].local));
-    }
+    groups.push_back(FusedSlot{{s}});
+    group_support.push_back(local);
   }
 
-  // Materialize fused slots and the original-slot -> fused-slot remap.
-  std::vector<long> slot_remap(cp.timeline.size(), -1);
-  out.program.timeline.reserve(groups.size());
+  // Materialize the fused slots.
+  out.timeline.reserve(groups.size());
   out.slots.reserve(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const FusedSlot& grp = groups[g];
-    for (std::size_t src : grp.sources) slot_remap[src] = static_cast<long>(g);
-
     if (grp.sources.size() == 1) {
-      out.program.timeline.push_back(cp.timeline[grp.sources[0]]);
+      out.timeline.push_back(cp.timeline[grp.sources[0]]);
       out.slots.push_back(grp);
       continue;
     }
@@ -167,68 +148,24 @@ FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
     out.stats.max_run_len = std::max(out.stats.max_run_len, grp.sources.size());
     const std::vector<std::size_t>& support = group_support[g];
 
-    // Cache key: the concatenation of the constituent structure keys under
-    // the caller's backend-fingerprint prefix. Only usable when every
-    // constituent was stamped; an unstamped part (shouldn't happen in the
-    // executor pipeline) just composes uncached.
-    std::string fuse_key;
-    bool keyed = cache != nullptr;
-    if (keyed) {
-      fuse_key = "fuse[";
-      for (std::size_t i = 0; i < grp.sources.size(); ++i) {
-        const std::string& part_key = cp.timeline[grp.sources[i]].block.structure_key;
-        if (part_key.empty()) {
-          keyed = false;
-          break;
-        }
-        if (i) fuse_key += ';';
-        fuse_key += part_key;
-      }
-      fuse_key += ']';
-    }
-
     Scheduled fused;
     fused.local = support;
     fused.idle_before_dt.assign(support.size(), 0);
-
-    std::shared_ptr<const CompiledBlock> cached;
-    if (keyed) cached = cache->find(key_prefix + fuse_key, serve::BlockKind::Fused);
-    if (cached) {
-      out.stats.cache_hits += 1;
-      fused.block = *cached;
-      fused.block.structure_key = fuse_key;
-    } else {
-      out.stats.cache_misses += 1;
-      std::vector<FusePartView> parts;
-      parts.reserve(grp.sources.size());
-      std::vector<std::vector<std::size_t>> part_locals(grp.sources.size());
-      for (std::size_t i = 0; i < grp.sources.size(); ++i) {
-        const Scheduled& s = cp.timeline[grp.sources[i]];
-        part_locals[i] = s.local;
-        parts.push_back(FusePartView{&s.block.unitary, &part_locals[i]});
-      }
-      fused.block.unitary = compose_fused(parts.data(), parts.size(), support);
-      fused.block.qubits.reserve(support.size());
-      for (std::size_t lq : support) fused.block.qubits.push_back(cp.touched[lq]);
-      fused.block.virtual_only =
-          std::all_of(grp.sources.begin(), grp.sources.end(), [&](std::size_t src) {
-            return cp.timeline[src].block.virtual_only;
-          });
-      fused.block.structure_key = fuse_key;
-      if (keyed)
-        cache->insert(key_prefix + fuse_key, fused.block, serve::BlockKind::Fused,
-                      fingerprint);
-    }
-    out.program.timeline.push_back(std::move(fused));
+    std::vector<FusePartView> parts;
+    parts.reserve(grp.sources.size());
+    for (std::size_t src : grp.sources)
+      parts.push_back(FusePartView{&cp.timeline[src].block.unitary, &cp.timeline[src].local});
+    fused.block.unitary = compose_fused(parts.data(), parts.size(), support);
+    fused.block.qubits.reserve(support.size());
+    for (std::size_t lq : support) fused.block.qubits.push_back(cp.touched[lq]);
+    fused.block.virtual_only =
+        std::all_of(grp.sources.begin(), grp.sources.end(), [&](std::size_t src) {
+          return cp.timeline[src].block.virtual_only;
+        });
+    out.timeline.push_back(std::move(fused));
     out.slots.push_back(grp);
   }
-  out.stats.ops_out = out.program.timeline.size();
-
-  // Remap op -> slot through the fused slots (delta-compilation follows this
-  // map to find which fused slot a changed op's block landed in).
-  out.program.op_slot.reserve(cp.op_slot.size());
-  for (long s : cp.op_slot)
-    out.program.op_slot.push_back(s < 0 ? -1 : slot_remap[static_cast<std::size_t>(s)]);
+  out.stats.ops_out = out.timeline.size();
   return out;
 }
 

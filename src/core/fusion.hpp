@@ -1,11 +1,8 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
-#include "core/executor.hpp"
-#include "serve/block_cache.hpp"
+#include "core/compiled_block.hpp"
 #include "transpile/pass_report.hpp"
 
 namespace hgp::core {
@@ -31,26 +28,19 @@ struct FusionOptions {
 
 /// One fused timeline slot's provenance: the original timeline slots it
 /// merged, in apply order. Single-element = the block passed through
-/// untouched. This is what lets candidate-lane delta-compilation route
-/// through fused slots: a lane recompiles only the constituent blocks whose
-/// ops changed, then re-composes this slot's unitary.
+/// untouched. This is what lets a bind route through fused slots: an
+/// evaluation recomputes only the constituent blocks whose ops changed, then
+/// re-composes this slot's unitary.
 struct FusedSlot {
   std::vector<std::size_t> sources;
 };
 
-struct FusionStats : transpile::PassStats {
-  std::size_t cache_hits = 0;    // fused unitaries served from the BlockCache
-  std::size_t cache_misses = 0;  // fused unitaries composed by matmul
-};
-
 struct FusionResult {
-  /// The fused program: same touched register, measurement maps, clock and
-  /// makespan as the input, shorter timeline, op_slot remapped to fused
-  /// slots.
-  CompiledProgram program;
-  /// Parallel to program.timeline.
+  /// The fused timeline, over the input's local register.
+  std::vector<Scheduled> timeline;
+  /// Parallel to timeline.
   std::vector<FusedSlot> slots;
-  FusionStats stats;
+  transpile::PassStats stats;
 };
 
 /// Embed a k-qubit operator into the basis of `support` (sorted local qubit
@@ -66,19 +56,16 @@ struct FusePartView {
 };
 
 /// Compose parts[n-1] * ... * parts[0] on `support` (timeline apply order:
-/// parts[0] acts first). Deterministic — the candidate-lane recompose path
-/// calls this with per-lane constituent unitaries and must reproduce bitwise
-/// what fusing that candidate's own compiled program would produce.
+/// parts[0] acts first). Deterministic — a bind calls this with an
+/// evaluation's own constituent unitaries and must reproduce bitwise what
+/// fusing that evaluation's freshly compiled program would produce.
 la::CMat compose_fused(const FusePartView* parts, std::size_t n,
                        const std::vector<std::size_t>& support);
 
-/// Run the fusion pass. When `cache` is non-null, fused unitaries (from runs
-/// whose constituents all carry structure keys) are looked up / inserted
-/// under `key_prefix` + "fuse[" + joined constituent keys + "]" with
-/// BlockKind::Fused, so repeated compiles — and, through the write-through
-/// BlockStore, warm-started processes — skip the composition matmuls.
-FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt,
-                          serve::BlockCache* cache, const std::string& key_prefix,
-                          std::uint64_t fingerprint);
+/// Run the fusion pass: group the timeline and compose every merged group.
+/// The executor runs it once per core::ProgramTemplate; binds re-compose
+/// only the groups whose constituents changed. Nothing is cached: composing
+/// a 6-qubit program's groups costs about as much as cache probes and copies.
+FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt);
 
 }  // namespace hgp::core

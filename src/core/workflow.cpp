@@ -71,14 +71,20 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   spec.cvar_alpha = config.cvar_alpha;
   spec.cvar_maximize = true;
 
+  // Compile the run once: QaoaModel::instantiate emits the same op sequence
+  // for every θ, so every candidate evaluation and the final one bind to
+  // this template and recompute only what their parameters change. `dev`
+  // is held unchanged for the whole run, which keeps the template valid.
+  const Program reference = model.instantiate(model.initial_parameters());
+  const std::shared_ptr<const ProgramTemplate> tmpl = executor.compile(reference);
+
   // M3 readout calibration (paper §IV-D): estimate the per-qubit confusion
   // by running the all-|0> and all-|1> calibration programs on the device.
   std::unique_ptr<mit::M3Mitigator> m3;
   if (config.m3) {
-    const Program probe = model.instantiate(model.initial_parameters());
     Rng cal_rng(config.seed ^ 0xCA11ull);
-    m3 = std::make_unique<mit::M3Mitigator>(
-        calibrate_readout(executor, probe.measure_qubits, config.calibration_shots, cal_rng));
+    m3 = std::make_unique<mit::M3Mitigator>(calibrate_readout(
+        executor, reference.measure_qubits, config.calibration_shots, cal_rng));
   }
 
   // Batch-level progress record, updated single-threaded after each batch
@@ -115,7 +121,7 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
           for (std::size_t i = 0; i < count; ++i)
             progs.push_back(model.instantiate(xs[start + i]));
           Executor ex(dev, eopt);  // shares the block cache; private report
-          const std::vector<double> v = ex.run_expectation_batch(progs, spec);
+          const std::vector<double> v = ex.run_expectation_batch(*tmpl, progs, spec);
           for (std::size_t i = 0; i < count; ++i) vals[start + i] = -v[i];
         });
       }
@@ -135,8 +141,8 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
       Executor ex(dev, eopt);  // shares the block cache; private report
       Rng candidate_rng = Rng::child(base, i);
       if (okind != ObjectiveKind::Sample)
-        return -ex.run_expectation(prog, config.shots, candidate_rng, spec);
-      const sim::Counts counts = ex.run(prog, config.shots, candidate_rng);
+        return -ex.run_expectation(*tmpl, prog, config.shots, candidate_rng, spec);
+      const sim::Counts counts = ex.run(*tmpl, prog, config.shots, candidate_rng);
       return -scored_cost(counts, instance.graph, config, m3.get());
     });
   };
@@ -204,9 +210,10 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
       Rng final_rng(config.seed ^ 0xF1A5ull);
       const Program final_prog = model.instantiate(opt_result.x);
       if (okind != ObjectiveKind::Sample) {
-        final_cost = executor.run_expectation(final_prog, config.shots, final_rng, spec);
+        final_cost = executor.run_expectation(*tmpl, final_prog, config.shots, final_rng, spec);
       } else {
-        const sim::Counts final_counts = executor.run(final_prog, config.shots, final_rng);
+        const sim::Counts final_counts =
+            executor.run(*tmpl, final_prog, config.shots, final_rng);
         final_cost = scored_cost(final_counts, instance.graph, config, m3.get());
       }
     } catch (const CancelledError&) {

@@ -43,8 +43,6 @@ BlockCache::BlockCache(std::size_t capacity) : capacity_(capacity) {
   reg_.gate_misses = &reg.counter("block_cache.gate_misses");
   reg_.pulse_hits = &reg.counter("block_cache.pulse_hits");
   reg_.pulse_misses = &reg.counter("block_cache.pulse_misses");
-  reg_.fused_hits = &reg.counter("block_cache.fused_hits");
-  reg_.fused_misses = &reg.counter("block_cache.fused_misses");
   reg_.evictions = &reg.counter("block_cache.evictions");
   reg_.store_hits = &reg.counter("block_cache.store_hits");
   reg_.store_misses = &reg.counter("block_cache.store_misses");
@@ -62,9 +60,6 @@ std::shared_ptr<const core::CompiledBlock> BlockCache::find(const std::string& k
     if (kind == BlockKind::Pulse) {
       pulse_misses_.fetch_add(1, std::memory_order_relaxed);
       reg_.pulse_misses->inc();
-    } else if (kind == BlockKind::Fused) {
-      fused_misses_.fetch_add(1, std::memory_order_relaxed);
-      reg_.fused_misses->inc();
     } else {
       gate_misses_.fetch_add(1, std::memory_order_relaxed);
       reg_.gate_misses->inc();
@@ -78,9 +73,6 @@ std::shared_ptr<const core::CompiledBlock> BlockCache::find(const std::string& k
   if (kind == BlockKind::Pulse) {
     pulse_hits_.fetch_add(1, std::memory_order_relaxed);
     reg_.pulse_hits->inc();
-  } else if (kind == BlockKind::Fused) {
-    fused_hits_.fetch_add(1, std::memory_order_relaxed);
-    reg_.fused_hits->inc();
   } else {
     gate_hits_.fetch_add(1, std::memory_order_relaxed);
     reg_.gate_hits->inc();
@@ -126,7 +118,6 @@ std::shared_ptr<const core::CompiledBlock> BlockCache::insert(const std::string&
                                                               core::CompiledBlock block,
                                                               BlockKind kind,
                                                               std::uint64_t fingerprint) {
-  block.structure_key.clear();  // the map key is the entry's one copy
   auto shared = std::make_shared<const core::CompiledBlock>(std::move(block));
   std::shared_ptr<BlockStore> store;
   {
@@ -272,10 +263,8 @@ BlockCache::Stats BlockCache::stats() const {
   s.gate_misses = gate_misses_.load(std::memory_order_relaxed);
   s.pulse_hits = pulse_hits_.load(std::memory_order_relaxed);
   s.pulse_misses = pulse_misses_.load(std::memory_order_relaxed);
-  s.fused_hits = fused_hits_.load(std::memory_order_relaxed);
-  s.fused_misses = fused_misses_.load(std::memory_order_relaxed);
-  s.hits = s.gate_hits + s.pulse_hits + s.fused_hits;
-  s.misses = s.gate_misses + s.pulse_misses + s.fused_misses;
+  s.hits = s.gate_hits + s.pulse_hits;
+  s.misses = s.gate_misses + s.pulse_misses;
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.store_hits = store_hits_.load(std::memory_order_relaxed);
   s.store_misses = store_misses_.load(std::memory_order_relaxed);

@@ -32,7 +32,9 @@ namespace hgp::serve {
 /// executor builds a gate's calibrated schedule only on a miss. Values are
 /// immutable and handed out as shared_ptr, so eviction never invalidates a
 /// block another thread is still holding. Each entry holds its key once,
-/// in the map; stored blocks carry no structure_key.
+/// in the map. Only gate and pulse blocks are cached: fused unitaries are
+/// composed once per core::ProgramTemplate and re-composed per bind, never
+/// looked up.
 ///
 /// The cache also survives across processes: save()/load() snapshot it
 /// through serve::BlockStore's versioned on-disk format, and attach_store()
@@ -42,17 +44,13 @@ namespace hgp::serve {
 class BlockCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;    // total = gate + pulse + fused
-    std::uint64_t misses = 0;  // total = gate + pulse + fused
+    std::uint64_t hits = 0;    // total = gate + pulse
+    std::uint64_t misses = 0;  // total = gate + pulse
     std::uint64_t evictions = 0;
     std::uint64_t gate_hits = 0;
     std::uint64_t gate_misses = 0;
     std::uint64_t pulse_hits = 0;
     std::uint64_t pulse_misses = 0;
-    /// Fused-block traffic from the timeline fusion pass: hits skip the
-    /// composition matmuls entirely.
-    std::uint64_t fused_hits = 0;
-    std::uint64_t fused_misses = 0;
     /// Hits served by an entry that came off disk rather than an in-process
     /// compilation (subset of `hits`).
     std::uint64_t store_hits = 0;
@@ -72,10 +70,6 @@ class BlockCache {
     double pulse_hit_rate() const {
       const std::uint64_t total = pulse_hits + pulse_misses;
       return total == 0 ? 0.0 : static_cast<double>(pulse_hits) / static_cast<double>(total);
-    }
-    double fused_hit_rate() const {
-      const std::uint64_t total = fused_hits + fused_misses;
-      return total == 0 ? 0.0 : static_cast<double>(fused_hits) / static_cast<double>(total);
     }
     double store_hit_rate() const {
       const std::uint64_t total = store_hits + store_misses;
@@ -97,13 +91,11 @@ class BlockCache {
   ~BlockCache();
 
   /// Look up a block, refreshing its LRU position. Null on miss. `kind`
-  /// selects which per-kind hit/miss counters the lookup charges. The
-  /// returned block's structure_key is empty; callers stamp their own.
+  /// selects which per-kind hit/miss counters the lookup charges.
   std::shared_ptr<const core::CompiledBlock> find(const std::string& key,
                                                   BlockKind kind = BlockKind::Gate);
 
-  /// Insert (or refresh) a block and return the cached instance (with its
-  /// structure_key cleared: the map key is the one copy). Two workers
+  /// Insert (or refresh) a block and return the cached instance. Two workers
   /// racing to compile the same key both insert identical blocks — last one
   /// wins, which is benign. A *new* key is also appended to the attached
   /// store, if any (write-through). `fingerprint` records which backend the
@@ -194,8 +186,6 @@ class BlockCache {
   std::atomic<std::uint64_t> gate_misses_{0};
   std::atomic<std::uint64_t> pulse_hits_{0};
   std::atomic<std::uint64_t> pulse_misses_{0};
-  std::atomic<std::uint64_t> fused_hits_{0};
-  std::atomic<std::uint64_t> fused_misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> store_hits_{0};
   std::atomic<std::uint64_t> store_misses_{0};
@@ -206,8 +196,6 @@ class BlockCache {
     obs::Counter* gate_misses;
     obs::Counter* pulse_hits;
     obs::Counter* pulse_misses;
-    obs::Counter* fused_hits;
-    obs::Counter* fused_misses;
     obs::Counter* evictions;
     obs::Counter* store_hits;
     obs::Counter* store_misses;

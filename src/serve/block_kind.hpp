@@ -3,14 +3,12 @@
 namespace hgp::serve {
 
 /// What kind of program step a cached block was compiled from. Gate blocks
-/// key on (gate kind, qubits, exact parameters, schedule duration); pulse
-/// blocks key on the physical qubits plus the schedule's content
-/// fingerprint; fused blocks (the timeline fusion pass's composed unitaries)
-/// key on the concatenation of their constituents' structure keys. The cache
-/// treats all kinds uniformly — the kind only routes the per-kind hit/miss
-/// accounting (and tags the on-disk store records), so a sweep's stats show
-/// whether the expensive pulse-ODE compilations (the hybrid model's
-/// trainable mixer layers) and the fusion matmuls are actually being shared.
-enum class BlockKind { Gate, Pulse, Fused };
+/// key on (gate name, physical qubits, exact parameters); pulse blocks key
+/// on the physical qubits plus the schedule's content fingerprint and
+/// duration. The cache treats both kinds uniformly — the kind only routes
+/// the per-kind hit/miss accounting (and tags the on-disk store records), so
+/// a sweep's stats show whether the expensive pulse-ODE compilations (the
+/// hybrid model's trainable mixer layers) are actually being shared.
+enum class BlockKind { Gate, Pulse };
 
 }  // namespace hgp::serve

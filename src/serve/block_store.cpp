@@ -38,7 +38,7 @@ void encode_record(std::string& out, std::uint64_t fingerprint, const std::strin
                    BlockKind kind, const core::CompiledBlock& block) {
   std::string body;
   io::Writer w(body);
-  w.u8(kind == BlockKind::Pulse ? 1 : kind == BlockKind::Fused ? 2 : 0);
+  w.u8(kind == BlockKind::Pulse ? 1 : 0);
   w.u64(fingerprint);
   w.str(key);
   block.serialize(body);
@@ -49,15 +49,15 @@ void encode_record(std::string& out, std::uint64_t fingerprint, const std::strin
 }
 
 /// Decode one checksum-verified record body. False on any malformation
-/// (unknown kind, truncated payload, trailing garbage).
+/// (unknown kind, truncated payload, trailing garbage). Kind 2 marked the
+/// fused blocks older builds cached; it is now unknown, so such a record is
+/// skipped like any malformed one and the rest of the file still loads.
 bool decode_body(const std::string& body, std::uint64_t& fingerprint, std::string& key,
                  BlockKind& kind, core::CompiledBlock& block) {
   io::Reader in(body);
   std::uint8_t kind_byte = 0;
-  if (!in.u8(kind_byte) || kind_byte > 2) return false;
-  kind = kind_byte == 1   ? BlockKind::Pulse
-         : kind_byte == 2 ? BlockKind::Fused
-                          : BlockKind::Gate;
+  if (!in.u8(kind_byte) || kind_byte > 1) return false;
+  kind = kind_byte == 1 ? BlockKind::Pulse : BlockKind::Gate;
   if (!in.u64(fingerprint)) return false;
   if (!in.str(key)) return false;
   if (!core::CompiledBlock::deserialize(in, block)) return false;

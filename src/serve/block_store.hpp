@@ -28,9 +28,9 @@ namespace hgp::serve {
 ///   header:  magic u32 ("HGPB") | format version u32 | backend fingerprint
 ///            u64 (backend::FakeBackend::fingerprint() of the last writer)
 ///   records: body length u32 | FNV-1a checksum u64 of the body | body
-///   body:    BlockKind u8 | writer backend fingerprint u64 | cache key
-///            (u32 length + bytes) | the serialized core::CompiledBlock
-///            payload
+///   body:    BlockKind u8 (0 gate, 1 pulse) | writer backend fingerprint
+///            u64 | cache key (u32 length + bytes) | the serialized
+///            core::CompiledBlock payload
 ///
 /// Validation is entry-by-entry and never fatal: a magic/version mismatch
 /// skips the whole file, a failed checksum or malformed payload skips that

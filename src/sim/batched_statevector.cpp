@@ -93,7 +93,7 @@ struct Broadcast {
   Entry im(std::size_t r, std::size_t c) const { return {u(r, c).imag()}; }
 };
 
-/// One operator per lane (us[l] acts on lane l): each entry is a row of
+/// One operator per lane (*us[l] acts on lane l): each entry is a row of
 /// per-lane values, packed so the lane loop reads it unit-stride.
 class PerLane {
  public:
@@ -101,12 +101,12 @@ class PerLane {
     const double* v;
     double operator[](std::size_t l) const { return v[l]; }
   };
-  explicit PerLane(const std::vector<CMat>& us)
-      : n_(us.front().rows()), lanes_(us.size()), re_(n_ * n_ * lanes_), im_(re_.size()) {
+  explicit PerLane(const std::vector<const CMat*>& us)
+      : n_(us.front()->rows()), lanes_(us.size()), re_(n_ * n_ * lanes_), im_(re_.size()) {
     for (std::size_t l = 0; l < lanes_; ++l)
       for (std::size_t e = 0; e < n_ * n_; ++e) {
-        re_[e * lanes_ + l] = us[l](e / n_, e % n_).real();
-        im_[e * lanes_ + l] = us[l](e / n_, e % n_).imag();
+        re_[e * lanes_ + l] = (*us[l])(e / n_, e % n_).real();
+        im_[e * lanes_ + l] = (*us[l])(e / n_, e % n_).imag();
       }
   }
   Entry re(std::size_t r, std::size_t c) const { return {&re_[(r * n_ + c) * lanes_]}; }
@@ -457,14 +457,14 @@ void BatchedStatevector::apply_pauli_lanes(std::size_t q, const std::uint8_t* co
   });
 }
 
-void BatchedStatevector::apply_matrix_per_lane(const std::vector<CMat>& us,
+void BatchedStatevector::apply_matrix_per_lane(const std::vector<const CMat*>& us,
                                                const std::vector<std::size_t>& qubits) {
   const std::size_t k = qubits.size();
   const std::size_t L = lanes_;
   HGP_REQUIRE(us.size() == L, "apply_matrix_per_lane: one operator per lane");
   const std::size_t rows = std::size_t{1} << k;
-  for (const CMat& u : us)
-    HGP_REQUIRE(u.rows() == rows && u.cols() == rows,
+  for (const CMat* u : us)
+    HGP_REQUIRE(u->rows() == rows && u->cols() == rows,
                 "apply_matrix_per_lane: matrix size mismatch");
   for (std::size_t q : qubits)
     HGP_REQUIRE(q < num_qubits_, "apply_matrix_per_lane: qubit out of range");
@@ -473,12 +473,12 @@ void BatchedStatevector::apply_matrix_per_lane(const std::vector<CMat>& us,
   // or every lane dense. Permutations (whose pattern may differ by lane),
   // generic widths, and mixed classes take the scalar body lane by lane.
   detail::Perm4 p4{};
-  const Structure structure = detail::classify(us.front(), k, p4);
+  const Structure structure = detail::classify(*us.front(), k, p4);
   bool same = structure == Structure::Diagonal || structure == Structure::AntiDiagonal ||
               structure == Structure::Dense;
-  for (std::size_t l = 1; l < L && same; ++l) same = detail::classify(us[l], k, p4) == structure;
+  for (std::size_t l = 1; l < L && same; ++l) same = detail::classify(*us[l], k, p4) == structure;
   if (!same) {
-    for (std::size_t l = 0; l < L; ++l) apply_matrix_one_lane(us[l], qubits, l);
+    for (std::size_t l = 0; l < L; ++l) apply_matrix_one_lane(*us[l], qubits, l);
     return;
   }
   apply_lanes(Planes{re_.data(), im_.data(), dim_, lanes_, scratch_re_.data(), scratch_im_.data()},

@@ -85,14 +85,14 @@ class BatchedStatevector {
 
   /// Apply a *different* operator per lane in one pass — the parameterized
   /// blocks of a candidate-lane batch, where every lane shares the circuit
-  /// structure but carries its own rotation angle. us[l] acts on lane l
+  /// structure but carries its own rotation angle. *us[l] acts on lane l
   /// (us.size() == lanes()). When every lane is diagonal, every lane
   /// anti-diagonal, or every lane dense (1-3 qubits), the lane-vectorized
   /// body runs with per-lane coefficient rows; permutations, wider operators
   /// and mixed classes fall back to apply_matrix_one_lane per lane. Either
   /// way lane l ends up bitwise identical (up to zero signs) to a scalar
-  /// Statevector::apply_matrix(us[l], qubits).
-  void apply_matrix_per_lane(const std::vector<la::CMat>& us,
+  /// Statevector::apply_matrix(*us[l], qubits).
+  void apply_matrix_per_lane(const std::vector<const la::CMat*>& us,
                              const std::vector<std::size_t>& qubits);
 
   /// Apply a k-qubit operator to one lane only (strided) through the scalar

@@ -20,8 +20,8 @@ using Counts = std::map<std::uint64_t, std::size_t>;
 std::string bits_to_string(std::uint64_t bits, std::size_t num_qubits);
 
 /// Multinomial shot sampling from a (possibly un-normalized) probability
-/// vector via inverse-CDF draws — the one sampler every backend and the
-/// executor's exact-density engine share.
+/// vector via inverse-CDF draws located through a guide table — the one
+/// sampler every backend and the executor's exact-density engine share.
 Counts sample_from_probabilities(const std::vector<double>& p, std::size_t shots, Rng& rng);
 
 /// Available state representations.

@@ -253,10 +253,12 @@ TEST(BatchedKernels, BroadcastMatrixMatchesScalarPerLane) {
     const std::vector<std::size_t>& qubits = targets[width];
     std::vector<la::CMat> us;
     for (std::size_t l = 0; l < kLanes; ++l) us.push_back(op_of_lane(l));
+    std::vector<const la::CMat*> lane_ops;
+    for (const la::CMat& u : us) lane_ops.push_back(&u);
     if (mode == Mode::Broadcast)
       bsv.apply_matrix(us[0], qubits);
     else
-      bsv.apply_matrix_per_lane(us, qubits);
+      bsv.apply_matrix_per_lane(lane_ops, qubits);
     for (std::size_t l = 0; l < kLanes; ++l) ref[l].apply_matrix(us[l], qubits);
 
     std::size_t mismatches = 0;

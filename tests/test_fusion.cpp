@@ -1,9 +1,9 @@
 // The timeline block-fusion pass: embedding/composition algebra, fused vs
 // unfused parity on every deterministic-unitary engine path, the noisy
 // engines' knob-is-a-no-op guarantee (bit-identical counts), bit-identity of
-// the delta-compiled candidate lanes against scalar fused runs, fused-block
-// cache hits across iterations and BlockStore warm starts, and the shared
-// transpile::PassStats reporting of the cancellation pass.
+// the bound candidate lanes against scalar fused runs, repeated runs and
+// BlockStore warm starts, and the shared transpile::PassStats reporting of
+// the cancellation pass.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -165,28 +165,26 @@ TEST(FusionPass, MergesAdjacentRunsAndRemapsSlots) {
   push(qc::gate_matrix(qc::GateKind::SX), {0});
   push(qc::gate_matrix(qc::GateKind::RZ, {0.4}), {0});
   push(qc::gate_matrix(qc::GateKind::SX), {1});
-  cp.op_slot = {0, 1, 2};
 
   FusionOptions opt;
   opt.max_qubits = 2;
-  const FusionResult fr = core::fuse_program(cp, opt, nullptr, "", 0);
-  ASSERT_EQ(fr.program.timeline.size(), 1u);
+  const FusionResult fr = core::fuse_program(cp, opt);
+  ASSERT_EQ(fr.timeline.size(), 1u);
   EXPECT_EQ(fr.slots[0].sources, (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(fr.program.op_slot, (std::vector<long>{0, 0, 0}));
   EXPECT_EQ(fr.stats.ops_in, 3u);
   EXPECT_EQ(fr.stats.ops_out, 1u);
   EXPECT_EQ(fr.stats.merged_runs, 1u);
   EXPECT_EQ(fr.stats.max_run_len, 3u);
   EXPECT_EQ(fr.stats.removed(), 2u);
-  EXPECT_EQ(fr.program.timeline[0].local, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(fr.program.timeline[0].block.qubits, (std::vector<std::size_t>{3, 5}));
+  EXPECT_EQ(fr.timeline[0].local, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(fr.timeline[0].block.qubits, (std::vector<std::size_t>{3, 5}));
 
   // Disabled widths pass through 1:1.
   opt.max_qubits = 0;
-  const FusionResult off = core::fuse_program(cp, opt, nullptr, "", 0);
-  EXPECT_EQ(off.program.timeline.size(), 3u);
+  const FusionResult off = core::fuse_program(cp, opt);
+  EXPECT_EQ(off.timeline.size(), 3u);
   EXPECT_EQ(off.stats.merged_runs, 0u);
-  EXPECT_EQ(off.program.op_slot, cp.op_slot);
+  EXPECT_EQ(off.slots[2].sources, (std::vector<std::size_t>{2}));
 }
 
 // ---- fused vs unfused parity on the deterministic paths ---------------------
@@ -358,17 +356,11 @@ TEST(FusionDelta, RepeatedBatchesReuseFusedBlocks) {
   auto cache = std::make_shared<serve::BlockCache>(4096);
   Executor ex = make_executor(2, false, cache);
   const std::vector<double> first = ex.run_expectation_batch(progs, spec);
-  const auto s1 = cache->stats();
-  EXPECT_GT(s1.fused_misses, 0u);
   const std::vector<double> second = ex.run_expectation_batch(progs, spec);
-  const auto s2 = cache->stats();
-  // The second identical batch composes nothing new: pure fused hits.
-  EXPECT_EQ(s2.fused_misses, s1.fused_misses);
-  EXPECT_GT(s2.fused_hits, s1.fused_hits);
   EXPECT_EQ(first, second);
 }
 
-// ---- fused-block caching and store warm start -------------------------------
+// ---- repeated runs and store warm start --------------------------------------
 
 TEST(FusionCache, SecondRunServesFusedBlocksFromCache) {
   const graph::Instance& inst = paper_instance();
@@ -380,12 +372,7 @@ TEST(FusionCache, SecondRunServesFusedBlocksFromCache) {
   Executor ex = make_executor(2, false, cache);
   Rng r0(2), r1(2);
   const double a = ex.run_expectation(prog, 8, r0, spec);
-  const auto s1 = cache->stats();
-  EXPECT_GT(s1.fused_misses, 0u);
   const double b = ex.run_expectation(prog, 8, r1, spec);
-  const auto s2 = cache->stats();
-  EXPECT_EQ(s2.fused_misses, s1.fused_misses);
-  EXPECT_GE(s2.fused_hits, s1.fused_hits + s1.fused_misses);
   EXPECT_EQ(a, b);
 }
 
@@ -403,18 +390,15 @@ TEST(FusionCache, StoreWarmStartSkipsComposition) {
     Executor ex = make_executor(2, false, cache, path);
     Rng rng(2);
     cold = ex.run_expectation(prog, 8, rng, spec);
-    EXPECT_GT(cache->stats().fused_misses, 0u);
   }
-  // A fresh process: new cache, same store — every fused unitary (and every
-  // gate block) comes off disk, so nothing re-composes.
+  // A fresh process: new cache, same store — every gate block comes off
+  // disk, and the fused groups compose from them.
   {
     auto cache = std::make_shared<serve::BlockCache>(4096);
     Executor ex = make_executor(2, false, cache, path);
     Rng rng(2);
     const double warm = ex.run_expectation(prog, 8, rng, spec);
     const auto s = cache->stats();
-    EXPECT_EQ(s.fused_misses, 0u);
-    EXPECT_GT(s.fused_hits, 0u);
     EXPECT_GT(s.store_hits, 0u);
     EXPECT_EQ(warm, cold);  // store round trip is bit-exact
   }

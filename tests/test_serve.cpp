@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,19 +174,6 @@ TEST(BlockCache, KeyDiscriminatesParametersAndCalibration) {
   EXPECT_EQ(cache->stats().misses, before.misses + 3);
 }
 
-TEST(BlockCache, StoredBlocksCarryNoStructureKey) {
-  serve::BlockCache cache(4);
-  core::CompiledBlock block;
-  block.duration_dt = 160;
-  block.structure_key = "SX,0";
-  const auto inserted = cache.insert("prefix;SX,0", block);
-  EXPECT_TRUE(inserted->structure_key.empty());
-  const auto found = cache.find("prefix;SX,0");
-  ASSERT_NE(found, nullptr);
-  EXPECT_TRUE(found->structure_key.empty());  // the map key is the one copy
-  EXPECT_EQ(found->duration_dt, 160);
-}
-
 TEST(BlockCache, ConcurrentEvictionKeepsKeysValid) {
   // 64 keys through a capacity-8 cache from 4 threads: nearly every insert
   // evicts, so the LRU list's pointers into the map's keys are exercised
@@ -330,12 +318,33 @@ TEST(BlockCachePulse, HybridQaoaRunHitsAcrossOptimizerIterations) {
   // The acceptance criterion of the unified pipeline: a hybrid QAOA run's
   // trainable pulse mixers are served from the cache when the optimizer
   // revisits candidate angles (at minimum the final best-point evaluation).
+  const graph::Instance inst = graph::paper_task1();
+  const core::RunConfig cfg = tiny_config("cobyla");
   auto cache = std::make_shared<serve::BlockCache>(4096);
-  core::run_qaoa(graph::paper_task1(), toronto(), core::ModelKind::Hybrid,
-                 tiny_config("cobyla"), nullptr, cache);
+  core::run_qaoa(inst, toronto(), core::ModelKind::Hybrid, cfg, nullptr, cache);
   const serve::BlockCache::Stats s = cache->stats();
   EXPECT_GT(s.pulse_hits, 0u);
-  EXPECT_GT(s.gate_hits, 0u);
+
+  // The fixed gate layer is probed once per run, by the run's one compile:
+  // the run's gate traffic is exactly one walk over the program's gate
+  // blocks, and each distinct gate block misses once on the fresh cache.
+  core::ModelConfig mcfg = cfg.model;
+  mcfg.gate_optimization = cfg.gate_optimization;
+  const core::QaoaModel model =
+      core::QaoaModel::build(inst.graph, toronto(), core::ModelKind::Hybrid, mcfg);
+  const core::Program prog = model.instantiate(model.initial_parameters());
+  std::size_t gate_blocks = 0;
+  std::set<std::pair<qc::GateKind, std::vector<std::size_t>>> distinct;
+  for (const core::ExecOp& op : prog.ops) {
+    if (op.is_pulse) continue;
+    const qc::GateKind k = op.gate.kind;
+    if (k != qc::GateKind::SX && k != qc::GateKind::X && k != qc::GateKind::CX) continue;
+    ++gate_blocks;
+    distinct.emplace(k, op.gate.qubits);
+  }
+  ASSERT_GT(gate_blocks, 0u);
+  EXPECT_EQ(s.gate_hits + s.gate_misses, gate_blocks);
+  EXPECT_EQ(s.gate_misses, distinct.size());
 }
 
 TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {

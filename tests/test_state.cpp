@@ -124,33 +124,59 @@ TEST(Density, NormalizeRestoresUnitTrace) {
 }
 
 TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
-  // The sorted-draw single-pass sampler must map every draw to the same
-  // outcome as the previous materialized-CDF lower_bound implementation
-  // (first index whose running sum reaches the draw), including interior
-  // zero-probability entries and an unnormalized distribution.
-  const std::vector<double> p = {0.1, 0.0, 0.25, 0.3, 0.0, 0.55, 0.0};
-  Rng got_rng(7), ref_rng(7);
-  const sim::Counts got = sim::sample_from_probabilities(p, 2000, got_rng);
+  // The sampler must map every draw to the first index whose running sum
+  // reaches it (rounding slack on the last index), drawing one uniform per
+  // shot in shot order. The oracle is a linear scan, which stays valid when
+  // tiny negative entries make the running sums non-monotone. Inputs cover
+  // interior zeros of an unnormalized distribution, 64 random outcomes, all
+  // zeros, a single entry, a lone non-zero last entry, a -1e-18 entry and
+  // a distribution whose running sums visibly decrease.
+  std::vector<std::vector<double>> inputs = {{0.1, 0.0, 0.25, 0.3, 0.0, 0.55, 0.0}};
+  Rng gen(99);
+  std::vector<double> random64(64);
+  for (double& x : random64) x = gen.uniform() * gen.uniform();
+  inputs.push_back(random64);
+  inputs.push_back(std::vector<double>(8, 0.0));
+  inputs.push_back({0.7});
+  inputs.push_back({0.0, 0.0, 0.0, 0.0, 0.0, 0.3});
+  inputs.push_back({0.25, 0.25, -1e-18, 0.0, 0.25, 0.25});
+  inputs.push_back({0.4, -0.2, 0.5, 0.3});  // visibly non-monotone running sums
 
-  std::vector<double> cdf(p.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += p[i];
-    cdf[i] = acc;
+  auto reference = [](const std::vector<double>& p, std::size_t shots, Rng& rng) {
+    double total = 0.0;
+    for (double pi : p) total += pi;
+    sim::Counts ref;
+    for (std::size_t s = 0; s < shots; ++s) {
+      const double x = rng.uniform() * total;
+      std::size_t idx = p.size() - 1;
+      double acc = 0.0;
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        acc += p[i];
+        if (acc >= x) {
+          idx = i;
+          break;
+        }
+      }
+      ++ref[idx];
+    }
+    return ref;
+  };
+
+  for (std::size_t c = 0; c < inputs.size(); ++c) {
+    for (const std::size_t shots : {std::size_t{1}, std::size_t{7}, std::size_t{1024},
+                                    std::size_t{100000}}) {
+      Rng got_rng(7 + c), ref_rng(7 + c);
+      const sim::Counts got = sim::sample_from_probabilities(inputs[c], shots, got_rng);
+      EXPECT_EQ(got, reference(inputs[c], shots, ref_rng)) << "input " << c << " shots " << shots;
+      // The consumed stream length is shot-count-deterministic.
+      EXPECT_EQ(got_rng.next_u64(), ref_rng.next_u64()) << "input " << c << " shots " << shots;
+      if (c == 0) {
+        // Zero-probability entries never get a count.
+        EXPECT_EQ(got.count(1), 0u);
+        EXPECT_EQ(got.count(4), 0u);
+      }
+    }
   }
-  sim::Counts ref;
-  for (std::size_t s = 0; s < 2000; ++s) {
-    const double x = ref_rng.uniform() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), x);
-    const auto idx = static_cast<std::uint64_t>(it - cdf.begin());
-    ++ref[std::min<std::uint64_t>(idx, p.size() - 1)];
-  }
-  EXPECT_EQ(got, ref);
-  // Zero-probability entries never get a count.
-  EXPECT_EQ(got.count(1), 0u);
-  EXPECT_EQ(got.count(4), 0u);
-  // The consumed stream length is shot-count-deterministic.
-  EXPECT_EQ(got_rng.next_u64(), ref_rng.next_u64());
 }
 
 TEST(QuantumState, SampleOneMatchesSampleStatistics) {

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "backend/presets.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
@@ -218,6 +220,46 @@ TEST(BlockStore, CorruptedRecordIsSkippedOthersLoad) {
   EXPECT_GE(report.skipped, 1u);
   EXPECT_LE(report.skipped, 2u);  // framing survives a body flip
   EXPECT_EQ(loaded.stats().size, report.loaded);
+}
+
+TEST(BlockStore, FusedRecordFromOlderBuildIsSkipped) {
+  // Older builds also cached fused blocks, as kind-2 records of the same v2
+  // format. Kind 2 is unknown now: such a record is skipped like any
+  // malformed one, and the gate and pulse records around it still load.
+  const std::string path = store_path("fused_kind");
+  BlockCache cache(64);
+  cache.insert("gate/a", make_block(0.5, 4), BlockKind::Gate);
+  cache.insert("pulse/b", make_block(1.5, 2), BlockKind::Pulse);
+  cache.insert("fuse[a;b]", make_block(2.5, 4), BlockKind::Gate);
+  ASSERT_EQ(cache.save(path, 9u), 3u);
+
+  // Re-tag the last record (saved oldest first) as kind 2 and re-checksum
+  // it, exactly as an older build wrote a fused block.
+  std::string bytes = read_file(path);
+  std::size_t pos = 16, last = 0;
+  std::uint32_t len = 0;
+  while (pos < bytes.size()) {
+    last = pos;
+    std::memcpy(&len, &bytes[pos], sizeof len);
+    pos += 12 + len;
+  }
+  ASSERT_EQ(pos, bytes.size());
+  std::string body = bytes.substr(last + 12, len);
+  ASSERT_EQ(body[0], 0);  // written as a gate record
+  body[0] = 2;
+  const std::uint64_t checksum = io::fnv1a(body);
+  std::memcpy(&bytes[last + 4], &checksum, sizeof checksum);
+  bytes.replace(last + 12, len, body);
+  write_file(path, bytes);
+
+  BlockCache loaded(64);
+  const BlockCache::StoreReport report = loaded.load(path, 9u);
+  EXPECT_TRUE(report.header_ok);
+  EXPECT_EQ(report.loaded, 2u);
+  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_NE(loaded.find("gate/a", BlockKind::Gate), nullptr);
+  EXPECT_NE(loaded.find("pulse/b", BlockKind::Pulse), nullptr);
+  EXPECT_EQ(loaded.find("fuse[a;b]"), nullptr);
 }
 
 TEST(BlockStore, MissingFileDegradesToCold) {
