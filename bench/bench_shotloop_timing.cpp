@@ -1,7 +1,7 @@
 // Wall-clock timing of the executor's noisy shot loop on the shared
 // heavy-hex ladder program — the per-evaluation hot path of the
-// machine-in-loop workflow. Times the scalar per-shot engine
-// (shot_batch_lanes = 1) against the lane-batched trajectory engine,
+// machine-in-loop workflow. Times the trajectory engine at one lane per
+// group (shot_batch_lanes = 1) against the same engine at `lanes` lanes,
 // verifies their counts are bit-identical at equal seeds, and emits
 // BENCH_shotloop.json (best-of-reps, speedup, bit-identical flag).
 //
@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
   const backend::FakeBackend dev = backend::make_toronto();
 
   // Best-of-reps with a fresh seed-17 Rng per rep, so every rep (and both
-  // engines) executes the identical shot grid and the counts comparison is
+  // widths) executes the identical shot grid and the counts comparison is
   // exact rather than statistical.
-  auto time_engine = [&](std::size_t engine_lanes, sim::Counts* counts_out) {
+  auto time_width = [&](std::size_t width, sim::Counts* counts_out) {
     core::ExecutorOptions opts;
     opts.num_threads = threads;
-    opts.shot_batch_lanes = engine_lanes;
+    opts.shot_batch_lanes = width;
     core::Executor ex(dev, opts);
     Rng warm(1);
     ex.run(prog, 1, warm);  // warm the compiled-block cache
@@ -50,17 +50,17 @@ int main(int argc, char** argv) {
     return best_s;
   };
 
-  sim::Counts scalar_counts, batched_counts;
-  const double scalar_s = time_engine(1, &scalar_counts);
-  const double batched_s = time_engine(lanes, &batched_counts);
-  const double speedup = batched_s > 0.0 ? scalar_s / batched_s : 0.0;
-  const bool identical = scalar_counts == batched_counts;
+  sim::Counts one_lane_counts, batched_counts;
+  const double one_lane_s = time_width(1, &one_lane_counts);
+  const double batched_s = time_width(lanes, &batched_counts);
+  const double speedup = batched_s > 0.0 ? one_lane_s / batched_s : 0.0;
+  const bool identical = one_lane_counts == batched_counts;
 
   std::printf("%zu qubits, %zu shots, %zu threads\n", n, shots, threads);
-  std::printf("scalar  engine: best %.3f s (%.1f shots/s)\n", scalar_s, shots / scalar_s);
-  std::printf("batched engine: best %.3f s (%.1f shots/s), %zu lanes  ->  %.2fx\n",
-              batched_s, shots / batched_s, lanes, speedup);
-  std::printf("counts bit-identical scalar vs batched: %s\n", identical ? "yes" : "NO");
+  std::printf(" 1 lane : best %.3f s (%.1f shots/s)\n", one_lane_s, shots / one_lane_s);
+  std::printf("%2zu lanes: best %.3f s (%.1f shots/s)  ->  %.2fx\n", lanes, batched_s,
+              shots / batched_s, speedup);
+  std::printf("counts bit-identical 1 lane vs %zu lanes: %s\n", lanes, identical ? "yes" : "NO");
 
   std::ofstream json("BENCH_shotloop.json");
   json << "{\n"
@@ -70,9 +70,9 @@ int main(int argc, char** argv) {
        << "  \"reps\": " << reps << ",\n"
        << "  \"threads\": " << threads << ",\n"
        << "  \"lanes\": " << lanes << ",\n"
-       << "  \"scalar_s\": " << scalar_s << ",\n"
+       << "  \"one_lane_s\": " << one_lane_s << ",\n"
        << "  \"batched_s\": " << batched_s << ",\n"
-       << "  \"scalar_shots_per_s\": " << shots / scalar_s << ",\n"
+       << "  \"one_lane_shots_per_s\": " << shots / one_lane_s << ",\n"
        << "  \"batched_shots_per_s\": " << shots / batched_s << ",\n"
        << "  \"speedup\": " << speedup << ",\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"

@@ -2,10 +2,9 @@
 // efficient PQC — the "other VQAs" direction the paper's conclusion points
 // the hybrid abstraction layer at.
 //
-//   build/example_vqe_tfim [n_sites] [layers] [backend]
+//   build/example_vqe_tfim [n_sites] [layers]
 //
-// `backend` picks the simulation representation by name: "statevector"
-// (default) or "density" (exact mixed-state reference).
+// Energies are evaluated on the ideal statevector.
 #include <cstdio>
 #include <string>
 
@@ -17,11 +16,9 @@ int main(int argc, char** argv) {
   using namespace hgp;
   const std::size_t n = argc > 1 ? std::stoul(argv[1]) : 4;
   const int layers = argc > 2 ? std::stoi(argv[2]) : 2;
-  const std::string backend = argc > 3 ? argv[3] : "statevector";
 
   const la::PauliSum ham = core::tfim_hamiltonian(n, 1.0, 0.8);
-  std::printf("TFIM chain: %zu sites, J = 1.0, h = 0.8, %zu Pauli terms (%s backend)\n\n", n,
-              ham.size(), backend.c_str());
+  std::printf("TFIM chain: %zu sites, J = 1.0, h = 0.8, %zu Pauli terms\n\n", n, ham.size());
 
   Table t({"entanglement", "optimizer", "energy", "exact", "rel. error"});
   for (const char* ent : {"linear", "circular"}) {
@@ -29,7 +26,6 @@ int main(int argc, char** argv) {
     for (const char* optname : {"cobyla", "neldermead"}) {
       core::VqeConfig cfg;
       cfg.optimizer = optname;
-      cfg.state_backend = backend;
       cfg.max_evaluations = 600;
       const core::VqeResult res = core::run_vqe(ham, ansatz, cfg);
       t.add_row({ent, optname, Table::num(res.energy, 4), Table::num(res.exact_ground, 4),

@@ -42,8 +42,8 @@ struct Scheduled {
 
 /// A program compiled down to the engine-independent representation: the
 /// block timeline over the compressed (touched-only) register plus the
-/// measurement maps. Every engine — scalar trajectory, lane-batched
-/// trajectory, exact density — walks this same structure.
+/// measurement maps. Both noise engines — trajectory and exact density —
+/// and the noiseless path walk this same structure.
 struct CompiledProgram {
   std::vector<Scheduled> timeline;
   std::vector<std::size_t> touched;        // sorted physical qubits

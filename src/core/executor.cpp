@@ -11,7 +11,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "mitigation/cvar.hpp"
@@ -140,104 +139,18 @@ bool has_frequency_instruction(const pulse::Schedule& sched) {
   return false;
 }
 
-// ---- trajectory-specialized channel kernels --------------------------------
-//
-// The per-shot hot path keeps the statevector *unnormalized* and carries its
-// squared norm in `weight`: every branch probability is measured against
-// weight instead of renormalizing the vector after each Kraus branch. This
-// turns the generic 3-full-pass thermal relaxation (prob_one + damp +
-// rescale) into at most one half-pass over the |1>-subspace per call while
-// sampling the exact same quantum-jump unraveling as noise::apply_* (the
-// reference implementation the parity tests compare against).
-//
-// The lane-batched kernels in run_lane_group sample the same branches from
-// per-lane streams in the same per-shot draw order; both sides share
-// noise::relaxation_constants / noise::sample_depolarizing so the branch
-// probabilities agree to the bit.
-
-using sim::detail::for_each_one;
-
-void traj_thermal_relaxation(sim::Statevector& sv, double& weight, std::size_t q,
-                             const noise::RelaxationConstants& rc, Rng& rng) {
-  la::CVec& amp = sv.data();
-  const std::uint64_t size = amp.size();
-  const std::uint64_t bit = std::uint64_t{1} << q;
-
-  if (rc.gamma > 0.0) {
-    // Jump iff u < gamma * m1 with m1 the unnormalized |1> mass — the exact
-    // branch probability gamma * (m1 / weight). Since m1 <= weight, a draw
-    // u >= gamma * weight settles "no jump" without measuring m1 at all.
-    const double u = rng.uniform() * weight;
-    bool jumped = false;
-    if (u < rc.gamma * weight) {
-      double m1 = 0.0;
-      for_each_one(size, bit, [&](std::uint64_t i) { m1 += std::norm(amp[i]); });
-      if (u < rc.gamma * m1) {
-        // K1 = sqrt(gamma)|0><1|: project onto |1> and reset to |0>, fused
-        // into one move over the paired indices.
-        for_each_one(size, bit, [&](std::uint64_t i) {
-          amp[i ^ bit] = amp[i];
-          amp[i] = la::cxd{0.0, 0.0};
-        });
-        weight = m1;
-        jumped = true;
-      }
-    }
-    if (!jumped) {
-      // K0 = diag(1, sqrt(1-gamma)): damp the |1> amplitudes, measuring
-      // their pre-damp mass on the fly if the shortcut skipped it.
-      double m1_old = 0.0;
-      for_each_one(size, bit, [&](std::uint64_t i) {
-        m1_old += std::norm(amp[i]);
-        amp[i] *= rc.damp;
-      });
-      weight -= rc.gamma * m1_old;
-    }
-  }
-
-  // Pure dephasing: a state-independent phase flip — half-pass only when the
-  // (rare) flip fires.
-  if (rc.dephase && rng.bernoulli(rc.p_z))
-    for_each_one(size, bit, [&](std::uint64_t i) { amp[i] = -amp[i]; });
-}
-
-/// diag(d0, d1) up to global phase (irrelevant within one trajectory):
-/// multiply the |1> amplitudes by d1/d0 — a half-pass instead of a full
-/// diagonal apply. Covers RZ drift and every virtual block (all diagonal).
-void traj_phase(sim::Statevector& sv, std::size_t q, la::cxd ratio) {
-  if (ratio == la::cxd{1.0, 0.0}) return;
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  for_each_one(sv.data().size(), bit, [&](std::uint64_t i) { sv.data()[i] *= ratio; });
-}
-
-void traj_rz(sim::Statevector& sv, std::size_t q, double angle) {
-  traj_phase(sv, q, std::polar(1.0, angle));
-}
-
 using sim::detail::is_diagonal2;
-
-/// Single-outcome measurement of the unnormalized state.
-std::uint64_t traj_sample_one(const sim::Statevector& sv, double weight, Rng& rng) {
-  const la::CVec& amp = sv.data();
-  const double x = rng.uniform() * weight;
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < amp.size(); ++i) {
-    acc += std::norm(amp[i]);
-    if (x < acc) return i;
-  }
-  return amp.size() - 1;
-}
 
 /// The canonical noise-timeline walk of every executor engine: idle
 /// relaxation + frame drift before each block, the foldable virtual-diagonal
 /// shortcut, block application, per-block relaxation, and the drive/CR
 /// depolarizing charges, ending with the idle-to-readout relaxation. The
-/// scalar trajectory, lane-batched trajectory, and exact-density engines all
-/// traverse through here, so the schedule and charge policy have a single
-/// source of truth; only the kernels differ.
+/// trajectory and exact-density engines both traverse through here, so the
+/// schedule and charge policy have a single source of truth; only the
+/// kernels differ.
 ///   relax(lq, duration_dt), drift(lq, duration_dt),
-///   phase(lq, ratio, unitary)  — 1q virtual diagonal block; trajectory
-///     engines drop the global phase and multiply by ratio, the density
+///   phase(lq, ratio, unitary)  — 1q virtual diagonal block; the trajectory
+///     engine drops the global phase and multiplies by ratio, the density
 ///     engine applies the full unitary,
 ///   apply(unitary, locals), depolarize(qubits, p)
 template <typename Relax, typename Drift, typename Phase, typename Apply, typename Depol>
@@ -303,7 +216,7 @@ std::uint64_t map_bits(std::uint64_t bits, const CompiledProgram& cp) {
 }
 
 /// Readout confusion on one sampled outcome: one bernoulli per measured bit
-/// from the shot's stream. Shared by the scalar and lane-batched engines.
+/// from the shot's stream.
 std::uint64_t apply_readout_flips(std::uint64_t bits, const CompiledProgram& cp,
                                   const noise::NoiseModel& nm, Rng& rng) {
   for (std::size_t i = 0; i < cp.measure_phys.size(); ++i) {
@@ -407,28 +320,22 @@ std::size_t shot_batches(std::size_t shots) {
   return (shots + kShotsPerBatch - 1) / kShotsPerBatch;
 }
 
-template <typename State>
-std::unique_ptr<State> make_state(std::size_t num_qubits, std::size_t lanes) {
-  if constexpr (std::is_same_v<State, sim::Statevector>)
-    return std::make_unique<State>(num_qubits);
-  else
-    return std::make_unique<State>(num_qubits, lanes);
-}
-
 /// The trajectory shot grid, the one loop behind run() and
 /// run_expectation(). One parent draw seeds it: the caller's Rng advances by
 /// exactly one step regardless of shots, batches, lanes, or thread count,
 /// and shot s owns Rng::child(base, s), so results depend only on
 /// (base, shots), not on how shots group into thread batches or lockstep
 /// lanes. Each batch of the fixed grid walks groups of shot_batch_lanes
-/// shots on one reused full-width State, plus a tail-width one when the
-/// batch does not divide evenly. The cancel token is polled at every batch
-/// and group boundary, so a cancelled run throws within one group whatever
-/// the shot budget. group(b, state, base, first_shot) does batch b's work
-/// for the shots from first_shot on, one per lane of the reset state.
-template <typename State, typename Group>
-void for_each_lane_group(const ExecutorOptions& options, std::size_t num_qubits,
-                         std::size_t shots, Rng& rng, Group&& group) {
+/// shots (0 and 1 both mean one-lane groups) on one reused full-width
+/// BatchedStatevector, plus a tail-width one when the batch does not divide
+/// evenly. The cancel token is polled at every batch and group boundary, so
+/// a cancelled run throws within one group whatever the shot budget.
+/// group(b, state, base, first_shot) does batch b's work for the shots from
+/// first_shot on, one per lane of the reset state. Returns the number of
+/// groups walked.
+template <typename Group>
+std::size_t for_each_lane_group(const ExecutorOptions& options, std::size_t num_qubits,
+                                std::size_t shots, Rng& rng, Group&& group) {
   const std::uint64_t base = rng.next_u64();
   const std::size_t lanes = std::max<std::size_t>(1, options.shot_batch_lanes);
   const CancelToken* tok = options.cancel.get();
@@ -436,18 +343,20 @@ void for_each_lane_group(const ExecutorOptions& options, std::size_t num_qubits,
     if (tok) tok->check();
     const std::size_t first = b * kShotsPerBatch;
     const std::size_t count = std::min(kShotsPerBatch, shots - first);
-    std::unique_ptr<State> full, tail;
+    std::unique_ptr<sim::BatchedStatevector> full, tail;
     for (std::size_t g = 0; g < count; g += lanes) {
       if (tok) tok->check();
       const std::size_t nl = std::min(lanes, count - g);
-      std::unique_ptr<State>& state = nl < lanes ? tail : full;
+      std::unique_ptr<sim::BatchedStatevector>& state = nl < lanes ? tail : full;
       if (state)
         state->reset();
       else
-        state = make_state<State>(num_qubits, nl);
+        state = std::make_unique<sim::BatchedStatevector>(num_qubits, nl);
       group(b, *state, base, first + g);
     }
   });
+  const auto groups_of = [&](std::size_t n) { return (n + lanes - 1) / lanes; };
+  return shots / kShotsPerBatch * groups_of(kShotsPerBatch) + groups_of(shots % kShotsPerBatch);
 }
 
 /// Bind equality: two ops share a timeline structure when they agree on
@@ -892,58 +801,17 @@ sim::Statevector Executor::evolve_noiseless(const BoundProgram& b) {
   return sv;
 }
 
-void Executor::run_one_shot(const BoundProgram& b, sim::Statevector& sv, Rng& rng,
-                            sim::Counts& out) const {
-  const CompiledProgram& cp = b.t->program;
-  const noise::NoiseModel& nm = dev_.noise_model();
-  const double dep1 = nm.dep_per_1q_pulse;
-  const double dep2 = nm.dep_per_2q_block;
-  // Squared norm of the (deferred-normalization) trajectory state.
-  double weight = 1.0;
-
-  auto relax = [&](std::size_t lq, int duration_dt) {
-    if (duration_dt <= 0) return;
-    const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
-    const noise::RelaxationConstants rc =
-        noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
-    traj_thermal_relaxation(sv, weight, lq, rc, rng);
-  };
-  // Coherent frame drift while idling: the qubit precesses at its true
-  // (drifted) frequency but the frame stays at the calibrated one, so a
-  // static Z-phase builds up — shot-independent, hence *learnable* by the
-  // pulse ansatz's phase knob but invisible to fixed gate calibrations.
-  // (During blocks the subsystem Hamiltonian carries the same detuning.)
-  auto idle_drift = [&](std::size_t lq, int duration_dt) {
-    if (duration_dt <= 0 || !options_.coherent_noise) return;
-    const double drift = nm.qubits[cp.touched[lq]].freq_drift_ghz;
-    if (drift == 0.0) return;
-    const double angle = 2.0 * la::kPi * drift * duration_dt * pulse::kDtNs;
-    traj_rz(sv, lq, angle);
-  };
-
-  walk_noise_timeline(
-      b, dep1, dep2, dev_.readout_duration_dt(), relax, idle_drift,
-      [&](std::size_t lq, la::cxd ratio, const la::CMat&) { traj_phase(sv, lq, ratio); },
-      [&](const la::CMat& u, const std::vector<std::size_t>& locals) {
-        sv.apply_matrix(u, locals);
-      },
-      [&](const std::vector<std::size_t>& qubits, double p) {
-        noise::apply_depolarizing(sv, qubits, p, rng);
-      });
-
-  std::uint64_t bits = traj_sample_one(sv, weight, rng);
-  if (options_.readout_error) bits = apply_readout_flips(bits, cp, nm, rng);
-  ++out[map_bits(bits, cp)];
-}
-
 namespace {
 
 /// Evolve bsv.lanes() trajectories in lockstep through the compiled
 /// timeline — the shared noise walk of run_lane_group (which samples the
 /// terminal states) and Executor::run_expectation (which reduces them
-/// exactly). Fills and returns the thread-local workspace: per-lane child
-/// streams positioned after the last noise draw, deferred-normalization
-/// weights, and diverged flags.
+/// exactly). Each lane is one quantum-jump trajectory kept unnormalized,
+/// with its squared norm carried in a per-lane weight: every branch
+/// probability is measured against the weight instead of renormalizing the
+/// lane after each Kraus branch. Fills and returns the thread-local
+/// workspace: per-lane child streams positioned after the last noise draw,
+/// deferred-normalization weights, and diverged flags.
 LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptions& options,
                             const BoundProgram& b, sim::BatchedStatevector& bsv,
                             std::uint64_t rng_base, std::size_t first_shot) {
@@ -961,10 +829,10 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
 
   static thread_local LaneWorkspace ws;
 
-  // Per-lane streams: lane l replays exactly the draw sequence shot
-  // first_shot + l makes in the scalar path (uniform before bernoulli per
-  // relaxation, bernoulli then rejection-sampled pick per depolarizing,
-  // sample uniform then readout flips at the end).
+  // Per-lane streams: lane l draws exactly the sequence shot first_shot + l
+  // draws in a group of any width, one lane included (uniform before
+  // bernoulli per relaxation, bernoulli then rejection-sampled pick per
+  // depolarizing, sample uniform then readout flips at the end).
   std::vector<Rng>& rngs = ws.rngs;
   rngs.clear();
   rngs.reserve(nl);
@@ -995,10 +863,12 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
     const noise::QubitNoise& qn = nm.qubits[cp.touched[lq]];
     const noise::RelaxationConstants rc =
         noise::relaxation_constants(qn.t1_us, qn.t2_us, duration_dt * pulse::kDtNs);
-    // Draw phase (scalar per-shot order): one uniform for the damping branch
-    // when gamma > 0, then one bernoulli for dephasing. The jump shortcut is
-    // the scalar one — u >= gamma * weight settles "no jump" without the
-    // mass; only lanes inside the window need m1 before deciding.
+    // Draw phase, in per-shot order: one uniform u for the damping branch
+    // when gamma > 0, then one bernoulli for dephasing. A lane jumps iff
+    // u < gamma * m1, with m1 its unnormalized |1> mass — the exact branch
+    // probability gamma * m1 / weight. Since m1 <= weight, u >= gamma * weight
+    // settles "no jump" without the mass; only lanes inside that window need
+    // m1 before deciding.
     bool any_precheck = false, any_flip = false;
     for (std::size_t l = 0; l < nl; ++l) {
       precheck[l] = 0;
@@ -1048,6 +918,11 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
       bsv.damp_or_jump(lq, take.data(), scale1.data());
     }
   };
+  // Coherent frame drift while idling: the qubit precesses at its true
+  // (drifted) frequency but the frame stays at the calibrated one, so a
+  // static Z-phase builds up — shot-independent, hence *learnable* by the
+  // pulse ansatz's phase knob but invisible to fixed gate calibrations.
+  // (During blocks the subsystem Hamiltonian carries the same detuning.)
   auto idle_drift = [&](std::size_t lq, int duration_dt) {
     if (duration_dt <= 0 || !options.coherent_noise) return;
     const double drift = nm.qubits[cp.touched[lq]].freq_drift_ghz;
@@ -1058,7 +933,7 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
   // Depolarizing charges: draw every lane's Pauli pick first (per-lane
   // stream order unchanged), then walk the block's qubits once. A qubit
   // where two or more lanes drew a non-identity Pauli takes the grouped
-  /// one-sweep Pauli pass; a lone charged lane keeps the strided per-lane
+  // one-sweep Pauli pass; a lone charged lane keeps the strided per-lane
   // apply. Both are bitwise identical to the per-lane path, so the grouping
   // threshold is purely a throughput choice — at large dep rates most
   // charges fold into the grouped sweep.
@@ -1162,34 +1037,20 @@ void Executor::run_lane_group(const BoundProgram& b, sim::BatchedStatevector& bs
 
 sim::Counts Executor::run_trajectories(const BoundProgram& b, std::size_t shots,
                                        Rng& rng) const {
-  const std::size_t num_qubits = b.t->program.touched.size();
-  const std::size_t lanes = options_.shot_batch_lanes;
   std::vector<sim::Counts> batch_counts(shot_batches(shots));
   // Throughput gauges cover the whole shot grid (all batches, all threads);
   // the clock is read only while telemetry is live.
   const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-  if (lanes <= 1) {
-    // Scalar reference engine: one shot at a time on a reused statevector.
-    for_each_lane_group<sim::Statevector>(
-        options_, num_qubits, shots, rng,
-        [&](std::size_t batch, sim::Statevector& sv, std::uint64_t base, std::size_t shot) {
-          Rng shot_rng = Rng::child(base, shot);
-          run_one_shot(b, sv, shot_rng, batch_counts[batch]);
-          ExecMetrics::get().shots.inc();
-        });
-  } else {
-    for_each_lane_group<sim::BatchedStatevector>(
-        options_, num_qubits, shots, rng,
-        [&](std::size_t batch, sim::BatchedStatevector& bsv, std::uint64_t base,
-            std::size_t first) { run_lane_group(b, bsv, base, first, batch_counts[batch]); });
-  }
+  const std::size_t groups = for_each_lane_group(
+      options_, b.t->program.touched.size(), shots, rng,
+      [&](std::size_t batch, sim::BatchedStatevector& bsv, std::uint64_t base,
+          std::size_t first) { run_lane_group(b, bsv, base, first, batch_counts[batch]); });
   if (t0 != 0) {
     const double secs = static_cast<double>(obs::now_ns() - t0) * 1e-9;
     if (secs > 0.0) {
       ExecMetrics& em = ExecMetrics::get();
       em.trajectory_shots_per_s.set(
           static_cast<std::int64_t>(static_cast<double>(shots) / secs));
-      const std::size_t groups = lanes > 1 ? (shots + lanes - 1) / lanes : 0;
       em.lane_groups_per_s.set(
           static_cast<std::int64_t>(static_cast<double>(groups) / secs));
     }
@@ -1340,7 +1201,7 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
     const std::size_t num_batches = shot_batches(shots);
     std::vector<double> batch_acc(expectation ? num_batches : 0, 0.0);
     std::vector<double> batch_p(expectation ? 0 : num_batches * mdim, 0.0);
-    for_each_lane_group<sim::BatchedStatevector>(
+    for_each_lane_group(
         options_, cp.touched.size(), shots, rng,
         [&](std::size_t batch, sim::BatchedStatevector& bsv, std::uint64_t base,
             std::size_t first) {

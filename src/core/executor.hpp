@@ -92,12 +92,13 @@ struct ExecutorOptions {
   /// Worker threads for the trajectory shot loop (0 = hardware concurrency).
   /// Counts are identical for every value — threads only change wall clock.
   std::size_t num_threads = 0;
-  /// Trajectory lanes evolved in lockstep by the batched multi-shot
-  /// statevector: each gate applies once across all lanes of a shot group,
-  /// amortizing dispatch and turning the inner loop into unit-stride
-  /// vectorizable arithmetic. 0 or 1 falls back to the scalar per-shot
-  /// loop. Counts are bit-identical for every value (each shot's stochastic
-  /// branches draw from its own child stream in the scalar order).
+  /// Lockstep width of the trajectory engine: shots evolve in groups of
+  /// this many lanes of one sim::BatchedStatevector, so each gate applies
+  /// once across the group, amortizing dispatch and turning the inner loop
+  /// into unit-stride vectorizable arithmetic. 0 and 1 both run one-lane
+  /// groups on the same engine. Counts are bit-identical for every value
+  /// (each shot's stochastic branches draw from its own child stream in the
+  /// same order whatever the width); only wall clock changes.
   std::size_t shot_batch_lanes = kDefaultShotBatchLanes;
   /// Compiled-block cache shared with other executors (serve::EvalService
   /// injects its process-wide cache here). Null = the executor creates a
@@ -286,16 +287,12 @@ class Executor {
   /// samples it; run_expectation() reduces it exactly.
   sim::Statevector evolve_noiseless(const BoundProgram& b);
   sim::Counts run_trajectories(const BoundProgram& b, std::size_t shots, Rng& rng) const;
-  /// One trajectory: evolve `sv` (already reset) through the timeline and
-  /// record a single readout into `out`.
-  void run_one_shot(const BoundProgram& b, sim::Statevector& sv, Rng& rng,
-                    sim::Counts& out) const;
   /// bsv.lanes() trajectories in lockstep: deterministic blocks apply once
   /// across all lanes, stochastic branches draw per lane from
-  /// Rng::child(rng_base, first_shot + lane) in the scalar path's order, and
-  /// terminal sampling does one probability pass (shared sorted pass for
-  /// lanes that took no stochastic branch). Counts land in `out` exactly as
-  /// if run_one_shot had run each lane's shot.
+  /// Rng::child(rng_base, first_shot + lane) in the same order for every
+  /// group width, and terminal sampling does one probability pass (shared
+  /// sorted pass for lanes that took no stochastic branch). Counts land in
+  /// `out` exactly as if each lane's shot had run in a one-lane group.
   void run_lane_group(const BoundProgram& b, sim::BatchedStatevector& bsv,
                       std::uint64_t rng_base, std::size_t first_shot,
                       sim::Counts& out) const;

@@ -1,8 +1,7 @@
 #include "core/qaoa.hpp"
 
-#include <memory>
-
 #include "common/error.hpp"
+#include "sim/statevector.hpp"
 
 namespace hgp::core {
 
@@ -48,27 +47,23 @@ qc::Circuit qaoa_circuit(const graph::Graph& g, int p) {
   return c;
 }
 
-double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<double>& theta,
-                              sim::StateKind backend) {
-  const std::unique_ptr<sim::QuantumState> state = sim::make_state(backend, g.num_vertices());
-  state->run(qaoa_circuit(g, p).bound(theta));
-  const la::PauliSum h = maxcut_hamiltonian(g);
-  return state->expectation(h);
+double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<double>& theta) {
+  sim::Statevector sv(g.num_vertices());
+  sv.run(qaoa_circuit(g, p).bound(theta));
+  return sv.expectation(maxcut_hamiltonian(g));
 }
 
 std::vector<double> ideal_qaoa_expectation_batch(const graph::Graph& g, int p,
                                                  const std::vector<std::vector<double>>& thetas,
-                                                 opt::BatchDispatcher* dispatcher,
-                                                 sim::StateKind backend) {
+                                                 opt::BatchDispatcher* dispatcher) {
   // Share the circuit skeleton and Hamiltonian across the batch; each point
   // binds its own parameters onto a private state.
   const qc::Circuit circuit = qaoa_circuit(g, p);
   const la::PauliSum h = maxcut_hamiltonian(g);
   return opt::parallel_map(dispatcher, thetas.size(), [&](std::size_t i) {
-    const std::unique_ptr<sim::QuantumState> state =
-        sim::make_state(backend, g.num_vertices());
-    state->run(circuit.bound(thetas[i]));
-    return state->expectation(h);
+    sim::Statevector sv(g.num_vertices());
+    sv.run(circuit.bound(thetas[i]));
+    return sv.expectation(h);
   });
 }
 

@@ -29,20 +29,16 @@ qc::Circuit qaoa_circuit(const graph::Graph& g, int p);
 inline int gamma_index(int layer) { return 2 * layer; }
 inline int beta_index(int layer) { return 2 * layer + 1; }
 
-/// Noiseless QAOA cut expectation at given angles (no shots): used by tests
-/// and for locating good initial angles. `backend` selects the simulation
-/// representation by name ("statevector" default; "density" cross-checks the
-/// exact mixed-state path).
-double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<double>& theta,
-                              sim::StateKind backend = sim::StateKind::Statevector);
+/// Noiseless QAOA cut expectation at given angles (no shots), on the ideal
+/// statevector: used by tests and for locating good initial angles.
+double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<double>& theta);
 
 /// Batched form for landscape scans and angle grids: each angle vector is an
 /// independent deterministic evaluation, fanned out through `dispatcher`
 /// (e.g. a serve::EvalService) when given, inline otherwise.
 std::vector<double> ideal_qaoa_expectation_batch(
     const graph::Graph& g, int p, const std::vector<std::vector<double>>& thetas,
-    opt::BatchDispatcher* dispatcher = nullptr,
-    sim::StateKind backend = sim::StateKind::Statevector);
+    opt::BatchDispatcher* dispatcher = nullptr);
 
 /// Hardware-efficient PQC of Fig. 2b: per-layer U3 rotations plus a CX
 /// entanglement layer ("linear", "circular", or "full"). Provided for the

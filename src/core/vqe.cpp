@@ -1,7 +1,6 @@
 #include "core/vqe.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/error.hpp"
 #include "linalg/eig.hpp"
@@ -9,7 +8,7 @@
 #include "optimize/gradient.hpp"
 #include "optimize/neldermead.hpp"
 #include "optimize/spsa.hpp"
-#include "sim/state.hpp"
+#include "sim/statevector.hpp"
 
 namespace hgp::core {
 
@@ -35,12 +34,10 @@ VqeResult run_vqe(const la::PauliSum& hamiltonian, const qc::Circuit& ansatz,
   const std::size_t nparams = ansatz.num_parameters();
   HGP_REQUIRE(nparams >= 1, "run_vqe: ansatz has no parameters");
 
-  const sim::StateKind backend = sim::state_kind_from_name(config.state_backend);
   const opt::Objective energy = [&](const std::vector<double>& theta) {
-    const std::unique_ptr<sim::QuantumState> state =
-        sim::make_state(backend, ansatz.num_qubits());
-    state->run(ansatz.bound(theta));
-    return state->expectation(hamiltonian);
+    sim::Statevector sv(ansatz.num_qubits());
+    sv.run(ansatz.bound(theta));
+    return sv.expectation(hamiltonian);
   };
   // Energy evaluations are deterministic and independent: a batch can fan
   // out across workers with no RNG bookkeeping at all.

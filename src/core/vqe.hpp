@@ -17,9 +17,6 @@ namespace hgp::core {
 struct VqeConfig {
   int max_evaluations = 300;
   std::string optimizer = "cobyla";  // "cobyla" | "neldermead" | "spsa" | "adam"
-  /// Simulation backend evaluating <H>: "statevector" (default) or
-  /// "density" (exact mixed-state reference, small registers).
-  std::string state_backend = "statevector";
   /// Gradient estimator of the "adam" optimizer: "finite_difference"
   /// (default), "parameter_shift", or "batched_parameter_shift" — the last
   /// submits all 2·n shift points of every iteration as one batch, which a

@@ -52,8 +52,9 @@ struct RunConfig {
   /// Worker threads of the trajectory shot loop (0 = hardware concurrency).
   /// Counts are bit-identical for every value.
   std::size_t executor_threads = 0;
-  /// Lockstep lanes of the batched trajectory engine (0/1 = scalar per-shot
-  /// loop). Counts are bit-identical for every value.
+  /// Lockstep width of the trajectory engine (0 and 1 both run one-lane
+  /// groups; see ExecutorOptions::shot_batch_lanes). Counts are
+  /// bit-identical for every value.
   std::size_t shot_batch_lanes = core::kDefaultShotBatchLanes;
   /// Widest support of the post-compile timeline fusion pass (see
   /// ExecutorOptions::fusion_max_qubits): 2 fuses 1q runs and 1q-into-2q

@@ -1,9 +1,9 @@
 #include "noise/channels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "linalg/pauli.hpp"
 
 namespace hgp::noise {
 
@@ -13,38 +13,6 @@ int sample_depolarizing(std::size_t num_qubits, double p, Rng& rng) {
   // Uniform non-identity Pauli on the qubit set.
   const int options = (1 << (2 * static_cast<int>(num_qubits))) - 1;
   return rng.uniform_int(1, options);
-}
-
-void apply_depolarizing(sim::QuantumState& state, const std::vector<std::size_t>& qubits,
-                        double p, Rng& rng) {
-  const int pick = sample_depolarizing(qubits.size(), p, rng);
-  if (pick == 0) return;
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    const int pauli = (pick >> (2 * i)) & 3;
-    if (pauli == 0) continue;
-    state.apply_matrix(la::pauli_matrix(static_cast<la::Pauli>(pauli)), {qubits[i]});
-  }
-}
-
-void apply_amplitude_damping(sim::QuantumState& state, std::size_t q, double gamma, Rng& rng) {
-  HGP_REQUIRE(gamma >= 0.0 && gamma <= 1.0, "apply_amplitude_damping: bad gamma");
-  if (gamma == 0.0) return;
-  const double p1 = state.prob_one(q);
-  const double p_jump = gamma * p1;
-  if (rng.bernoulli(p_jump)) {
-    // K1 = sqrt(gamma)|0><1|: project onto |1>, then reset to |0>.
-    state.collapse(q, true);
-    state.apply_matrix(la::pauli_matrix(la::Pauli::X), {q});
-    return;
-  }
-  // K0 = diag(1, sqrt(1-gamma)), renormalized.
-  const la::CMat k0{{1, 0}, {0, std::sqrt(1.0 - gamma)}};
-  state.apply_kraus_branch(k0, {q});
-}
-
-void apply_phase_flip(sim::QuantumState& state, std::size_t q, double p, Rng& rng) {
-  HGP_REQUIRE(p >= 0.0 && p <= 1.0, "apply_phase_flip: bad probability");
-  if (rng.bernoulli(p)) state.apply_matrix(la::pauli_matrix(la::Pauli::Z), {q});
 }
 
 RelaxationConstants relaxation_constants(double t1_us, double t2_us, double duration_ns) {
@@ -62,14 +30,6 @@ RelaxationConstants relaxation_constants(double t1_us, double t2_us, double dura
     rc.p_z = 0.5 * (1.0 - std::exp(-t_us * inv_tphi));
   }
   return rc;
-}
-
-void apply_thermal_relaxation(sim::QuantumState& state, std::size_t q, double t1_us,
-                              double t2_us, double duration_ns, Rng& rng) {
-  if (duration_ns <= 0.0) return;
-  const RelaxationConstants rc = relaxation_constants(t1_us, t2_us, duration_ns);
-  apply_amplitude_damping(state, q, rc.gamma, rng);
-  if (rc.dephase) apply_phase_flip(state, q, rc.p_z, rng);
 }
 
 std::uint64_t apply_readout(std::uint64_t bits, const std::vector<ReadoutError>& errors,

@@ -4,35 +4,26 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/state.hpp"
 
 namespace hgp::noise {
 
-/// Trajectory (quantum-jump) application of the standard error channels to a
-/// quantum state: each call samples one Kraus branch with the exact branch
-/// probabilities, so averaging over shots reproduces the density-matrix
-/// channel. The routines are written against `sim::QuantumState`, so they
-/// apply to any backend (statevector trajectories being the production use).
-
-/// Depolarizing with probability p on the listed qubits: with prob p, apply
-/// a uniformly random non-identity Pauli on those qubits.
-void apply_depolarizing(sim::QuantumState& state, const std::vector<std::size_t>& qubits,
-                        double p, Rng& rng);
-
-/// Sample the depolarizing branch without applying it: returns 0 (identity,
-/// probability 1-p) or the chosen Pauli-product code (2 bits per qubit,
-/// 1..4^k-1, qubit i's Pauli in bits [2i, 2i+1]). Consumes the Rng exactly
-/// like apply_depolarizing, so per-lane engines that draw one branch per
-/// trajectory lane stay stream-compatible with the per-shot reference.
+/// Sample the depolarizing branch of one trajectory: with probability p, a
+/// uniformly random non-identity Pauli on `num_qubits` qubits. Returns 0
+/// (identity, probability 1-p) or the chosen Pauli-product code (2 bits per
+/// qubit, 1..4^k-1, qubit i's Pauli in bits [2i, 2i+1]). Draws one bernoulli
+/// and, only when it fires, one uniform_int pick; the trajectory engine draws
+/// one branch per lane from that lane's stream. Throws on p outside [0, 1].
 int sample_depolarizing(std::size_t num_qubits, double p, Rng& rng);
 
 /// Derived constants of one thermal-relaxation application over duration_ns
-/// — the quantities every engine (scalar trajectory kernel, lane-batched
-/// kernel, generic Kraus channel) must agree on exactly:
+/// — the quantities the trajectory engine and the density engine
+/// (sim::DensityMatrix::apply_thermal_relaxation) both take from here, so
+/// they agree on them exactly:
 ///   gamma = 1 - exp(-t/T1)      amplitude-damping probability scale
 ///   damp  = sqrt(1 - gamma)     no-jump damping of the |1> amplitudes
 ///   p_z   = (1 - exp(-t/Tphi))/2 phase-flip probability (when `dephase`;
 ///           Tphi from 1/Tphi = 1/T2 - 1/(2 T1), T2 clamped to <= 2 T1)
+/// Throws unless T1, T2 > 0; a duration <= 0 gives the identity constants.
 struct RelaxationConstants {
   double gamma = 0.0;
   double damp = 1.0;
@@ -40,18 +31,6 @@ struct RelaxationConstants {
   bool dephase = false;
 };
 RelaxationConstants relaxation_constants(double t1_us, double t2_us, double duration_ns);
-
-/// Amplitude damping with decay probability gamma on qubit q.
-void apply_amplitude_damping(sim::QuantumState& state, std::size_t q, double gamma, Rng& rng);
-
-/// Pure dephasing: phase flip (Z) with probability p.
-void apply_phase_flip(sim::QuantumState& state, std::size_t q, double p, Rng& rng);
-
-/// Combined T1/T2 thermal relaxation over duration_ns: amplitude damping with
-/// gamma = 1 - exp(-t/T1) plus pure dephasing at rate 1/Tphi = 1/T2 - 1/(2 T1)
-/// (Tphi clamped to the physical region T2 <= 2 T1).
-void apply_thermal_relaxation(sim::QuantumState& state, std::size_t q, double t1_us,
-                              double t2_us, double duration_ns, Rng& rng);
 
 /// Asymmetric readout confusion of one qubit. Probabilities are
 /// P(measured 1 | prepared 0) and P(measured 0 | prepared 1).

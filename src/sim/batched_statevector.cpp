@@ -13,12 +13,12 @@ using la::CMat;
 using detail::for_each_one;
 using detail::for_each_pair_base;
 
-// Every arithmetic expression in this file mirrors the scalar body
-// (detail::apply_matrix_scalar in kernel_structure.hpp) or the executor's
-// scalar noise kernels term-for-term (products first, then the same
-// association of sums) so that, with FP contraction disabled, a lane evolves
-// bit-identically to a scalar shot. Do not "simplify" the arithmetic here
-// without changing the scalar body in lockstep.
+// Every gate-kernel expression in this file mirrors the scalar body
+// (detail::apply_matrix_scalar in kernel_structure.hpp) term-for-term
+// (products first, then the same association of sums) so that, with FP
+// contraction disabled, a lane evolves bit-identically to the scalar body on
+// one register. Do not "simplify" the arithmetic here without changing the
+// scalar body in lockstep; tests/test_batched.cpp pins every kernel to it.
 
 BatchedStatevector::BatchedStatevector(std::size_t num_qubits, std::size_t lanes)
     : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits), lanes_(lanes) {

@@ -26,9 +26,9 @@ namespace hgp::sim {
 /// body's complex arithmetic expression-for-expression (same products, same
 /// association, same structure dispatch) and the build disables FP
 /// contraction, so a lane's amplitudes stay bit-identical (up to the sign of
-/// zeros) to a scalar shot evolved through the same operations — which is
-/// what lets the executor pin scalar-vs-batched counts exactly for every
-/// lane count.
+/// zeros) to the scalar body evolving one register through the same
+/// operations — which is what keeps the executor's counts bit-identical for
+/// every lane count, one lane included.
 class BatchedStatevector {
  public:
   BatchedStatevector(std::size_t num_qubits, std::size_t lanes);
@@ -120,8 +120,8 @@ class BatchedStatevector {
   // ---- terminal sampling ----
 
   /// One probability pass for all lanes: out[l] = first basis index i with
-  /// x[l] < sum_{j<=i} |amp_j(l)|^2 (fall-through to dim()-1), matching the
-  /// scalar trajectory sampler. Lanes with active[l] == 0 are skipped
+  /// x[l] < sum_{j<=i} |amp_j(l)|^2 (fall-through to dim()-1), one
+  /// accumulate-and-compare scan per lane. Lanes with active[l] == 0 are skipped
   /// (their out entry is left untouched); pass active == nullptr for all.
   void sample_lanes(const double* x, const std::uint8_t* active,
                     std::uint64_t* out) const;

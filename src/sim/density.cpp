@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "noise/channels.hpp"
 
 namespace hgp::sim {
 
@@ -15,15 +16,6 @@ DensityMatrix::DensityMatrix(std::size_t num_qubits)
       rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits) {
   HGP_REQUIRE(num_qubits <= 10, "DensityMatrix: too many qubits for a dense matrix");
   rho_(0, 0) = 1.0;
-}
-
-void DensityMatrix::reset() {
-  rho_ = CMat(rho_.rows(), rho_.cols());
-  rho_(0, 0) = 1.0;
-}
-
-std::unique_ptr<QuantumState> DensityMatrix::clone() const {
-  return std::make_unique<DensityMatrix>(*this);
 }
 
 DensityMatrix DensityMatrix::from_amplitudes(const la::CVec& amplitudes) {
@@ -40,10 +32,6 @@ DensityMatrix DensityMatrix::from_amplitudes(const la::CVec& amplitudes) {
 
 void DensityMatrix::apply_matrix(const CMat& u, const std::vector<std::size_t>& qubits) {
   apply_kraus({u}, qubits);
-}
-
-void DensityMatrix::apply_unitary(const CMat& u, const std::vector<std::size_t>& qubits) {
-  apply_matrix(u, qubits);
 }
 
 void DensityMatrix::apply_kraus(const std::vector<CMat>& kraus,
@@ -141,13 +129,10 @@ void DensityMatrix::apply_phase_damping(std::size_t q, double p_z) {
 
 void DensityMatrix::apply_thermal_relaxation(std::size_t q, double t1_us, double t2_us,
                                              double duration_ns) {
+  const noise::RelaxationConstants rc = noise::relaxation_constants(t1_us, t2_us, duration_ns);
   if (duration_ns <= 0.0) return;
-  const double t_us = duration_ns * 1e-3;
-  apply_amplitude_damping(q, 1.0 - std::exp(-t_us / t1_us));
-  const double t2 = std::min(t2_us, 2.0 * t1_us);
-  const double inv_tphi = 1.0 / t2 - 0.5 / t1_us;
-  if (inv_tphi > 1e-12)
-    apply_phase_damping(q, 0.5 * (1.0 - std::exp(-t_us * inv_tphi)));
+  apply_amplitude_damping(q, rc.gamma);
+  if (rc.dephase) apply_phase_damping(q, rc.p_z);
 }
 
 std::vector<double> DensityMatrix::probabilities() const {
@@ -177,26 +162,6 @@ double DensityMatrix::prob_one(std::size_t q) const {
   for (std::uint64_t i = 0; i < rho_.rows(); ++i)
     if (i & bit) p += rho_(i, i).real();
   return p;
-}
-
-double DensityMatrix::collapse(std::size_t q, bool outcome) {
-  const double p1 = prob_one(q);
-  const double p = outcome ? p1 : 1.0 - p1;
-  HGP_REQUIRE(p > 1e-15, "collapse: outcome has (near-)zero probability");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  for (std::uint64_t r = 0; r < rho_.rows(); ++r)
-    for (std::uint64_t c = 0; c < rho_.cols(); ++c) {
-      const bool keep = (((r & bit) != 0) == outcome) && (((c & bit) != 0) == outcome);
-      rho_(r, c) = keep ? rho_(r, c) / p : cxd{0.0, 0.0};
-    }
-  return p;
-}
-
-void DensityMatrix::normalize() {
-  const double tr = trace();
-  HGP_REQUIRE(tr > 1e-300, "normalize: zero-trace state");
-  for (std::uint64_t r = 0; r < rho_.rows(); ++r)
-    for (std::uint64_t c = 0; c < rho_.cols(); ++c) rho_(r, c) /= tr;
 }
 
 double DensityMatrix::trace() const { return rho_.trace().real(); }

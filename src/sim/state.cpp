@@ -16,33 +16,6 @@ std::string bits_to_string(std::uint64_t bits, std::size_t num_qubits) {
   return s;
 }
 
-StateKind state_kind_from_name(const std::string& name) {
-  if (name == "statevector" || name == "sv") return StateKind::Statevector;
-  if (name == "density" || name == "density_matrix") return StateKind::Density;
-  throw Error("state_kind_from_name: unknown state kind '" + name +
-              "' (expected 'statevector' or 'density')");
-}
-
-const std::string& state_kind_name(StateKind kind) {
-  static const std::string sv = "statevector";
-  static const std::string dm = "density";
-  return kind == StateKind::Statevector ? sv : dm;
-}
-
-void QuantumState::apply_op(const qc::Op& op) {
-  if (op.kind == qc::GateKind::Barrier || op.kind == qc::GateKind::I ||
-      op.kind == qc::GateKind::Delay)
-    return;
-  HGP_REQUIRE(op.kind != qc::GateKind::Measure,
-              "QuantumState::apply_op: use sample() for measurement");
-  apply_matrix(qc::gate_matrix(op.kind, op.constant_params()), op.qubits);
-}
-
-void QuantumState::run(const qc::Circuit& circuit) {
-  HGP_REQUIRE(circuit.num_qubits() == num_qubits(), "QuantumState::run: width mismatch");
-  for (const qc::Op& op : circuit.ops()) apply_op(op);
-}
-
 Counts sample_from_probabilities(const std::vector<double>& p, std::size_t shots,
                                  Rng& rng) {
   HGP_REQUIRE(!p.empty(), "sample_from_probabilities: empty distribution");
@@ -92,42 +65,29 @@ Counts sample_from_probabilities(const std::vector<double>& p, std::size_t shots
   return counts;
 }
 
-Counts QuantumState::sample(std::size_t shots, Rng& rng) const {
-  return sample_from_probabilities(probabilities(), shots, rng);
+template <typename State>
+void CircuitState<State>::apply_op(const qc::Op& op) {
+  if (op.kind == qc::GateKind::Barrier || op.kind == qc::GateKind::I ||
+      op.kind == qc::GateKind::Delay)
+    return;
+  HGP_REQUIRE(op.kind != qc::GateKind::Measure, "apply_op: use sample() for measurement");
+  static_cast<State&>(*this).apply_matrix(qc::gate_matrix(op.kind, op.constant_params()),
+                                          op.qubits);
 }
 
-std::uint64_t QuantumState::sample_one(Rng& rng) const {
-  const std::vector<double> p = probabilities();
-  double total = 0.0;
-  for (double pi : p) total += pi;
-  const double x = rng.uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += p[i];
-    if (x < acc) return i;
-  }
-  return p.size() - 1;
+template <typename State>
+void CircuitState<State>::run(const qc::Circuit& circuit) {
+  HGP_REQUIRE(circuit.num_qubits() == static_cast<const State&>(*this).num_qubits(),
+              "run: width mismatch");
+  for (const qc::Op& op : circuit.ops()) apply_op(op);
 }
 
-void QuantumState::apply_kraus_branch(const la::CMat& k,
-                                      const std::vector<std::size_t>& qubits) {
-  apply_matrix(k, qubits);
-  normalize();
+template <typename State>
+Counts CircuitState<State>::sample(std::size_t shots, Rng& rng) const {
+  return sample_from_probabilities(static_cast<const State&>(*this).probabilities(), shots, rng);
 }
 
-std::unique_ptr<QuantumState> make_state(StateKind kind, std::size_t num_qubits) {
-  switch (kind) {
-    case StateKind::Statevector:
-      return std::make_unique<Statevector>(num_qubits);
-    case StateKind::Density:
-      return std::make_unique<DensityMatrix>(num_qubits);
-  }
-  throw Error("make_state: bad state kind");
-}
-
-std::unique_ptr<QuantumState> make_state(const std::string& kind_name,
-                                         std::size_t num_qubits) {
-  return make_state(state_kind_from_name(kind_name), num_qubits);
-}
+template class CircuitState<Statevector>;
+template class CircuitState<DensityMatrix>;
 
 }  // namespace hgp::sim

@@ -18,25 +18,21 @@ namespace hgp::sim {
 /// dispatched to specialized kernels that skip the dense matrix product. It
 /// is the reference the lane-batched `BatchedStatevector` kernels match bit
 /// for bit.
-class Statevector final : public QuantumState {
+class Statevector final : public CircuitState<Statevector> {
  public:
   explicit Statevector(std::size_t num_qubits);
   static Statevector from_amplitudes(la::CVec amplitudes);
 
-  StateKind kind() const override { return StateKind::Statevector; }
-  std::size_t num_qubits() const override { return num_qubits_; }
+  std::size_t num_qubits() const { return num_qubits_; }
   const la::CVec& data() const { return amp_; }
   la::CVec& data() { return amp_; }
-
-  void reset() override;
-  std::unique_ptr<QuantumState> clone() const override;
 
   /// Apply a dense k-qubit operator to the listed qubits (first listed qubit
   /// = least significant sub-index bit). Optimized paths for k = 1-3 plus
   /// structure-specialized kernels (diagonal / anti-diagonal / permutation).
-  void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits) override;
+  void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits);
 
-  std::vector<double> probabilities() const override;
+  std::vector<double> probabilities() const;
   /// Probability-weighted sum over the basis without materializing a CDF:
   /// num += values[i] * p_i and den += p_i in ascending basis order, with
   /// p_i = re^2 + im^2 — term-for-term the same accumulation as
@@ -44,16 +40,13 @@ class Statevector final : public QuantumState {
   /// bit-identical to any lane of a batched one. The state may be
   /// unnormalized (den carries the actual squared norm).
   void weighted_mass(const double* values, double& num, double& den) const;
-  std::uint64_t sample_one(Rng& rng) const override;
-  double expectation(const la::PauliSum& obs) const override;
-  double prob_one(std::size_t q) const override;
-  /// Project qubit q onto `outcome` and renormalize; returns the outcome's
-  /// pre-measurement probability. Used by trajectory noise (amplitude
-  /// damping branches).
-  double collapse(std::size_t q, bool outcome) override;
-  void normalize() override;
-  void apply_kraus_branch(const la::CMat& k,
-                          const std::vector<std::size_t>& qubits) override;
+  /// One outcome of all qubits from a single uniform draw, without
+  /// materializing the CDF (classical shadows take one per snapshot).
+  std::uint64_t sample_one(Rng& rng) const;
+  /// Expectation of a Pauli-sum observable.
+  double expectation(const la::PauliSum& obs) const;
+  /// Probability that qubit q reads 1.
+  double prob_one(std::size_t q) const;
 
  private:
   std::size_t num_qubits_ = 0;

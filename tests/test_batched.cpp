@@ -1,7 +1,9 @@
-// The lane-batched trajectory engine: scalar-vs-batched count bit-identity
-// for arbitrary lane counts, per-lane Kraus-branch parity against the scalar
-// statevector, broadcast-kernel parity, lane/thread determinism interaction,
-// and the sorted terminal sampler.
+// The lane-batched trajectory engine, the only trajectory shot loop: counts
+// bit-identical to one-lane groups for arbitrary lane counts, lane/thread
+// determinism interaction, and its kernels against per-shot references —
+// broadcast and per-lane gate kernels against the scalar Statevector body,
+// lane-masked Kraus branches and the terminal samplers against inline
+// per-lane computations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,7 +87,7 @@ la::CMat rotation(double theta) {
 
 // ---- engine-level bit-identity ---------------------------------------------
 
-TEST(BatchedTrajectories, CountsBitIdenticalToScalarAcrossLaneCounts) {
+TEST(BatchedTrajectories, CountsBitIdenticalToOneLaneAcrossLaneCounts) {
   // 600 shots span two full 256-shot thread batches plus a partial tail, so
   // lane counts that do not divide the batch exercise tail lane groups too.
   const Program prog = ladder_program(5);
@@ -108,7 +110,7 @@ TEST(BatchedTrajectories, NoiselessCountsUnaffectedByLanes) {
 TEST(BatchedTrajectories, ZeroStochasticNoiseSharesOneSortedSamplingPass) {
   // Strip every stochastic channel so no lane ever diverges: the batched
   // engine then samples every lane through the shared sorted pass, and must
-  // still match the scalar per-shot scans exactly.
+  // still match one-lane groups exactly.
   backend::FakeBackend dev = backend::make_toronto();
   for (auto& q : dev.mutable_noise_model().qubits) {
     q.t1_us = 1e9;
@@ -135,7 +137,7 @@ TEST(BatchedTrajectories, ZeroStochasticNoiseSharesOneSortedSamplingPass) {
 
 TEST(BatchedTrajectories, LanesAndThreadsAreIndependentOfCounts) {
   // The shot_batch_lanes knob composes with the threaded batch grid: any
-  // (threads, lanes) pair must reproduce the single-threaded scalar counts.
+  // (threads, lanes) pair must reproduce the single-threaded one-lane counts.
   const Program prog = ladder_program(4);
   auto cache = std::make_shared<serve::BlockCache>(256);
   const sim::Counts reference = run_with(prog, 1, 1, 1500, 77, cache);
@@ -221,7 +223,7 @@ const std::vector<KernelCase>& kernel_cases() {
 
 }  // namespace
 
-TEST(BatchedKernels, BroadcastMatrixMatchesScalarPerLane) {
+TEST(BatchedKernels, BroadcastMatrixMatchesStatevectorPerLane) {
   // Every lane-vectorized kernel, fed by both coefficient sources, against
   // the scalar Statevector reference with exact == on every amplitude:
   // broadcast (one operator, all lanes), per-lane with one structure class
@@ -302,7 +304,7 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
     ref[l].apply_matrix(rotation(0.6), {0});
   }
 
-  // Per-lane |1> masses against a direct scalar accumulation.
+  // Per-lane |1> masses against a direct per-lane accumulation.
   double m1[kLanes];
   bsv.masses_one(kQ, m1);
   const std::uint64_t bit = std::uint64_t{1} << kQ;
@@ -314,8 +316,8 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
   }
 
   // Mixed per-lane branches: lane 0 jumps, lane 1 damps, lane 2 damps with a
-  // dephasing flip, lane 3 keeps amplitude but flips. The scalar reference
-  // applies the same quantum-jump updates the executor's scalar kernel does.
+  // dephasing flip, lane 3 keeps amplitude but flips. The per-shot reference
+  // applies each lane's quantum-jump update to that lane's Statevector.
   const double damp = 0.8;
   const double take[kLanes] = {1.0, 0.0, 0.0, 0.0};
   const double scale1[kLanes] = {0.0, damp, -damp, -1.0};
@@ -363,7 +365,7 @@ TEST(BatchedKernels, LaneMaskedKrausBranchesMatchPerShotReference) {
   }
 }
 
-TEST(BatchedKernels, SampleLanesMatchesScalarScan) {
+TEST(BatchedKernels, SampleLanesMatchesPerLaneScan) {
   constexpr std::size_t kLanes = 3;
   sim::BatchedStatevector bsv(2, kLanes);
   std::vector<sim::Statevector> ref(kLanes, sim::Statevector(2));
@@ -411,13 +413,13 @@ TEST(BatchedKernels, SampleLanesMatchesScalarScan) {
 
 // ---- grouped depolarizing charges -------------------------------------------
 
-TEST(BatchedTrajectories, LargeDepolarizingRatesStayBitIdenticalToScalar) {
+TEST(BatchedTrajectories, LargeDepolarizingRatesStayBitIdenticalToOneLane) {
   // At production dep rates a lane group rarely charges more than one lane
   // per block, so the grouped Pauli pass's multi-lane path barely runs.
   // Crank the rates until most blocks charge several lanes at once: the
   // lane-grouped walk (one pass over the block's qubits, apply_pauli_lanes
-  // for every multi-lane Pauli) must still reproduce the scalar per-shot
-  // counts bit for bit.
+  // for every multi-lane Pauli) must still reproduce the one-lane counts,
+  // where every charge is a single-lane apply, bit for bit.
   backend::FakeBackend dev = backend::make_toronto();
   dev.mutable_noise_model().dep_per_1q_pulse = 0.2;
   dev.mutable_noise_model().dep_per_2q_block = 0.35;

@@ -1,13 +1,11 @@
-// Density-matrix simulator tests, including the exactness check of the
-// trajectory noise machinery: trajectory-averaged statistics must converge
-// to the density-matrix channel.
+// Density-matrix simulator tests: pure-state parity with the statevector and
+// the exact channels against their analytic values. The trajectory engine is
+// compared with this one channel by channel in test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "circuit/circuit.hpp"
-#include "common/rng.hpp"
-#include "noise/channels.hpp"
 #include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
@@ -31,7 +29,7 @@ TEST(Density, PureStateEvolutionMatchesStatevector) {
 
 TEST(Density, DepolarizingReducesPurity) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
   dm.apply_depolarizing({0}, 0.75);  // full depolarizing: maximally mixed
   EXPECT_NEAR(dm.purity(), 0.5, 1e-12);
@@ -40,8 +38,8 @@ TEST(Density, DepolarizingReducesPurity) {
 
 TEST(Density, TwoQubitDepolarizingIsTracePreserving) {
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::CX), {0, 1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::CX), {0, 1});
   dm.apply_depolarizing({0, 1}, 0.3);
   EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
   EXPECT_LT(dm.purity(), 1.0);
@@ -49,7 +47,7 @@ TEST(Density, TwoQubitDepolarizingIsTracePreserving) {
 
 TEST(Density, AmplitudeDampingAnalytic) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::X), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::X), {0});
   dm.apply_amplitude_damping(0, 0.4);
   EXPECT_NEAR(dm.probabilities()[1], 0.6, 1e-12);
   EXPECT_NEAR(dm.probabilities()[0], 0.4, 1e-12);
@@ -57,60 +55,12 @@ TEST(Density, AmplitudeDampingAnalytic) {
 
 TEST(Density, ThermalRelaxationCoherenceDecay) {
   DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
   la::PauliSum x(1);
   x.add(1.0, "X");
   dm.apply_thermal_relaxation(0, 100.0, 80.0, 40000.0);
   EXPECT_NEAR(dm.expectation(x), std::exp(-40.0 / 80.0), 1e-9);
 }
-
-class TrajectoryVsDensity : public ::testing::TestWithParam<double> {};
-
-TEST_P(TrajectoryVsDensity, DepolarizingStatisticsConverge) {
-  const double p = GetParam();
-  // State: RY(0.9)|0> on one qubit; channel: depolarizing(p).
-  DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::RY, {0.9}), {0});
-  dm.apply_depolarizing({0}, p);
-
-  Rng rng(42);
-  const int trials = 30000;
-  double p1 = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_matrix(qc::gate_matrix(qc::GateKind::RY, {0.9}), {0});
-    noise::apply_depolarizing(sv, {0}, p, rng);
-    p1 += sv.prob_one(0);
-  }
-  EXPECT_NEAR(p1 / trials, dm.probabilities()[1], 0.01) << "p=" << p;
-}
-
-TEST_P(TrajectoryVsDensity, ThermalRelaxationStatisticsConverge) {
-  const double scale = GetParam();
-  const double t1 = 100.0, t2 = 110.0, dur_ns = 20000.0 * (scale + 0.1);
-  DensityMatrix dm(1);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_thermal_relaxation(0, t1, t2, dur_ns);
-
-  la::PauliSum x(1), z(1);
-  x.add(1.0, "X");
-  z.add(1.0, "Z");
-
-  Rng rng(43);
-  const int trials = 40000;
-  double ex = 0.0, ez = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-    noise::apply_thermal_relaxation(sv, 0, t1, t2, dur_ns, rng);
-    ex += sv.expectation(x);
-    ez += sv.expectation(z);
-  }
-  EXPECT_NEAR(ex / trials, dm.expectation(x), 0.015) << "dur=" << dur_ns;
-  EXPECT_NEAR(ez / trials, dm.expectation(z), 0.015) << "dur=" << dur_ns;
-}
-
-INSTANTIATE_TEST_SUITE_P(Strengths, TrajectoryVsDensity, ::testing::Values(0.1, 0.4, 0.8));
 
 TEST(Density, KrausCompletenessGuard) {
   DensityMatrix dm(1);
@@ -124,8 +74,8 @@ TEST(Density, LiftRespectsQubitOrder) {
   // CX with control = qubit 1, target = qubit 0 on |10> (qubit1 = 1): flips
   // qubit 0.
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::X), {1});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::CX), {1, 0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::X), {1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::CX), {1, 0});
   EXPECT_NEAR(dm.probabilities()[0b11], 1.0, 1e-12);
 }
 

@@ -1,13 +1,16 @@
 // The executor's two noise engines: deterministic threaded trajectory
-// sampling and the exact density-matrix pass, plus their statistical
-// agreement and the virtual-RZ folding.
+// sampling and the exact density-matrix pass, their statistical agreement on
+// whole programs and channel by channel, and the virtual-RZ folding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "backend/presets.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
+#include "sim/density.hpp"
 #include "sim/state.hpp"
 
 using namespace hgp;
@@ -15,6 +18,7 @@ using core::Engine;
 using core::ExecOp;
 using core::Executor;
 using core::ExecutorOptions;
+using core::ObjectiveKind;
 using core::Program;
 
 namespace {
@@ -133,6 +137,203 @@ TEST(ExactDensity, RejectsLargeRegisters) {
   Executor ex(toronto(), opts);
   Rng rng(1);
   EXPECT_THROW(ex.run(prog, 16, rng), Error);
+}
+
+// ---- trajectory vs exact density, one channel per program -----------------
+
+namespace {
+
+constexpr std::size_t kChannelShots = 20000;
+/// Every channel check allows a trajectory frequency this many binomial
+/// standard deviations from the exact probability (two-sided 5 sigma: about
+/// one spurious failure in 1.7 million checks at a fresh seed).
+constexpr double kSigmas = 5.0;
+
+/// ibmq_toronto with every noise source off (T1 and T2 pushed to 1e9 us);
+/// each channel test turns one back on.
+backend::FakeBackend quiet_toronto() {
+  backend::FakeBackend dev = backend::make_toronto();
+  noise::NoiseModel& nm = dev.mutable_noise_model();
+  for (noise::QubitNoise& q : nm.qubits) {
+    q.t1_us = 1e9;
+    q.t2_us = 1e9;
+    q.readout = {};
+    q.freq_drift_ghz = 0.0;
+  }
+  nm.dep_per_1q_pulse = 0.0;
+  nm.dep_per_2q_block = 0.0;
+  return dev;
+}
+
+ExecOp gate(qc::GateKind kind, std::vector<std::size_t> qubits, std::vector<double> params = {}) {
+  qc::Op op{kind, std::move(qubits), {}};
+  for (double v : params) op.params.push_back(qc::Param::constant(v));
+  return ExecOp::from_gate(op);
+}
+
+/// The outcome distribution of `prog` over its measured bits on both engines:
+/// the trajectory engine's frequencies over kChannelShots sampled shots, and
+/// the density engine's exact probabilities. Gates are exact matrices
+/// (coherent miscalibration off), so the two see the same unitaries and the
+/// analytic checks below hold exactly.
+struct EngineOutcomes {
+  std::vector<double> trajectory;
+  std::vector<double> exact;
+  core::ExecutionReport report;
+};
+
+EngineOutcomes run_both_engines(const backend::FakeBackend& dev, const Program& prog,
+                                bool readout_error, std::uint64_t seed) {
+  ExecutorOptions opts;
+  opts.coherent_noise = false;
+  opts.readout_error = readout_error;
+  opts.num_threads = 2;
+  const std::size_t outcomes = std::size_t{1} << prog.measure_qubits.size();
+  EngineOutcomes out;
+  out.trajectory.assign(outcomes, 0.0);
+  Executor traj(dev, opts);
+  Rng rng(seed);
+  for (const auto& [bits, n] : traj.run(prog, kChannelShots, rng))
+    out.trajectory[bits] = static_cast<double>(n) / static_cast<double>(kChannelShots);
+
+  opts.engine = Engine::ExactDensity;
+  Executor exact(dev, opts);
+  for (std::uint64_t j = 0; j < outcomes; ++j) {
+    core::ObjectiveSpec indicator;
+    indicator.kind = ObjectiveKind::Expectation;
+    indicator.value = [j](std::uint64_t bits) { return bits == j ? 1.0 : 0.0; };
+    Rng unused(0);  // the density objective draws nothing
+    out.exact.push_back(exact.run_expectation(prog, 1, unused, indicator));
+  }
+  out.report = exact.last_report();
+  return out;
+}
+
+void expect_engines_agree(const EngineOutcomes& o, const std::string& where) {
+  for (std::size_t j = 0; j < o.exact.size(); ++j) {
+    const double p = o.exact[j];
+    const double sigma = std::sqrt(std::max(0.0, p * (1.0 - p)) / kChannelShots);
+    EXPECT_LE(std::abs(o.trajectory[j] - p), kSigmas * sigma)
+        << where << ": outcome " << j << " trajectory " << o.trajectory[j] << " exact " << p;
+  }
+}
+
+double dt_us(int dt) { return dt * pulse::kDtNs * 1e-3; }
+
+}  // namespace
+
+TEST(ChannelVsDensity, T1DecayFollowsExpT1) {
+  // X, Delay(d), measure: |1> decays through the X pulse, the delay and the
+  // readout window, P(1) = exp(-t/T1) over their sum. Qubit 1 idles in |0>
+  // under its own T1 and must never read 1 (the ground state is a fixed
+  // point of amplitude damping).
+  backend::FakeBackend dev = quiet_toronto();
+  dev.mutable_noise_model().qubits[0].t1_us = 60.0;
+  dev.mutable_noise_model().qubits[0].t2_us = 80.0;
+  dev.mutable_noise_model().qubits[1].t1_us = 30.0;
+  dev.mutable_noise_model().qubits[1].t2_us = 40.0;
+  Program prog;
+  prog.ops = {gate(qc::GateKind::X, {0}), gate(qc::GateKind::Delay, {0}, {90000.0})};
+  prog.measure_qubits = {0, 1};
+
+  const EngineOutcomes o = run_both_engines(dev, prog, false, 101);
+  expect_engines_agree(o, "T1");
+  const double t_us = dt_us(o.report.makespan_dt + o.report.readout_dt);
+  EXPECT_NEAR(o.exact[0b01], std::exp(-t_us / 60.0), 1e-9);
+  EXPECT_EQ(o.exact[0b10] + o.exact[0b11], 0.0);
+  EXPECT_EQ(o.trajectory[0b10] + o.trajectory[0b11], 0.0);
+}
+
+TEST(ChannelVsDensity, RamseyContrastFollowsExpT2) {
+  // H, Delay(d), H with H = RZ(pi/2) SX RZ(pi/2): the coherence the first SX
+  // makes decays over that SX and the delay, t = s + d, and the second H
+  // turns it into P(1) = (1 - exp(-t/T2)) / 2 — whatever the populations,
+  // which T1 only shifts afterwards, through the second SX and the readout
+  // window: P(1) *= exp(-(s + r)/T1).
+  backend::FakeBackend dev = quiet_toronto();
+  const double t1_us = 100.0, t2_us = 60.0;
+  dev.mutable_noise_model().qubits[0].t1_us = t1_us;
+  dev.mutable_noise_model().qubits[0].t2_us = t2_us;
+  const int delay_dt = 180000;
+  Program prog;
+  prog.ops = {gate(qc::GateKind::RZ, {0}, {la::kPi / 2}), gate(qc::GateKind::SX, {0}),
+              gate(qc::GateKind::RZ, {0}, {la::kPi / 2}),
+              gate(qc::GateKind::Delay, {0}, {static_cast<double>(delay_dt)}),
+              gate(qc::GateKind::RZ, {0}, {la::kPi / 2}), gate(qc::GateKind::SX, {0}),
+              gate(qc::GateKind::RZ, {0}, {la::kPi / 2})};
+  prog.measure_qubits = {0};
+
+  const EngineOutcomes o = run_both_engines(dev, prog, false, 102);
+  expect_engines_agree(o, "T2");
+  const int sx_dt = (o.report.makespan_dt - delay_dt) / 2;
+  const double after_us = dt_us(sx_dt + o.report.readout_dt);
+  const double contrast = 1.0 - 2.0 * o.exact[1] / std::exp(-after_us / t1_us);
+  EXPECT_NEAR(contrast, std::exp(-dt_us(sx_dt + delay_dt) / t2_us), 1e-9);
+}
+
+class DepolarizingVsDensity : public ::testing::TestWithParam<double> {};
+
+TEST_P(DepolarizingVsDensity, OneQubitPulseCharge) {
+  // SX RZ(0.9) SX: two drive pulses, each charged dep_per_1q_pulse.
+  backend::FakeBackend dev = quiet_toronto();
+  dev.mutable_noise_model().dep_per_1q_pulse = GetParam();
+  Program prog;
+  prog.ops = {gate(qc::GateKind::SX, {0}), gate(qc::GateKind::RZ, {0}, {0.9}),
+              gate(qc::GateKind::SX, {0})};
+  prog.measure_qubits = {0};
+  expect_engines_agree(run_both_engines(dev, prog, false, 103),
+                       "1q p=" + std::to_string(GetParam()));
+}
+
+TEST_P(DepolarizingVsDensity, TwoQubitBlockCharge) {
+  // X then CX prepares |11>; the CX block is charged dep_per_2q_block.
+  backend::FakeBackend dev = quiet_toronto();
+  dev.mutable_noise_model().dep_per_2q_block = GetParam();
+  Program prog;
+  prog.ops = {gate(qc::GateKind::X, {0}), gate(qc::GateKind::CX, {0, 1})};
+  prog.measure_qubits = {0, 1};
+  const EngineOutcomes o = run_both_engines(dev, prog, false, 104);
+  expect_engines_agree(o, "2q p=" + std::to_string(GetParam()));
+  EXPECT_LT(o.exact[0b11], 1.0 - 0.5 * GetParam());  // the charge is visible
+}
+
+INSTANTIATE_TEST_SUITE_P(Strengths, DepolarizingVsDensity, ::testing::Values(0.1, 0.4, 0.8));
+
+TEST(ChannelVsDensity, ReadoutConfusionAlone) {
+  // X on qubit 0, qubit 1 left in |0>: each measured bit flips with its own
+  // confusion, independently.
+  backend::FakeBackend dev = quiet_toronto();
+  dev.mutable_noise_model().qubits[0].readout = {0.07, 0.18};
+  dev.mutable_noise_model().qubits[1].readout = {0.12, 0.03};
+  Program prog;
+  prog.ops = {gate(qc::GateKind::X, {0})};
+  prog.measure_qubits = {0, 1};
+
+  const EngineOutcomes o = run_both_engines(dev, prog, true, 105);
+  expect_engines_agree(o, "readout");
+  const double q0_one = 1.0 - 0.18, q1_one = 0.12;
+  EXPECT_NEAR(o.exact[0b00], (1.0 - q0_one) * (1.0 - q1_one), 1e-6);
+  EXPECT_NEAR(o.exact[0b01], q0_one * (1.0 - q1_one), 1e-6);
+  EXPECT_NEAR(o.exact[0b10], (1.0 - q0_one) * q1_one, 1e-6);
+  EXPECT_NEAR(o.exact[0b11], q0_one * q1_one, 1e-6);
+}
+
+TEST(ChannelVsDensity, BothEnginesRejectZeroT1) {
+  // Both engines take their relaxation constants from
+  // noise::relaxation_constants, so a zero T1 is an error on each, never a
+  // silent full decay.
+  backend::FakeBackend dev = backend::make_toronto();
+  dev.mutable_noise_model().qubits[0].t1_us = 0.0;
+  for (const Engine engine : {Engine::Trajectory, Engine::ExactDensity}) {
+    ExecutorOptions opts;
+    opts.engine = engine;
+    opts.coherent_noise = false;
+    Executor ex(dev, opts);
+    Rng rng(1);
+    EXPECT_THROW(ex.run(bell_program(), 16, rng), Error) << core::engine_name(engine);
+  }
+  sim::DensityMatrix dm(1);
+  EXPECT_THROW(dm.apply_thermal_relaxation(0, 0.0, 50.0, 100.0), Error);
 }
 
 TEST(VirtualFolding, FoldedRzRunMatchesSingleRz) {

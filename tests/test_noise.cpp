@@ -1,98 +1,15 @@
+// The noise primitives the engines share: readout confusion, the noise
+// model's readout table, and the validators of the depolarizing draw and the
+// relaxation constants. Channel statistics are tested on the executor's
+// engines, channel by channel (test_engine.cpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "circuit/circuit.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "noise/channels.hpp"
 #include "noise/model.hpp"
-#include "linalg/vec.hpp"
-#include "sim/statevector.hpp"
 
 using namespace hgp;
-using sim::Statevector;
-
-TEST(Depolarizing, ZeroProbabilityIsIdentity) {
-  Rng rng(1);
-  Statevector sv(2);
-  qc::Circuit c(2);
-  c.h(0).cx(0, 1);
-  sv.run(c);
-  const la::CVec before = sv.data();
-  for (int i = 0; i < 50; ++i) noise::apply_depolarizing(sv, {0, 1}, 0.0, rng);
-  EXPECT_LT(la::max_abs_diff(before, sv.data()), 1e-15);
-}
-
-TEST(Depolarizing, FullStrengthScramblesExpectation) {
-  // <Z> of |0> under repeated p=1 single-qubit depolarizing over many
-  // trajectories: each application picks X, Y, or Z uniformly; averaging
-  // <Z> over shots gives (-1 -1 +1)/3 = -1/3 after one application.
-  Rng rng(2);
-  double sum = 0.0;
-  const int trials = 30000;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    noise::apply_depolarizing(sv, {0}, 1.0, rng);
-    la::PauliSum z(1);
-    z.add(1.0, "Z");
-    sum += sv.expectation(z);
-  }
-  EXPECT_NEAR(sum / trials, -1.0 / 3.0, 0.02);
-}
-
-TEST(AmplitudeDamping, DecaysExcitedPopulation) {
-  Rng rng(3);
-  const double gamma = 0.3;
-  double p1 = 0.0;
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_matrix(qc::gate_matrix(qc::GateKind::X), {0});
-    noise::apply_amplitude_damping(sv, 0, gamma, rng);
-    p1 += sv.prob_one(0);
-  }
-  EXPECT_NEAR(p1 / trials, 1.0 - gamma, 0.01);
-}
-
-TEST(AmplitudeDamping, GroundStateIsFixedPoint) {
-  Rng rng(4);
-  Statevector sv(1);
-  for (int i = 0; i < 100; ++i) noise::apply_amplitude_damping(sv, 0, 0.5, rng);
-  EXPECT_NEAR(sv.prob_one(0), 0.0, 1e-12);
-}
-
-TEST(ThermalRelaxation, T1DecayCurve) {
-  Rng rng(5);
-  const double t1 = 100.0, t2 = 150.0;  // µs (t2 < 2 t1)
-  const double duration_ns = 30000.0;   // 30 µs
-  double p1 = 0.0;
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_matrix(qc::gate_matrix(qc::GateKind::X), {0});
-    noise::apply_thermal_relaxation(sv, 0, t1, t2, duration_ns, rng);
-    p1 += sv.prob_one(0);
-  }
-  EXPECT_NEAR(p1 / trials, std::exp(-0.03e3 / t1), 0.01);
-}
-
-TEST(ThermalRelaxation, T2CoherenceDecay) {
-  Rng rng(6);
-  const double t1 = 100.0, t2 = 80.0;
-  const double duration_ns = 40000.0;  // 40 µs
-  double x = 0.0;
-  const int trials = 40000;
-  la::PauliSum obs(1);
-  obs.add(1.0, "X");
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-    noise::apply_thermal_relaxation(sv, 0, t1, t2, duration_ns, rng);
-    x += sv.expectation(obs);
-  }
-  // <X> decays as exp(-t/T2).
-  EXPECT_NEAR(x / trials, std::exp(-0.04e3 / t2), 0.015);
-}
 
 TEST(Readout, FlipRates) {
   Rng rng(7);
@@ -130,8 +47,9 @@ TEST(NoiseModel, ReadoutVectorExtraction) {
 
 TEST(Channels, RejectBadParameters) {
   Rng rng(9);
-  Statevector sv(1);
-  EXPECT_THROW(noise::apply_depolarizing(sv, {0}, 1.5, rng), Error);
-  EXPECT_THROW(noise::apply_amplitude_damping(sv, 0, -0.1, rng), Error);
-  EXPECT_THROW(noise::apply_thermal_relaxation(sv, 0, -1.0, 1.0, 10.0, rng), Error);
+  EXPECT_THROW(noise::sample_depolarizing(1, 1.5, rng), Error);
+  EXPECT_THROW(noise::sample_depolarizing(2, -0.1, rng), Error);
+  EXPECT_THROW(noise::relaxation_constants(-1.0, 1.0, 10.0), Error);
+  EXPECT_THROW(noise::relaxation_constants(0.0, 1.0, 10.0), Error);
+  EXPECT_THROW(noise::relaxation_constants(1.0, 0.0, 10.0), Error);
 }

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cctype>
 #include <cstddef>
+#include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -407,4 +409,40 @@ TEST(ObsExecutor, CountsBitIdenticalTelemetryOnVsOff) {
   // And the instrumented run actually reported: the process-wide executor
   // series saw those shots go by.
   EXPECT_GE(obs::Registry::global().counter("executor.shots").value(), 256u);
+}
+
+TEST(ObsExecutor, LaneGroupSeriesCountTheGroupsWalked) {
+  // 600 shots on the fixed 256-shot batch grid are batches of 256, 256 and
+  // 88 shots, and each batch walks ceil(batch / lanes) lane groups: 600 at
+  // one lane, 37 + 37 + 13 at 7, 16 + 16 + 6 at 16. The counter moves by
+  // exactly that, and the throughput gauges are both taken over one clock,
+  // so groups/s : shots/s is that count : 600 up to their integer rounding.
+  const backend::FakeBackend dev = backend::make_toronto();
+  core::Program prog;
+  prog.ops.push_back(core::ExecOp::from_gate(qc::Op{qc::GateKind::SX, {0}, {}}));
+  prog.ops.push_back(core::ExecOp::from_gate(qc::Op{qc::GateKind::CX, {0, 1}, {}}));
+  prog.measure_qubits = {0, 1};
+  const std::int64_t shots = 600;
+
+  const EnabledGuard on(true);
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& groups = reg.counter("executor.lane_groups");
+  obs::Gauge& groups_per_s = reg.gauge("executor.lane_groups_per_s");
+  obs::Gauge& shots_per_s = reg.gauge("executor.trajectory_shots_per_s");
+  for (const auto& [lanes, walked] :
+       {std::pair<std::size_t, std::int64_t>{1, 600}, {7, 87}, {16, 38}}) {
+    core::ExecutorOptions opts;
+    opts.shot_batch_lanes = lanes;
+    opts.num_threads = 2;
+    core::Executor ex(dev, opts);
+    Rng rng(5);
+    groups_per_s.set(0);
+    shots_per_s.set(0);
+    const std::uint64_t before = groups.value();
+    ex.run(prog, static_cast<std::size_t>(shots), rng);
+    EXPECT_EQ(groups.value() - before, static_cast<std::uint64_t>(walked)) << "lanes=" << lanes;
+    const std::int64_t gps = groups_per_s.value(), sps = shots_per_s.value();
+    EXPECT_GT(gps, 0) << "lanes=" << lanes;
+    EXPECT_LE(std::abs(gps * shots - sps * walked), shots + walked) << "lanes=" << lanes;
+  }
 }

@@ -137,18 +137,6 @@ TEST(Statevector, RotationExpectationSweep) {
   }
 }
 
-TEST(Statevector, CollapseRenormalizes) {
-  Statevector sv(2);
-  Circuit c(2);
-  c.h(0).cx(0, 1);
-  sv.run(c);
-  const double p = sv.collapse(0, true);
-  EXPECT_NEAR(p, 0.5, 1e-12);
-  EXPECT_NEAR(la::norm(sv.data()), 1.0, 1e-12);
-  EXPECT_NEAR(std::norm(sv.data()[0b11]), 1.0, 1e-12);
-  EXPECT_NEAR(sv.prob_one(1), 1.0, 1e-12);
-}
-
 TEST(Statevector, ProbOne) {
   Statevector sv(1);
   Circuit c(1);

@@ -1,9 +1,8 @@
-// The polymorphic sim::QuantumState layer: factory, backend parity between
-// the statevector and density-matrix implementations, and the density
-// matrix's sampling/collapse surface.
+// The two states behind one circuit front end (sim::CircuitState): parity
+// between the statevector and the density matrix on the same circuit, the
+// shared sampler, and the statevector's gate-kernel paths.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "circuit/circuit.hpp"
@@ -17,9 +16,6 @@
 
 using namespace hgp;
 using sim::DensityMatrix;
-using sim::make_state;
-using sim::QuantumState;
-using sim::StateKind;
 using sim::Statevector;
 
 namespace {
@@ -32,95 +28,66 @@ qc::Circuit mixed_gate_circuit() {
 
 }  // namespace
 
-TEST(StateFactory, MakesBothKinds) {
-  const auto sv = make_state(StateKind::Statevector, 3);
-  const auto dm = make_state(StateKind::Density, 3);
-  EXPECT_EQ(sv->kind(), StateKind::Statevector);
-  EXPECT_EQ(dm->kind(), StateKind::Density);
-  EXPECT_EQ(sv->num_qubits(), 3u);
-  EXPECT_EQ(dm->num_qubits(), 3u);
-  EXPECT_NE(dynamic_cast<Statevector*>(sv.get()), nullptr);
-  EXPECT_NE(dynamic_cast<DensityMatrix*>(dm.get()), nullptr);
-}
-
-TEST(StateFactory, ParsesNames) {
-  EXPECT_EQ(sim::state_kind_from_name("statevector"), StateKind::Statevector);
-  EXPECT_EQ(sim::state_kind_from_name("density"), StateKind::Density);
-  EXPECT_THROW(sim::state_kind_from_name("tensor_network"), Error);
-  EXPECT_EQ(sim::state_kind_name(StateKind::Statevector), "statevector");
-  EXPECT_EQ(make_state("density", 2)->kind(), StateKind::Density);
-}
-
 TEST(BackendParity, NoiselessProbabilitiesAgree) {
   const qc::Circuit c = mixed_gate_circuit();
-  const auto sv = make_state(StateKind::Statevector, 4);
-  const auto dm = make_state(StateKind::Density, 4);
-  sv->run(c);
-  dm->run(c);
-  const auto pv = sv->probabilities();
-  const auto pd = dm->probabilities();
+  Statevector sv(4);
+  DensityMatrix dm(4);
+  sv.run(c);
+  dm.run(c);
+  const auto pv = sv.probabilities();
+  const auto pd = dm.probabilities();
   ASSERT_EQ(pv.size(), pd.size());
   for (std::size_t i = 0; i < pv.size(); ++i) EXPECT_NEAR(pv[i], pd[i], 1e-9) << i;
   for (std::size_t q = 0; q < 4; ++q)
-    EXPECT_NEAR(sv->prob_one(q), dm->prob_one(q), 1e-9) << q;
+    EXPECT_NEAR(sv.prob_one(q), dm.prob_one(q), 1e-9) << q;
 }
 
 TEST(BackendParity, NoiselessPauliExpectationsAgree) {
   const qc::Circuit c = mixed_gate_circuit();
-  const auto sv = make_state(StateKind::Statevector, 4);
-  const auto dm = make_state(StateKind::Density, 4);
-  sv->run(c);
-  dm->run(c);
+  Statevector sv(4);
+  DensityMatrix dm(4);
+  sv.run(c);
+  dm.run(c);
   la::PauliSum obs(4);
   obs.add(1.0, "ZZII");
   obs.add(0.7, "XIXI");
   obs.add(-0.4, "IYZX");
   obs.add(0.2, "ZXYZ");
-  EXPECT_NEAR(sv->expectation(obs), dm->expectation(obs), 1e-9);
+  EXPECT_NEAR(sv.expectation(obs), dm.expectation(obs), 1e-9);
 }
 
 TEST(BackendParity, SamplingAgreesUnderSharedSeed) {
   // Same probabilities + same inverse-CDF sampler + same seed = identical
-  // counts across backends.
+  // counts across the two states.
   qc::Circuit c(3);
   c.h(0).cx(0, 1).ry(2, 1.1);
-  const auto sv = make_state(StateKind::Statevector, 3);
-  const auto dm = make_state(StateKind::Density, 3);
-  sv->run(c);
-  dm->run(c);
+  Statevector sv(3);
+  DensityMatrix dm(3);
+  sv.run(c);
+  dm.run(c);
   Rng r1(12), r2(12);
-  EXPECT_EQ(sv->sample(2000, r1), dm->sample(2000, r2));
+  EXPECT_EQ(sv.sample(2000, r1), dm.sample(2000, r2));
 }
 
-TEST(Density, CollapseMatchesStatevector) {
-  qc::Circuit c(2);
-  c.h(0).cx(0, 1);
+TEST(CircuitState, BothStatesRejectMeasureAndWidthMismatch) {
+  const qc::Op measure{qc::GateKind::Measure, {0}, {}};
+  Statevector sv(2);
   DensityMatrix dm(2);
-  dm.run(c);
-  const double p = dm.collapse(0, true);
-  EXPECT_NEAR(p, 0.5, 1e-12);
-  EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
-  EXPECT_NEAR(dm.prob_one(1), 1.0, 1e-12);
-  EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
+  EXPECT_THROW(sv.apply_op(measure), Error);
+  EXPECT_THROW(dm.apply_op(measure), Error);
+  EXPECT_THROW(sv.run(qc::Circuit(3)), Error);
+  EXPECT_THROW(dm.run(qc::Circuit(3)), Error);
 }
 
 TEST(Density, SampleMatchesProbabilities) {
   DensityMatrix dm(2);
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_unitary(qc::gate_matrix(qc::GateKind::H), {1});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
+  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {1});
   dm.apply_depolarizing({0}, 0.2);  // mixing must not break sampling
   Rng rng(77);
   const sim::Counts counts = dm.sample(40000, rng);
   for (const auto& [bits, n] : counts)
     EXPECT_NEAR(static_cast<double>(n) / 40000.0, 0.25, 0.02) << bits;
-}
-
-TEST(Density, NormalizeRestoresUnitTrace) {
-  DensityMatrix dm(1);
-  dm.apply_matrix(la::CMat{{0.5, 0.0}, {0.0, 0.5}}, {0});  // non-unitary
-  EXPECT_LT(dm.trace(), 1.0);
-  dm.normalize();
-  EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
 }
 
 TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
@@ -179,7 +146,7 @@ TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
   }
 }
 
-TEST(QuantumState, SampleOneMatchesSampleStatistics) {
+TEST(Statevector, SampleOneMatchesSampleStatistics) {
   qc::Circuit c(3);
   c.h(0).cx(0, 1).ry(2, 0.7);
   Statevector sv(3);
@@ -190,33 +157,6 @@ TEST(QuantumState, SampleOneMatchesSampleStatistics) {
   const auto p = sv.probabilities();
   for (const auto& [bits, n] : one_at_a_time)
     EXPECT_NEAR(static_cast<double>(n) / 20000.0, p[bits], 0.02) << bits;
-}
-
-TEST(QuantumState, KrausBranchFusedPathMatchesGeneric) {
-  // The statevector fuses the 1q diagonal Kraus branch (damp + renormalize)
-  // into one pass; it must equal the generic apply_matrix + normalize().
-  qc::Circuit c(3);
-  c.h(0).cx(0, 1).ry(2, 0.9);
-  Statevector fused(3), generic(3);
-  fused.run(c);
-  generic.run(c);
-  const la::CMat k0{{1.0, 0.0}, {0.0, std::sqrt(1.0 - 0.3)}};
-  fused.apply_kraus_branch(k0, {1});
-  generic.apply_matrix(k0, {1});
-  generic.normalize();
-  for (std::size_t i = 0; i < fused.data().size(); ++i) {
-    EXPECT_NEAR(fused.data()[i].real(), generic.data()[i].real(), 1e-12);
-    EXPECT_NEAR(fused.data()[i].imag(), generic.data()[i].imag(), 1e-12);
-  }
-}
-
-TEST(QuantumState, CloneIsIndependent) {
-  const auto sv = make_state(StateKind::Statevector, 2);
-  sv->apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-  const auto copy = sv->clone();
-  copy->apply_matrix(qc::gate_matrix(qc::GateKind::X), {1});
-  EXPECT_NEAR(sv->prob_one(1), 0.0, 1e-12);
-  EXPECT_NEAR(copy->prob_one(1), 1.0, 1e-12);
 }
 
 TEST(Kernels, SpecializedTwoQubitPathsMatchGenericLift) {
