@@ -1,10 +1,9 @@
 // Compile-path cost of the hybrid model's block pipeline: the same hybrid
 // QAOA layer (problem segment + trainable pulse mixers) is compiled cold
 // (empty cache — every gate and pulse block runs the pulse-ODE simulator)
-// and warm (every block served from the shared serve::BlockCache), plus a
-// simulator-level measurement of CompiledSchedule reuse (compile-once IR vs.
-// re-lowering the schedule per call). Verifies counts are bit-identical
-// cache-on vs. cache-off and emits BENCH_pulse.json.
+// and warm (every block served from the shared serve::BlockCache). Verifies
+// counts are bit-identical cache-on vs. cache-off and emits
+// BENCH_pulse.json.
 //
 // When HGP_BLOCK_STORE names a file, it also measures the cross-process
 // persistent-store path: a fresh cache warm-starts from the store another
@@ -25,7 +24,6 @@
 #include "bench_util.hpp"
 #include "core/models.hpp"
 #include "graph/instances.hpp"
-#include "pulsesim/simulator.hpp"
 #include "serve/block_cache.hpp"
 
 using namespace hgp;
@@ -110,35 +108,6 @@ int main(int argc, char** argv) {
     store_stats = store_ex.cache_stats();
   }
 
-  // CompiledSchedule reuse at the simulator layer: lower a mixer-style
-  // schedule (frame knobs around a 320dt Gaussian, as QaoaModel emits) once
-  // and reuse the IR vs. re-lowering per evolve.
-  pulse::Schedule mixer("mixer");
-  const pulse::Channel d0 = pulse::Channel::drive(0);
-  mixer.append(pulse::ShiftPhase{0.1, d0});
-  mixer.append(pulse::ShiftFrequency{0.01, d0});
-  mixer.append(pulse::Play{
-      pulse::PulseShape::gaussian(mcfg.mixer_duration_dt, 0.2, mcfg.mixer_duration_dt / 4.0),
-      d0});
-  mixer.append(pulse::ShiftFrequency{-0.01, d0});
-  mixer.append(pulse::ShiftPhase{-0.1, d0});
-  backend::FakeBackend::Subsystem sub = dev.subsystem({0}, true);
-  const pulse::Schedule local = backend::FakeBackend::remap_schedule(mixer, sub.remap);
-  const psim::PulseSimulator sim(std::move(sub.system));
-  la::CVec psi0(2, la::cxd{0.0, 0.0});
-  psi0[0] = 1.0;
-  constexpr int kEvolves = 50;
-
-  const auto t_percall = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvolves; ++i) sim.evolve(local, psi0);
-  const double percall_s = seconds_since(t_percall) / kEvolves;
-
-  const psim::CompiledSchedule cs = sim.compile(local);
-  const auto t_reuse = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvolves; ++i) sim.evolve(cs, psi0);
-  const double reuse_s = seconds_since(t_reuse) / kEvolves;
-  const double ir_speedup = reuse_s > 0.0 ? percall_s / reuse_s : 0.0;
-
   std::printf("cold compile  %.4f s\nwarm compile  %.4f s  (%.1fx)\n", cold_s, warm_s,
               speedup);
   std::printf("pulse blocks: %llu hits / %llu misses (hit rate %.1f%%); gate blocks: "
@@ -148,8 +117,6 @@ int main(int argc, char** argv) {
               100.0 * cache_stats.pulse_hit_rate(),
               static_cast<unsigned long long>(cache_stats.gate_hits),
               static_cast<unsigned long long>(cache_stats.gate_misses));
-  std::printf("CompiledSchedule reuse: %.1f us/evolve vs %.1f us re-lowered (%.1fx)\n",
-              1e6 * reuse_s, 1e6 * percall_s, ir_speedup);
   if (store_enabled) {
     std::printf("persistent store (%s): %s start, %.4f s (%.1fx vs cold), "
                 "%llu loaded, store hits %llu / misses %llu (rate %.1f%%), "
@@ -172,9 +139,6 @@ int main(int argc, char** argv) {
        << "  \"cold_s\": " << cold_s << ",\n"
        << "  \"warm_s\": " << warm_s << ",\n"
        << "  \"speedup\": " << speedup << ",\n"
-       << "  \"ir_evolve_reused_s\": " << reuse_s << ",\n"
-       << "  \"ir_evolve_relowered_s\": " << percall_s << ",\n"
-       << "  \"ir_speedup\": " << ir_speedup << ",\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
        << "  \"cache\": {\"pulse_hits\": " << cache_stats.pulse_hits
        << ", \"pulse_misses\": " << cache_stats.pulse_misses

@@ -467,6 +467,25 @@ static void BM_PulsePropagatorCx(benchmark::State& state) {
 }
 BENCHMARK(BM_PulsePropagatorCx)->Arg(1)->Arg(4);
 
+static void BM_PulsePropagatorMixer(benchmark::State& state) {
+  // The hybrid model's trainable mixer, the block every new candidate
+  // recompiles: a 320-dt Gaussian between its phase and frequency knobs, on
+  // a toronto qubit with coherent noise on.
+  const backend::FakeBackend dev = backend::make_toronto();
+  auto sub = dev.subsystem({0}, true);
+  const pulse::Channel d = pulse::Channel::drive(0);
+  pulse::Schedule mixer("mixer");
+  mixer.append(pulse::ShiftPhase{0.4, d});
+  mixer.append(pulse::ShiftFrequency{0.02, d});
+  mixer.append(pulse::Play{pulse::PulseShape::gaussian(320, 0.2, 80.0), d});
+  mixer.append(pulse::ShiftFrequency{-0.02, d});
+  mixer.append(pulse::ShiftPhase{-0.4, d});
+  const pulse::Schedule local = backend::FakeBackend::remap_schedule(mixer, sub.remap);
+  const psim::PulseSimulator sim(std::move(sub.system));
+  for (auto _ : state) benchmark::DoNotOptimize(sim.propagator(local));
+}
+BENCHMARK(BM_PulsePropagatorMixer)->Unit(benchmark::kMicrosecond);
+
 static void BM_SabreRouting(benchmark::State& state) {
   const auto inst = graph::paper_task1();
   const qc::Circuit qaoa = core::qaoa_circuit(inst.graph, 1).bound({0.6, 0.4});

@@ -43,8 +43,8 @@ int main() {
               pe_sched.schedule.draw().c_str());
 
   std::printf("== physics check: simulate the calibrated CX ==\n");
-  const auto sub = dev.subsystem({1, 4}, /*with_coherent_noise=*/false);
-  const psim::PulseSimulator sim(std::move(const_cast<psim::PulseSystem&>(sub.system)));
+  auto sub = dev.subsystem({1, 4}, /*with_coherent_noise=*/false);
+  const psim::PulseSimulator sim(std::move(sub.system));
   la::CMat u = sim.unitary(backend::FakeBackend::remap_schedule(cx, sub.remap));
   const double shift = pulse::CalibrationSet::drive_phase_shift(cx, 1);
   u = la::kron(la::CMat::identity(2), qc::gate_matrix(qc::GateKind::RZ, {-shift})) * u;
@@ -52,9 +52,8 @@ int main() {
   std::printf("gate fidelity |tr(CX† U)|/4 = %.6f\n", std::abs(tr) / 4.0);
 
   std::printf("\n== and with the device's coherent miscalibration ==\n");
-  const auto noisy_sub = dev.subsystem({1, 4}, /*with_coherent_noise=*/true);
-  const psim::PulseSimulator noisy_sim(
-      std::move(const_cast<psim::PulseSystem&>(noisy_sub.system)));
+  auto noisy_sub = dev.subsystem({1, 4}, /*with_coherent_noise=*/true);
+  const psim::PulseSimulator noisy_sim(std::move(noisy_sub.system));
   la::CMat un = noisy_sim.unitary(backend::FakeBackend::remap_schedule(cx, noisy_sub.remap));
   un = la::kron(la::CMat::identity(2), qc::gate_matrix(qc::GateKind::RZ, {-shift})) * un;
   const auto trn = (qc::gate_matrix(qc::GateKind::CX).dagger() * un).trace();

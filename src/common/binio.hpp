@@ -9,7 +9,7 @@
 namespace hgp::io {
 
 /// Minimal binary encoding shared by every on-disk payload (compiled blocks,
-/// compiled-schedule IR, the serve::BlockStore records). Fixed-width
+/// the serve::BlockStore records, the job and wire codecs). Fixed-width
 /// host-endian integers (little-endian on every target this project
 /// supports; a byte-swapped reader would fail the bounds checks and degrade
 /// to a cold-compile skip, not corrupt data) and raw IEEE-754 bit patterns

@@ -450,8 +450,8 @@ CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
   const int stride =
       qubits.size() == 1 ? 1 : (has_frequency_instruction(local) ? 2 : 4);
   const psim::PulseSimulator sim(std::move(sub.system), psim::Integrator::Exact, 1, stride);
-  // Column-batched propagator over the compiled-schedule IR: the schedule is
-  // indexed and its step propagators built exactly once per block.
+  // One streaming walk: the schedule is indexed once and each step
+  // propagator multiplied straight into the block unitary.
   CMat u = sim.propagator(local);
 
   // Undo deferred virtual-Z frames so the block unitary is self-contained.

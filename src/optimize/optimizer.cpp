@@ -20,7 +20,10 @@ OptimizeResult Optimizer::minimize_batch(const BatchObjective& f, std::vector<do
 
 int iterations_to_converge(const OptimizeResult& result, double tol) {
   if (result.history.empty()) return result.iterations;
-  const double target = result.history.back() + std::abs(tol);
+  // Measured against the best value seen, not the last: COBYLA's history
+  // is not monotone (an incumbent refresh can end the run on a worse value).
+  const double target =
+      *std::min_element(result.history.begin(), result.history.end()) + std::abs(tol);
   for (std::size_t i = 0; i < result.history.size(); ++i)
     if (result.history[i] <= target) return static_cast<int>(i) + 1;
   return static_cast<int>(result.history.size());

@@ -51,8 +51,8 @@ class Optimizer {
   virtual std::string name() const = 0;
 };
 
-/// Iterations needed to get within `tol` of the final value — the
-/// "training time to convergence" metric of Fig. 5.
+/// Iterations needed to get within `tol` of the best value in the history —
+/// the "training time to convergence" metric of Fig. 5.
 int iterations_to_converge(const OptimizeResult& result, double tol = 0.01);
 
 }  // namespace hgp::opt

@@ -13,8 +13,8 @@ using la::PauliString;
 
 PulseSystem::PulseSystem(std::size_t num_qubits)
     : num_qubits_(num_qubits), h0_(dim(), dim()) {
-  HGP_REQUIRE(num_qubits >= 1 && num_qubits <= 6,
-              "PulseSystem: pulse simulation is sized for small subsystems");
+  HGP_REQUIRE(num_qubits == 1 || num_qubits == 2,
+              "PulseSystem: the pulse simulator walks 1- and 2-qubit subsystems");
 }
 
 const ChannelOperator* PulseSystem::find_channel(const pulse::Channel& c) const {

@@ -35,6 +35,8 @@ struct ChannelOperator {
 /// hardware.
 class PulseSystem {
  public:
+  /// One or two qubits — the widths the simulator's fixed-size walk covers
+  /// and every gate or pulse block spans; wider systems throw hgp::Error.
   explicit PulseSystem(std::size_t num_qubits);
 
   std::size_t num_qubits() const { return num_qubits_; }

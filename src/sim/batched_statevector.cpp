@@ -50,7 +50,7 @@ void BatchedStatevector::set_amplitude(std::uint64_t i, std::size_t lane, cxd a)
 
 namespace {
 
-using detail::Cx;
+using la::Cx;
 using detail::Structure;
 
 /// One lane of the [basis][lane] planes as the scalar body's amplitude

@@ -15,6 +15,9 @@ namespace hgp::sim::detail {
 /// complex arithmetic) for the trajectory engines to produce bit-identical
 /// counts, so that logic lives here exactly once.
 
+using la::Cx;
+using la::to_cx;
+
 inline bool is_zero(const la::cxd& x) { return x.real() == 0.0 && x.imag() == 0.0; }
 
 /// Iterate f(i) over all basis indices with bit `b` clear — nested block
@@ -155,19 +158,6 @@ inline Structure classify(const la::CMat& u, std::size_t k, Perm4& perm) {
   if (k == 2 && as_permutation4(u, perm)) return Structure::Permutation;
   return Structure::Dense;
 }
-
-/// A complex value as two doubles, with the textbook product: every partial
-/// product rounded first, then re = cr*ar - ci*ai and im = cr*ai + ci*ar.
-/// For finite operands std::complex's product returns exactly these values;
-/// it only adds a __muldc3 call that recovers infinities from NaN results,
-/// which costs a libgcc call site per multiply and blocks vectorization.
-/// The lane-vectorized kernels spell out the same expressions.
-struct Cx {
-  double r, i;
-};
-inline Cx operator*(Cx c, Cx a) { return {c.r * a.r - c.i * a.i, c.r * a.i + c.i * a.r}; }
-inline Cx operator+(Cx a, Cx b) { return {a.r + b.r, a.i + b.i}; }
-inline Cx to_cx(const la::cxd& z) { return {z.real(), z.imag()}; }
 
 /// Block kernel of the scalar body for a 1-3 qubit operator (N = 2^k).
 template <std::size_t N, typename Amps>

@@ -10,8 +10,8 @@ namespace hgp::sim {
 using la::cxd;
 using la::CMat;
 using la::CVec;
-using detail::Cx;
-using detail::to_cx;
+using la::Cx;
+using la::to_cx;
 
 Statevector::Statevector(std::size_t num_qubits)
     : num_qubits_(num_qubits), amp_(std::size_t{1} << num_qubits, cxd{0.0, 0.0}) {

@@ -104,10 +104,10 @@ TEST(Backend, SubsystemWiring) {
 
 TEST(Backend, SubsystemCxIsAccurateWithoutNoise) {
   const FakeBackend t = backend::make_toronto();
-  const auto sub = t.subsystem({1, 4}, false);
+  auto sub = t.subsystem({1, 4}, false);
   const pulse::Schedule phys = t.calibrations().cx(1, 4);
   const pulse::Schedule local = FakeBackend::remap_schedule(phys, sub.remap);
-  const psim::PulseSimulator sim(std::move(const_cast<psim::PulseSystem&>(sub.system)));
+  const psim::PulseSimulator sim(std::move(sub.system));
   la::CMat u = sim.unitary(local);
   // Undo the virtual-Z frame on the control.
   const double shift = pulse::CalibrationSet::drive_phase_shift(phys, 1);

@@ -186,3 +186,12 @@ TEST(IterationsToConverge, FindsFirstWithinTolerance) {
   r.iterations = 5;
   EXPECT_EQ(opt::iterations_to_converge(r, 0.02), 3);
 }
+
+TEST(IterationsToConverge, MeasuresAgainstTheBestValueNotTheLast) {
+  // COBYLA's history is not monotone: a refreshed incumbent can end the run
+  // on a worse value, which must not make the first evaluation "converged".
+  opt::OptimizeResult r;
+  r.history = {-0.3, -0.5, -0.6, -0.28};
+  r.iterations = 4;
+  EXPECT_EQ(opt::iterations_to_converge(r, 0.02), 3);
+}

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "backend/presets.hpp"
 #include "circuit/gates.hpp"
 #include "common/error.hpp"
 #include "linalg/expm.hpp"
@@ -262,81 +268,365 @@ TEST(PulseSim, UnitaryIsUnitary) {
   EXPECT_TRUE(sim.unitary(cal.cx(0, 1)).is_unitary(1e-6));
 }
 
-// ---- CompiledSchedule — the simulator's cached lowering IR ----------------
 
-TEST(CompiledSchedule, ReusedIrMatchesPerCallCompilation) {
-  // Compiling once and evolving many states must give bit-identical results
-  // to the compile-on-the-fly convenience overload.
-  const auto cal = make_cal(2);
-  const PulseSimulator sim(make_system(2, cal));
-  const Schedule sched = cal.cx(0, 1);
-  const psim::CompiledSchedule cs = sim.compile(sched);
-  EXPECT_EQ(cs.duration_dt(), sched.duration());
-  EXPECT_EQ(cs.step_propagators().size(), cs.num_steps());
+// ---- PulseWalk — the fixed-size walk pinned to the CMat arithmetic --------
 
-  for (std::size_t col = 0; col < 4; ++col) {
-    CVec e(4, cxd{0.0, 0.0});
-    e[col] = 1.0;
-    const CVec reused = sim.evolve(cs, e);
-    const CVec fresh = sim.evolve(sched, e);
-    ASSERT_EQ(reused.size(), fresh.size());
-    for (std::size_t i = 0; i < reused.size(); ++i) EXPECT_EQ(reused[i], fresh[i]);
+namespace {
+
+/// The simulator's per-sample CMat walk from before the fixed-size rewrite,
+/// kept as the bit-level reference: a heap Hamiltonian and drive terms per
+/// sample, std::map indexing, and the list of Exact step propagators
+/// materialized before any product is taken.
+namespace reference {
+
+struct Frame {
+  double phase = 0.0;
+  double freq_ghz = 0.0;
+  double ref_time_ns = 0.0;
+
+  double phase_at(double t_ns) const {
+    return phase + 2.0 * la::kPi * freq_ghz * (t_ns - ref_time_ns);
+  }
+  void rebase(double t_ns) {
+    phase = phase_at(t_ns);
+    ref_time_ns = t_ns;
+  }
+};
+
+struct ActivePlay {
+  int t0 = 0;
+  const PulseShape* shape = nullptr;
+};
+
+CMat step_propagator(const CMat& h, double tau) {
+  if (h.rows() == 2) {
+    const double a = h(0, 0).real();
+    const double d = h(1, 1).real();
+    const cxd b = h(0, 1);
+    const double c0 = 0.5 * (a + d);
+    const double nz = 0.5 * (a - d);
+    const double nx = b.real();
+    const double ny = -b.imag();
+    const double nn = std::sqrt(nx * nx + ny * ny + nz * nz);
+    const cxd gphase = std::polar(1.0, -tau * c0);
+    if (nn < 1e-15) return CMat{{gphase, 0}, {0, gphase}};
+    const double ct = std::cos(tau * nn);
+    const double st = std::sin(tau * nn);
+    const cxd mi{0.0, -1.0};
+    CMat u(2, 2);
+    u(0, 0) = gphase * (ct + mi * st * (nz / nn));
+    u(0, 1) = gphase * mi * st * cxd{nx / nn, -ny / nn};
+    u(1, 0) = gphase * mi * st * cxd{nx / nn, ny / nn};
+    u(1, 1) = gphase * (ct - mi * st * (nz / nn));
+    return u;
+  }
+  return la::expm_ih(h, tau);
+}
+
+std::vector<CMat> step_propagators(const PulseSystem& system, const Schedule& sched,
+                                   int stride) {
+  const int duration = sched.duration();
+  const double dt = pulse::kDtNs;
+  std::map<Channel, Frame> frames;
+  struct Event {
+    int t0;
+    const pulse::Instruction* inst;
+  };
+  std::vector<Event> frame_events;
+  std::map<Channel, std::vector<ActivePlay>> plays;
+  for (const pulse::TimedInstruction& ti : sched.instructions()) {
+    if (const auto* play = std::get_if<pulse::Play>(&ti.inst)) {
+      if (system.find_channel(play->channel) != nullptr)
+        plays[play->channel].push_back(ActivePlay{ti.t0, &play->shape});
+      continue;
+    }
+    if (std::holds_alternative<pulse::ShiftPhase>(ti.inst) ||
+        std::holds_alternative<pulse::SetPhase>(ti.inst) ||
+        std::holds_alternative<pulse::ShiftFrequency>(ti.inst) ||
+        std::holds_alternative<pulse::SetFrequency>(ti.inst))
+      frame_events.push_back(Event{ti.t0, &ti.inst});
+  }
+  std::stable_sort(frame_events.begin(), frame_events.end(),
+                   [](const Event& a, const Event& b) { return a.t0 < b.t0; });
+  for (auto& [c, v] : plays)
+    std::stable_sort(v.begin(), v.end(),
+                     [](const ActivePlay& a, const ActivePlay& b) { return a.t0 < b.t0; });
+
+  const double tau_sample = 2.0 * la::kPi * dt;
+  std::size_t next_event = 0;
+  std::map<Channel, std::size_t> play_cursor;
+  std::vector<CMat> hs;
+  std::vector<double> taus;
+  std::vector<bool> drives;
+  for (int t = 0; t < duration; t += stride) {
+    const int step = std::min(stride, duration - t);
+    const double t_ns = t * dt;
+    while (next_event < frame_events.size() && frame_events[next_event].t0 <= t) {
+      const pulse::Instruction& inst = *frame_events[next_event].inst;
+      Frame& f = frames[pulse::instruction_channel(inst)];
+      const double event_t_ns = frame_events[next_event].t0 * dt;
+      if (const auto* sp = std::get_if<pulse::ShiftPhase>(&inst)) {
+        f.phase += sp->phase;
+      } else if (const auto* stp = std::get_if<pulse::SetPhase>(&inst)) {
+        f.rebase(event_t_ns);
+        f.phase = stp->phase;
+      } else if (const auto* sf = std::get_if<pulse::ShiftFrequency>(&inst)) {
+        f.rebase(event_t_ns);
+        f.freq_ghz += sf->freq_ghz;
+      } else if (const auto* stf = std::get_if<pulse::SetFrequency>(&inst)) {
+        f.rebase(event_t_ns);
+        f.freq_ghz = stf->freq_ghz;
+      }
+      ++next_event;
+    }
+    CMat h = system.static_hamiltonian();
+    bool has_drive = false;
+    for (auto& [channel, channel_plays] : plays) {
+      std::size_t& cur = play_cursor[channel];
+      while (cur < channel_plays.size() &&
+             channel_plays[cur].t0 + channel_plays[cur].shape->duration() <= t)
+        ++cur;
+      if (cur >= channel_plays.size() || channel_plays[cur].t0 > t) continue;
+      const ActivePlay& ap = channel_plays[cur];
+      cxd s = ap.shape->sample(t - ap.t0);
+      if (s == cxd{0.0, 0.0}) continue;
+      const auto it = frames.find(channel);
+      if (it != frames.end()) s *= std::polar(1.0, it->second.phase_at(t_ns));
+      const psim::ChannelOperator* op = system.find_channel(channel);
+      s *= op->gain;
+      h += op->x_quad * cxd{s.real(), 0.0} + op->y_quad * cxd{s.imag(), 0.0};
+      if (!op->sq_quad.empty()) h += op->sq_quad * cxd{std::norm(s), 0.0};
+      has_drive = true;
+    }
+    hs.push_back(std::move(h));
+    taus.push_back(tau_sample * step);
+    drives.push_back(has_drive);
+  }
+
+  const double tau_full = tau_sample * stride;
+  CMat idle_full, idle_tail;
+  std::vector<CMat> props;
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    if (drives[i]) {
+      props.push_back(step_propagator(hs[i], taus[i]));
+      continue;
+    }
+    CMat& idle = taus[i] == tau_full ? idle_full : idle_tail;
+    if (idle.empty()) idle = step_propagator(hs[i], taus[i]);
+    props.push_back(idle);
+  }
+  return props;
+}
+
+CMat propagator(const PulseSystem& system, const Schedule& sched, int stride) {
+  CMat u = CMat::identity(system.dim());
+  for (const CMat& p : step_propagators(system, sched, stride)) u = p * u;
+  return u;
+}
+
+CVec evolve(const PulseSystem& system, const Schedule& sched, int stride, CVec psi) {
+  for (const CMat& p : step_propagators(system, sched, stride)) psi = p * psi;
+  return psi;
+}
+
+}  // namespace reference
+
+const backend::FakeBackend& toronto() {
+  static const backend::FakeBackend dev = backend::make_toronto();
+  return dev;
+}
+
+/// The hybrid model's mixer block: one 320-dt Gaussian (sigma = dur/4),
+/// with the phase and frequency knobs applied and reverted around it when
+/// nonzero, as QaoaModel emits it.
+Schedule hybrid_mixer(std::size_t q, double amp, double phase, double freq_ghz) {
+  const Channel d = Channel::drive(q);
+  Schedule s("mixer");
+  if (phase != 0.0) s.append(pulse::ShiftPhase{phase, d});
+  if (freq_ghz != 0.0) s.append(pulse::ShiftFrequency{freq_ghz, d});
+  s.append(pulse::Play{PulseShape::gaussian(320, std::abs(amp), 80.0, amp < 0 ? la::kPi : 0.0),
+                       d});
+  if (freq_ghz != 0.0) s.append(pulse::ShiftFrequency{-freq_ghz, d});
+  if (phase != 0.0) s.append(pulse::ShiftPhase{-phase, d});
+  return s;
+}
+
+struct WalkCase {
+  std::string name;
+  std::vector<std::size_t> qubits;
+  Schedule sched;  // on physical channels
+  int stride = 1;
+};
+
+/// Every schedule family the executor lowers, on toronto qubits 0 (1q) and
+/// 0-1 (2q), plus frame events, idle spans and zero samples the families do
+/// not reach on their own.
+std::vector<WalkCase> walk_cases() {
+  const pulse::CalibrationSet& cal = toronto().calibrations();
+  const Channel d0 = Channel::drive(0);
+  std::vector<WalkCase> cases;
+  const auto add = [&](std::string name, std::vector<std::size_t> qubits, Schedule s,
+                       std::vector<int> strides) {
+    for (int stride : strides)
+      cases.push_back({name + "/stride" + std::to_string(stride), qubits, s, stride});
+  };
+  add("mixer", {0}, hybrid_mixer(0, 0.31, 0.0, 0.0), {1});
+  add("mixer_phase_freq", {0}, hybrid_mixer(0, 0.31, 0.42, 0.037), {1, 4});
+  add("mixer_negative_amp", {0}, hybrid_mixer(0, -0.23, -0.9, -0.061), {1});
+  add("mixer_zero_amp", {0}, hybrid_mixer(0, 0.0, 0.42, 0.037), {1});
+  add("sx", {0}, cal.sx(0), {1});
+  add("x", {0}, cal.x(0), {1});
+  add("rx_direct", {0}, cal.rx_direct(0, -1.3), {1});
+
+  // SetPhase/SetFrequency mid-play, an idle prefix, and a gap of zero
+  // samples between plays.
+  Schedule frames("frames");
+  frames.append(pulse::Delay{37, d0});
+  frames.append(pulse::SetFrequency{0.013, d0});
+  frames.append(pulse::Play{PulseShape::gaussian(96, 0.4, 24.0), d0});
+  frames.insert(60, pulse::SetPhase{0.7, d0});
+  frames.insert(80, pulse::SetFrequency{-0.02, d0});
+  frames.append(pulse::Play{PulseShape::constant(16, 0.0), d0});
+  frames.append(pulse::Play{PulseShape::drag(64, 0.2, 16.0, 0.5, 0.3), d0});
+  add("frames_idle_zero", {0}, frames, {1, 3});
+
+  // 2q CR blocks at the executor's strides. cx's duration is a multiple of
+  // 4, so each tail case appends 3 samples: idle (a delay) or driven.
+  add("cx", {0, 1}, cal.cx(0, 1), {2, 4});
+  add("ecr", {0, 1}, cal.ecr(0, 1, la::kPi / 2), {2, 4});
+  add("rzz_direct", {0, 1}, cal.rzz_direct(0, 1, 0.7), {2, 4});
+  Schedule idle_tail = cal.cx(0, 1);
+  idle_tail.append_sequential(Schedule("t").append(pulse::Delay{3, d0}));
+  add("cx_idle_tail", {0, 1}, idle_tail, {2, 4});
+  Schedule drive_tail = cal.cx(0, 1);
+  drive_tail.append_sequential(
+      Schedule("t").append(pulse::Play{PulseShape::constant(3, 0.05), Channel::drive(1)}));
+  add("cx_drive_tail", {0, 1}, drive_tail, {2, 4});
+  // Both drives under the CR tone at once: dense 4×4 steps, so every entry
+  // of the running product sums four nonzero terms.
+  Schedule dense = cal.ecr(0, 1, 0.9);
+  dense.insert(0, pulse::Play{PulseShape::gaussian(dense.duration(), 0.1, 100.0), d0});
+  dense.insert(0, pulse::Play{PulseShape::drag(dense.duration(), 0.07, 90.0, 0.4, 0.5),
+                              Channel::drive(1)});
+  add("ecr_dense", {0, 1}, dense, {2, 4});
+  // The pulse-level model's trainable CX: frame knobs on the CR channel.
+  const Channel u = Channel::control(cal.control_channel(0, 1));
+  Schedule free_cx("free-cx");
+  free_cx.append(pulse::ShiftPhase{0.3, u});
+  free_cx.append(pulse::ShiftFrequency{0.02, u});
+  free_cx.append_sequential(cal.ecr(0, 1, 1.2));
+  free_cx.append(pulse::ShiftFrequency{-0.02, u});
+  free_cx.append(pulse::ShiftPhase{-0.3, u});
+  free_cx.append_sequential(cal.rx_direct(1, -la::kPi / 2.0));
+  free_cx.append_sequential(cal.rz(0, -la::kPi / 2.0));
+  add("free_cx", {0, 1}, free_cx, {2});
+  return cases;
+}
+
+bool same_bits(const CVec& a, const CVec& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(cxd)) == 0;
+}
+
+/// A fixed state with every amplitude nonzero and distinct.
+CVec probe_state(std::size_t dim) {
+  CVec psi(dim);
+  for (std::size_t i = 0; i < dim; ++i) psi[i] = cxd{0.3 + 0.1 * i, -0.2 + 0.05 * i};
+  return psi;
+}
+
+}  // namespace
+
+TEST(PulseWalk, PropagatorBitIdenticalToCMatReference) {
+  for (const bool coherent : {false, true}) {
+    for (const WalkCase& c : walk_cases()) {
+      SCOPED_TRACE(c.name + (coherent ? " coherent" : " ideal"));
+      const backend::FakeBackend::Subsystem sub = toronto().subsystem(c.qubits, coherent);
+      const Schedule local = backend::FakeBackend::remap_schedule(c.sched, sub.remap);
+      const PulseSimulator sim(sub.system, Integrator::Exact, 1, c.stride);
+      const CMat walked = sim.propagator(local);
+      const CMat expected = reference::propagator(sub.system, local, c.stride);
+      EXPECT_TRUE(same_bits(walked.data(), expected.data()))
+          << "max |diff| " << walked.max_abs_diff(expected);
+    }
   }
 }
 
-TEST(CompiledSchedule, PropagatorMatchesColumnAtATimeEvolve) {
-  // The column-batched product over precomputed step propagators must agree
-  // with integrating each basis column (up to matrix-product rounding).
+TEST(PulseWalk, ExactEvolveBitIdenticalToCMatReference) {
+  for (const bool coherent : {false, true}) {
+    for (const WalkCase& c : walk_cases()) {
+      SCOPED_TRACE(c.name + (coherent ? " coherent" : " ideal"));
+      const backend::FakeBackend::Subsystem sub = toronto().subsystem(c.qubits, coherent);
+      const Schedule local = backend::FakeBackend::remap_schedule(c.sched, sub.remap);
+      const PulseSimulator sim(sub.system, Integrator::Exact, 1, c.stride);
+      const CVec psi = probe_state(sub.system.dim());
+      const CVec walked = sim.evolve(local, psi);
+      const CVec expected = reference::evolve(sub.system, local, c.stride, psi);
+      EXPECT_TRUE(same_bits(walked, expected)) << "max |diff| " << la::max_abs_diff(walked, expected);
+    }
+  }
+}
+
+TEST(PulseWalk, IgnoresChannelsTheSystemDoesNotWire) {
+  const auto cal = make_cal(1);
+  const PulseSystem sys = make_system(1, cal);
+  const PulseSimulator sim(sys);
+  const Schedule mixer = hybrid_mixer(0, 0.31, 0.42, 0.037);
+  Schedule noisy = mixer;
+  noisy.insert(10, pulse::ShiftPhase{0.5, Channel::measure(0)});
+  noisy.insert(20, pulse::Play{PulseShape::constant(64, 0.3), Channel::measure(0)});
+  noisy.insert(30, pulse::ShiftFrequency{0.05, Channel::control(0)});
+  noisy.insert(40, pulse::Play{PulseShape::constant(64, 0.3), Channel::control(0)});
+  EXPECT_TRUE(same_bits(sim.propagator(noisy).data(), sim.propagator(mixer).data()));
+  EXPECT_TRUE(same_bits(sim.propagator(noisy).data(),
+                        reference::propagator(sys, noisy, 1).data()));
+}
+
+TEST(PulseWalk, PropagatorMatchesColumnAtATimeEvolve) {
+  // The running product over all columns must agree with advancing each
+  // basis column on its own (up to matrix-product rounding).
   const auto cal = make_cal(2);
   const PulseSimulator sim(make_system(2, cal));
-  const psim::CompiledSchedule cs = sim.compile(cal.ecr(0, 1, la::kPi / 2));
-  const CMat u = sim.propagator(cs);
+  const Schedule ecr = cal.ecr(0, 1, la::kPi / 2);
+  const CMat u = sim.propagator(ecr);
   EXPECT_TRUE(u.is_unitary(1e-9));
   for (std::size_t col = 0; col < 4; ++col) {
     CVec e(4, cxd{0.0, 0.0});
     e[col] = 1.0;
-    const CVec out = sim.evolve(cs, std::move(e));
+    const CVec out = sim.evolve(ecr, std::move(e));
     for (std::size_t row = 0; row < 4; ++row)
       EXPECT_LT(std::abs(u(row, col) - out[row]), 1e-10);
   }
 }
 
-TEST(CompiledSchedule, StepCountFollowsStride) {
+TEST(PulseWalk, Rk4KeepsIdleStepsExact) {
   const auto cal = make_cal(1);
-  const Schedule x = cal.x(0);  // 160 dt
-  const PulseSimulator s1(make_system(1, cal), Integrator::Exact, 1, 1);
-  const PulseSimulator s4(make_system(1, cal), Integrator::Exact, 1, 4);
-  EXPECT_EQ(s1.compile(x).num_steps(), 160u);
-  EXPECT_EQ(s4.compile(x).num_steps(), 40u);
-}
-
-TEST(CompiledSchedule, Rk4IrPrecompilesOnlyIdleSteps) {
-  const auto cal = make_cal(1);
-  const PulseSimulator rk4(make_system(1, cal), Integrator::Rk4, 4);
-  Schedule s;
-  s.append(pulse::Delay{32, Channel::drive(0)});  // idle prefix
-  s.append_sequential(cal.x(0));
-  const psim::CompiledSchedule cs = rk4.compile(s);
-  ASSERT_EQ(cs.step_propagators().size(), cs.num_steps());
-  for (std::size_t i = 0; i < cs.num_steps(); ++i) {
-    // Idle steps carry a precompiled exact propagator (and their sampled
-    // Hamiltonian was released); drive steps keep H for the RK4 pass.
-    EXPECT_EQ(cs.step_propagators()[i].empty(), cs.steps()[i].has_drive);
-    EXPECT_EQ(cs.steps()[i].h.empty(), !cs.steps()[i].has_drive);
-  }
-  CVec psi(2, cxd{0.0, 0.0});
-  psi[0] = 1.0;
-  const CVec out = rk4.evolve(cs, std::move(psi));
-  EXPECT_NEAR(std::norm(out[1]), 1.0, 1e-3);  // π pulse flips the qubit
-}
-
-TEST(CompiledSchedule, RejectsIntegratorMismatch) {
-  const auto cal = make_cal(1);
+  // Idle spans take the exact propagator under either integrator.
+  PulseSystem detuned = make_system(1, cal);
+  detuned.set_detuning(0, 0.003);
+  Schedule idle;
+  idle.append(pulse::Delay{45, Channel::drive(0)});
+  const CVec psi = probe_state(2);
+  EXPECT_TRUE(same_bits(PulseSimulator(detuned, Integrator::Rk4, 4).evolve(idle, psi),
+                        PulseSimulator(detuned, Integrator::Exact).evolve(idle, psi)));
+  // An idle prefix, then a π pulse that RK4 integrates.
   const PulseSimulator exact(make_system(1, cal), Integrator::Exact);
   const PulseSimulator rk4(make_system(1, cal), Integrator::Rk4, 4);
-  const psim::CompiledSchedule from_rk4 = rk4.compile(cal.x(0));
-  CVec psi(2, cxd{0.0, 0.0});
-  psi[0] = 1.0;
-  EXPECT_THROW(exact.evolve(from_rk4, psi), hgp::Error);
-  EXPECT_THROW(exact.propagator(from_rk4), hgp::Error);
+  Schedule s;
+  s.append(pulse::Delay{32, Channel::drive(0)});
+  s.append_sequential(cal.x(0));
+  CVec ground(2, cxd{0.0, 0.0});
+  ground[0] = 1.0;
+  EXPECT_NEAR(std::norm(rk4.evolve(s, ground)[1]), 1.0, 1e-3);
+  EXPECT_LT(rk4.unitary(s).max_abs_diff(exact.unitary(s)), 1e-4);
+}
+
+TEST(PulseWalk, RejectsWhatTheWalkDoesNotCover) {
+  EXPECT_THROW(PulseSystem(0), hgp::Error);
+  EXPECT_THROW(PulseSystem(3), hgp::Error);
+  EXPECT_THROW(toronto().subsystem({0, 1, 2}, false), hgp::Error);
+  const auto cal = make_cal(1);
+  const PulseSimulator rk4(make_system(1, cal), Integrator::Rk4, 4);
+  EXPECT_THROW(rk4.propagator(cal.x(0)), hgp::Error);
+  const PulseSimulator exact(make_system(1, cal));
+  EXPECT_THROW(exact.evolve(cal.x(0), CVec(4, cxd{0.0, 0.0})), hgp::Error);
 }

@@ -2,8 +2,7 @@
 // validation (truncated / corrupted / wrong-version / wrong-fingerprint files
 // degrade to cold compilation without crashing), executor warm-start across
 // cache instances (the cross-process story), write-through from concurrent
-// sweep workers, the store-load stats counters, and the CompiledSchedule IR
-// payload serialization.
+// sweep workers, and the store-load stats counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,13 +12,11 @@
 #include <vector>
 
 #include "backend/presets.hpp"
-#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/workflow.hpp"
 #include "graph/instances.hpp"
-#include "pulsesim/simulator.hpp"
 #include "serve/block_cache.hpp"
 #include "serve/block_store.hpp"
 #include "serve/job.hpp"
@@ -610,55 +607,6 @@ TEST(BlockStore, AttachIsFirstWinsAndIdempotent) {
   // A different path does not replace the attached store.
   cache->attach_store(store_path("attach_other"), fp);
   EXPECT_EQ(cache->store_path(), path);
-}
-
-TEST(CompiledScheduleSerialization, RoundTripEvolvesBitIdentically) {
-  // Mixer-style schedule (frame knobs around a Gaussian) on a real
-  // calibrated subsystem — the IR payload a persistent compiled-IR cache
-  // would ship between processes.
-  pulse::Schedule mixer("mixer");
-  const pulse::Channel d0 = pulse::Channel::drive(0);
-  mixer.append(pulse::ShiftPhase{0.1, d0});
-  mixer.append(pulse::ShiftFrequency{0.01, d0});
-  mixer.append(pulse::Play{pulse::PulseShape::gaussian(64, 0.2, 16.0), d0});
-  mixer.append(pulse::ShiftFrequency{-0.01, d0});
-  mixer.append(pulse::ShiftPhase{-0.1, d0});
-  backend::FakeBackend::Subsystem sub = toronto().subsystem({0}, true);
-  const pulse::Schedule local = backend::FakeBackend::remap_schedule(mixer, sub.remap);
-  const psim::PulseSimulator sim(std::move(sub.system));
-  const psim::CompiledSchedule original = sim.compile(local);
-
-  std::string bytes;
-  original.serialize(bytes);
-  io::Reader in(bytes);
-  psim::CompiledSchedule restored;
-  ASSERT_TRUE(psim::CompiledSchedule::deserialize(in, restored));
-  EXPECT_EQ(in.remaining(), 0u);
-  EXPECT_EQ(restored.duration_dt(), original.duration_dt());
-  EXPECT_EQ(restored.num_steps(), original.num_steps());
-
-  la::CVec psi0(2, la::cxd{0.0, 0.0});
-  psi0[0] = 1.0;
-  const la::CVec a = sim.evolve(original, psi0);
-  const la::CVec b = sim.evolve(restored, psi0);
-  EXPECT_EQ(a, b);  // bit-identical, not approximately equal
-  EXPECT_EQ(sim.propagator(original).data(), sim.propagator(restored).data());
-}
-
-TEST(CompiledScheduleSerialization, TruncatedPayloadRejected) {
-  pulse::Schedule s("p");
-  s.append(pulse::Play{pulse::PulseShape::gaussian(32, 0.1, 8.0),
-                       pulse::Channel::drive(0)});
-  backend::FakeBackend::Subsystem sub = toronto().subsystem({0}, true);
-  const psim::PulseSimulator sim(std::move(sub.system));
-  std::string bytes;
-  sim.compile(backend::FakeBackend::remap_schedule(s, sub.remap)).serialize(bytes);
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, bytes.size() / 2,
-                                bytes.size() - 1}) {
-    io::Reader in(bytes.data(), cut);
-    psim::CompiledSchedule out;
-    EXPECT_FALSE(psim::CompiledSchedule::deserialize(in, out));
-  }
 }
 
 TEST(BlockStore, CompactionDropsEvictedRecordsAndRoundTripsResidents) {

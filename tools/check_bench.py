@@ -38,7 +38,7 @@ import sys
 # Dimensionless ratio fields gated per bench file. Higher is better for all.
 SPEEDUP_FIELDS = {
     "BENCH_shotloop.json": ["speedup"],
-    "BENCH_pulse.json": ["speedup", "ir_speedup"],
+    "BENCH_pulse.json": ["speedup"],
     "BENCH_gradient.json": ["expectation_speedup", "gradient_speedup"],
     "BENCH_fusion.json": ["shotloop_speedup", "batch_speedup"],
     "BENCH_jobs.json": ["speedup"],
