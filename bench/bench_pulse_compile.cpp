@@ -5,15 +5,8 @@
 // counts are bit-identical cache-on vs. cache-off and emits
 // BENCH_pulse.json.
 //
-// When HGP_BLOCK_STORE names a file, it also measures the cross-process
-// persistent-store path: a fresh cache warm-starts from the store another
-// invocation wrote (zero pulse-ODE compilations for the same calibration)
-// and writes through for the next one — run the binary twice with the same
-// store to get a disk-warmed second run.
-//
 //   bench_pulse_compile [warm_iters]   (default 5)
 //   HGP_SHOTS                          shots for the bit-identical check
-//   HGP_BLOCK_STORE                    persistent store path ("" = off)
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -79,34 +72,7 @@ int main(int argc, char** argv) {
   fresh_opts.num_threads = 1;
   core::Executor fresh(dev, fresh_opts);
   const sim::Counts cold_counts = fresh.run(prog, shots, cold_rng);
-  bool identical = warm_counts == cold_counts;
-
-  // Cross-process persistence: a fresh cache attached to HGP_BLOCK_STORE.
-  // First invocation compiles cold and writes the store; a second invocation
-  // (fresh process) loads it and must compile zero pulse blocks.
-  const std::string store_path = benchutil::env_or_str("HGP_BLOCK_STORE", "");
-  const bool store_enabled = !store_path.empty();
-  double store_s = 0.0;
-  bool store_warm = false, store_identical = true;
-  serve::BlockCache::Stats store_stats;
-  if (store_enabled) {
-    core::ExecutorOptions sopts;
-    sopts.num_threads = 1;
-    sopts.block_store_path = store_path;
-    Rng srng(1);
-    // The timer covers executor construction too: attaching the store —
-    // parsing and deserializing every record — is the cost the warm path
-    // pays instead of compiling, so it belongs inside the measurement.
-    const auto t_store = std::chrono::steady_clock::now();
-    core::Executor store_ex(dev, sopts);
-    store_ex.run(prog, 1, srng);
-    store_s = seconds_since(t_store);
-    store_warm = store_ex.cache_stats().store_loaded > 0;
-    Rng check_rng(42);
-    store_identical = store_ex.run(prog, shots, check_rng) == cold_counts;
-    identical = identical && store_identical;
-    store_stats = store_ex.cache_stats();
-  }
+  const bool identical = warm_counts == cold_counts;
 
   std::printf("cold compile  %.4f s\nwarm compile  %.4f s  (%.1fx)\n", cold_s, warm_s,
               speedup);
@@ -117,18 +83,6 @@ int main(int argc, char** argv) {
               100.0 * cache_stats.pulse_hit_rate(),
               static_cast<unsigned long long>(cache_stats.gate_hits),
               static_cast<unsigned long long>(cache_stats.gate_misses));
-  if (store_enabled) {
-    std::printf("persistent store (%s): %s start, %.4f s (%.1fx vs cold), "
-                "%llu loaded, store hits %llu / misses %llu (rate %.1f%%), "
-                "pulse compiles %llu\n",
-                store_path.c_str(), store_warm ? "WARM" : "cold", store_s,
-                store_s > 0.0 ? cold_s / store_s : 0.0,
-                static_cast<unsigned long long>(store_stats.store_loaded),
-                static_cast<unsigned long long>(store_stats.store_hits),
-                static_cast<unsigned long long>(store_stats.store_misses),
-                100.0 * store_stats.store_hit_rate(),
-                static_cast<unsigned long long>(store_stats.pulse_misses));
-  }
   std::printf("counts bit-identical cache-on vs cache-off: %s\n", identical ? "yes" : "NO");
 
   std::ofstream json("BENCH_pulse.json");
@@ -144,17 +98,7 @@ int main(int argc, char** argv) {
        << ", \"pulse_misses\": " << cache_stats.pulse_misses
        << ", \"gate_hits\": " << cache_stats.gate_hits
        << ", \"gate_misses\": " << cache_stats.gate_misses
-       << ", \"pulse_hit_rate\": " << cache_stats.pulse_hit_rate() << "},\n"
-       << "  \"store\": {\"enabled\": " << (store_enabled ? "true" : "false")
-       << ", \"warm_start\": " << (store_warm ? "true" : "false")
-       << ", \"loaded\": " << store_stats.store_loaded
-       << ", \"store_hits\": " << store_stats.store_hits
-       << ", \"store_misses\": " << store_stats.store_misses
-       << ", \"store_hit_rate\": " << store_stats.store_hit_rate()
-       << ", \"pulse_misses\": " << store_stats.pulse_misses
-       << ", \"store_s\": " << store_s
-       << ", \"store_speedup\": " << (store_s > 0.0 ? cold_s / store_s : 0.0)
-       << ", \"bit_identical\": " << (store_identical ? "true" : "false") << "}\n"
+       << ", \"pulse_hit_rate\": " << cache_stats.pulse_hit_rate() << "}\n"
        << "}\n";
   std::printf("wrote BENCH_pulse.json\n");
   return identical ? 0 : 1;

@@ -44,11 +44,6 @@ inline std::size_t env_or(const char* name, std::size_t fallback) {
   return v != nullptr ? static_cast<std::size_t>(std::stoul(v)) : fallback;
 }
 
-inline std::string env_or_str(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
-}
-
 inline core::RunConfig base_config() {
   core::RunConfig cfg;
   cfg.shots = env_or("HGP_SHOTS", 1024);

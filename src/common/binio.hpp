@@ -4,20 +4,17 @@
 #include <cstring>
 #include <string>
 
-#include "linalg/matrix.hpp"
-
 namespace hgp::io {
 
-/// Minimal binary encoding shared by every on-disk payload (compiled blocks,
-/// the serve::BlockStore records, the job and wire codecs). Fixed-width
-/// host-endian integers (little-endian on every target this project
-/// supports; a byte-swapped reader would fail the bounds checks and degrade
-/// to a cold-compile skip, not corrupt data) and raw IEEE-754 bit patterns
+/// Minimal binary encoding shared by the job codec and the HGPN wire
+/// frames. Fixed-width host-endian integers (little-endian on every target
+/// this project supports; a byte-swapped reader would fail the bounds checks
+/// and reject the payload, not corrupt data) and raw IEEE-754 bit patterns
 /// for doubles, so a round trip is bit-exact — the property the
 /// cross-process bit-identical guarantees rest on. Readers never trust the
 /// input: every read is bounds-checked and a failed read poisons the reader
-/// instead of throwing, so a truncated or corrupted record degrades to
-/// "skip this entry".
+/// instead of throwing, so a truncated or corrupted payload is rejected,
+/// never half-decoded.
 
 /// Appends fields to a byte buffer.
 class Writer {
@@ -32,13 +29,6 @@ class Writer {
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     out_.append(s);
-  }
-  /// rows, cols, then the row-major complex entries as raw double pairs.
-  void mat(const la::CMat& m) {
-    u32(static_cast<std::uint32_t>(m.rows()));
-    u32(static_cast<std::uint32_t>(m.cols()));
-    if (!m.data().empty())
-      raw(m.data().data(), m.data().size() * sizeof(la::cxd));
   }
 
  private:
@@ -71,18 +61,6 @@ class Reader {
     pos_ += n;
     return true;
   }
-  bool mat(la::CMat& m) {
-    std::uint32_t rows = 0, cols = 0;
-    if (!u32(rows) || !u32(cols)) return false;
-    const std::uint64_t count = std::uint64_t{rows} * cols;
-    // Divide instead of multiplying: count * sizeof(cxd) can wrap, and a
-    // wrapped bound would wave a crafted header through to a huge
-    // allocation — readers must degrade, never throw.
-    if (count > remaining() / sizeof(la::cxd)) return fail();
-    m = la::CMat(rows, cols);
-    if (count > 0 && !raw(m.data().data(), count * sizeof(la::cxd))) return false;
-    return true;
-  }
 
  private:
   bool raw(void* p, std::size_t n) {
@@ -101,12 +79,12 @@ class Reader {
   bool ok_ = true;
 };
 
-/// FNV-1a over a byte buffer — the per-record checksum of the block store.
-/// Deliberately independent of the backend/schedule fingerprint hashers
-/// (which use their own accumulation orders and, between them, different
-/// offset bases): a checksum only needs writer/reader agreement, and
-/// "unifying" the three would silently invalidate every persisted
-/// fingerprint or store in the wild.
+/// FNV-1a over a byte buffer — the per-frame checksum of the HGPN wire
+/// protocol. Deliberately independent of the backend/schedule fingerprint
+/// hashers (which use their own accumulation orders and, between them,
+/// different offset bases): a checksum only needs writer/reader agreement,
+/// and "unifying" the three would change every cache key and break wire
+/// compatibility between peers of one protocol version.
 inline std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : bytes) {

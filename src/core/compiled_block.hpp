@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "common/binio.hpp"
 #include "linalg/matrix.hpp"
 
 namespace hgp::core {
@@ -13,8 +11,7 @@ namespace hgp::core {
 /// bookkeeping the engines charge against it. Blocks are deterministic
 /// functions of (device calibrations, compile options, cache key), which
 /// is what makes them shareable across executors, optimizer candidates, and
-/// concurrent runs through serve::BlockCache — and, serialized, across
-/// processes and hosts through serve::BlockStore.
+/// concurrent runs through serve::BlockCache.
 struct CompiledBlock {
   la::CMat unitary;                  // local to `qubits`
   std::vector<std::size_t> qubits;   // physical
@@ -23,14 +20,6 @@ struct CompiledBlock {
   std::size_t cr_halves = 0;         // 2q depolarizing charges
   bool virtual_only = false;         // exact & free (RZ etc.)
   bool explicit_idle = false;        // Delay: relaxation + coherent drift
-
-  /// Append the block to `out` in the store's binary encoding. The unitary
-  /// round-trips by IEEE-754 bit pattern, so a deserialized block reproduces
-  /// bit-identical counts.
-  void serialize(std::string& out) const;
-  /// Decode one block from `in`. False (out untouched in spirit — contents
-  /// unspecified) on truncated or malformed input; never throws.
-  static bool deserialize(io::Reader& in, CompiledBlock& out);
 };
 
 /// One block placed on the ASAP timeline in local qubit coordinates.

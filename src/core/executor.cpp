@@ -431,12 +431,6 @@ Executor::Executor(const backend::FakeBackend& dev, ExecutorOptions options)
   cache_ = options_.block_cache
                ? options_.block_cache
                : std::make_shared<serve::BlockCache>(options_.block_cache_capacity);
-  // Warm-start from (and write through to) the persistent store. The store
-  // header carries the writing backend's fingerprint, so a recalibrated
-  // device loads nothing and resets the file instead of replaying stale
-  // blocks; attach is a no-op when a shared cache already holds this store.
-  if (!options_.block_store_path.empty())
-    cache_->attach_store(options_.block_store_path, dev_.fingerprint());
 }
 
 CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
@@ -481,8 +475,7 @@ std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
   key << ",fp=" << std::hex << pulse_fp << std::dec << ",dur=" << op.schedule.duration();
   const std::string cache_key = key.str();
   if (auto cached = cache_->find(cache_key, serve::BlockKind::Pulse)) return cached;
-  return lower_schedule_block(cache_key, serve::BlockKind::Pulse, op.schedule, op.qubits,
-                              nullptr, false, t.fingerprint);
+  return lower_schedule_block(cache_key, op.schedule, op.qubits, nullptr, false);
 }
 
 std::shared_ptr<const CompiledBlock> Executor::compile_gate(const qc::Op& op,
@@ -550,16 +543,14 @@ std::shared_ptr<const CompiledBlock> Executor::compile_gate(const qc::Op& op,
   la::CMat exact;
   const bool coherent = options_.noise && options_.coherent_noise;
   if (!coherent) exact = qc::gate_matrix(op.kind, op.constant_params());
-  return lower_schedule_block(cache_key, serve::BlockKind::Gate, sched, op.qubits,
-                              coherent ? nullptr : &exact,
-                              op.kind == qc::GateKind::CX || op.kind == qc::GateKind::RZZ,
-                              t.fingerprint);
+  return lower_schedule_block(cache_key, sched, op.qubits, coherent ? nullptr : &exact,
+                              op.kind == qc::GateKind::CX || op.kind == qc::GateKind::RZZ);
 }
 
 std::shared_ptr<const CompiledBlock> Executor::lower_schedule_block(
-    const std::string& cache_key, serve::BlockKind kind, const pulse::Schedule& sched,
+    const std::string& cache_key, const pulse::Schedule& sched,
     const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
-    bool fold_cx_phase_defect, std::uint64_t fingerprint) {
+    bool fold_cx_phase_defect) {
   // A miss means a real compile (pulse-ODE simulation for coherent blocks):
   // span it so the trace separates compile time from cache-hit replay. Hit
   // traffic is counted by the cache's own block_cache.* series.
@@ -582,7 +573,7 @@ std::shared_ptr<const CompiledBlock> Executor::lower_schedule_block(
                       block.unitary;
     }
   }
-  return cache_->insert(cache_key, std::move(block), kind, fingerprint);
+  return cache_->insert(cache_key, std::move(block));
 }
 
 std::uint32_t Executor::compile_mode() const {
@@ -604,9 +595,8 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
   t->reference = reference;
   t->dev = &dev_;
   t->mode = compile_mode();
-  t->fingerprint = dev_.fingerprint();  // hashed once; every key carries it
   std::ostringstream prefix;
-  prefix << dev_.name() << '#' << std::hex << t->fingerprint << std::dec
+  prefix << dev_.name() << '#' << std::hex << dev_.fingerprint() << std::dec
          << (options_.noise && options_.coherent_noise ? "#coh;" : "#exact;");
   t->key_prefix = prefix.str();
 

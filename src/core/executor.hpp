@@ -107,15 +107,6 @@ struct ExecutorOptions {
   /// LRU bound of the private per-executor cache (ignored when a shared
   /// cache is injected).
   std::size_t block_cache_capacity = 512;
-  /// Non-empty = persistent compiled-block store: the cache warm-starts from
-  /// this serve::BlockStore file (entries from another process or host load
-  /// by content, validated per record) and writes every new compilation
-  /// through, so the next process skips the pulse-ODE compilations entirely.
-  /// A store written by a different calibration (backend fingerprint
-  /// mismatch), foreign format version, or corrupted file degrades to cold
-  /// compilation — never an error. On a shared cache the first attach wins;
-  /// later executors reuse the already-attached store.
-  std::string block_store_path;
   /// Widest support of the post-compile timeline fusion pass (core/fusion):
   /// adjacent blocks merge into single dense unitaries up to this many
   /// qubits, so the engines dispatch fewer, bigger kernels. 2 (default)
@@ -174,7 +165,6 @@ struct ProgramTemplate {
   /// Backend name + fingerprint + lowering mode: the prefix of every cache
   /// key, with the backend fingerprint hashed once.
   std::string key_prefix;
-  std::uint64_t fingerprint = 0;
   /// The backend and executor settings it was compiled under (see above).
   const backend::FakeBackend* dev = nullptr;
   std::uint32_t mode = 0;
@@ -266,14 +256,13 @@ class Executor {
   std::shared_ptr<const CompiledBlock> compile_gate(const qc::Op& op, const ProgramTemplate& t);
   /// Miss-only lowering tail for every schedule-backed block: simulate (or
   /// take the exact unitary when pulse-accurate compilation is off), fill
-  /// the schedule-derived metadata, and insert under `cache_key` (recording
-  /// `fingerprint` as the compiling backend). `fold_cx_phase_defect` folds
-  /// the backend's static two-qubit phase error into simulated CX/RZZ
-  /// blocks.
+  /// the schedule-derived metadata, and insert under `cache_key`.
+  /// `fold_cx_phase_defect` folds the backend's static two-qubit phase error
+  /// into simulated CX/RZZ blocks.
   std::shared_ptr<const CompiledBlock> lower_schedule_block(
-      const std::string& cache_key, serve::BlockKind kind, const pulse::Schedule& sched,
+      const std::string& cache_key, const pulse::Schedule& sched,
       const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
-      bool fold_cx_phase_defect, std::uint64_t fingerprint);
+      bool fold_cx_phase_defect);
   la::CMat simulate_block(const pulse::Schedule& physical_sched,
                           const std::vector<std::size_t>& qubits) const;
 

@@ -39,6 +39,24 @@ int beta_slot(int layer) { return 2 * layer + 1; }
 
 }  // namespace
 
+void check_initial_layout(const std::vector<std::size_t>& layout, std::size_t n,
+                          const backend::FakeBackend& dev) {
+  if (layout.empty()) return;
+  if (layout.size() < n)
+    throw Error("initial layout places " + std::to_string(layout.size()) + " of " +
+                std::to_string(n) + " virtual qubits");
+  std::vector<bool> used(dev.num_qubits(), false);
+  for (const std::size_t q : layout) {
+    if (q >= used.size())
+      throw Error("initial layout names physical qubit " + std::to_string(q) + " but '" +
+                  dev.name() + "' has " + std::to_string(used.size()));
+    if (used[q])
+      throw Error("initial layout places two virtual qubits on physical qubit " +
+                  std::to_string(q));
+    used[q] = true;
+  }
+}
+
 pulse::Schedule QaoaModel::mixer_pulse(std::size_t phys_q, double angle, double phase,
                                        double freq_ghz) const {
   const pulse::QubitCalibration& qcal = dev_->calibrations().qubit(phys_q);
@@ -72,6 +90,7 @@ QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend
   m.config_ = config;
 
   const std::size_t n = graph.num_vertices();
+  check_initial_layout(config.initial_layout, n, dev);
   std::vector<std::size_t> layout =
       config.initial_layout.empty() ? default_line_layout(n) : config.initial_layout;
 

@@ -44,6 +44,15 @@ struct ModelConfig {
   std::uint64_t seed = 7;
 };
 
+/// Throws hgp::Error unless `layout` is a usable fixed placement of an
+/// n-vertex problem on `dev`: empty (the default device line), or at least n
+/// entries, each a physical qubit of `dev`, none repeated. QaoaModel::build
+/// and serve::validate_job both call it, so a malformed layout from a wire
+/// client is rejected at submit instead of indexing past the router's
+/// tables.
+void check_initial_layout(const std::vector<std::size_t>& layout, std::size_t n,
+                          const backend::FakeBackend& dev);
+
 /// One named, bounded parameter of a model.
 struct ParamSpec {
   std::string name;

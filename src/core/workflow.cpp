@@ -56,7 +56,6 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   eopt.block_cache = block_cache
                          ? std::move(block_cache)
                          : std::make_shared<serve::BlockCache>(eopt.block_cache_capacity);
-  eopt.block_store_path = config.block_store_path;
   eopt.cancel = config.cancel;
   Executor executor(dev, eopt);
   Rng rng(config.seed);

@@ -62,10 +62,6 @@ struct RunConfig {
   /// kernels, 0/1 disables. Only affects deterministic-unitary paths; noisy
   /// engines always run the unfused timeline.
   std::size_t fusion = 2;
-  /// Non-empty = persistent compiled-block store (see
-  /// ExecutorOptions::block_store_path): the run warm-starts from blocks
-  /// another process compiled for the same calibration and persists its own.
-  std::string block_store_path;
   /// Shots for the M3 readout-calibration programs.
   std::size_t calibration_shots = 4096;
   /// Turn on the hgp::obs telemetry layer (process-wide) for this run —

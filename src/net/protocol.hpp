@@ -9,7 +9,7 @@
 namespace hgp::net {
 
 /// Length-prefixed binary framing over TCP, built on common/binio.hpp — the
-/// same encoding discipline as the on-disk block store, pointed at a socket.
+/// same encoding discipline as the job codec, pointed at a socket.
 ///
 /// Every frame is
 ///
@@ -22,7 +22,7 @@ namespace hgp::net {
 ///   u64  checksum  io::fnv1a over the payload
 ///   ...  payload   type-specific binio fields (see net::Server/Client)
 ///
-/// Reader trust model is the block store's: every field is bounds-checked,
+/// Reader trust model is io::Reader's: every field is bounds-checked,
 /// corruption degrades to a structured status, and the payload of a frame
 /// whose checksum fails is never parsed. A checksum/payload failure is
 /// *recoverable* — the length prefix was honored, so the stream is still

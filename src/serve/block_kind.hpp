@@ -6,9 +6,9 @@ namespace hgp::serve {
 /// key on (gate name, physical qubits, exact parameters); pulse blocks key
 /// on the physical qubits plus the schedule's content fingerprint and
 /// duration. The cache treats both kinds uniformly — the kind only routes
-/// the per-kind hit/miss accounting (and tags the on-disk store records), so
-/// a sweep's stats show whether the expensive pulse-ODE compilations (the
-/// hybrid model's trainable mixer layers) are actually being shared.
+/// the per-kind hit/miss accounting, so a sweep's stats show whether the
+/// expensive pulse-ODE compilations (the hybrid model's trainable mixer
+/// layers) are actually being shared.
 enum class BlockKind { Gate, Pulse };
 
 }  // namespace hgp::serve

@@ -60,7 +60,6 @@ bool FairJobQueue::pop(std::function<void()>& out) {
 
 EvalService::EvalService(Options options)
     : cache_(std::make_shared<BlockCache>(options.cache_capacity)),
-      block_store_path_(std::move(options.block_store_path)),
       min_workers_(std::max<std::size_t>(1, options.min_workers)),
       max_workers_(options.max_workers),
       adapt_interval_(options.adapt_interval) {

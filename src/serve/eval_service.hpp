@@ -88,11 +88,6 @@ class EvalService : public opt::BatchDispatcher {
     std::size_t num_workers = 0;
     /// LRU bound of the shared compiled-block cache.
     std::size_t cache_capacity = 8192;
-    /// Non-empty = persistent compiled-block store shared by every run on
-    /// this service. The attach (load + write-through) happens lazily by the
-    /// first executor that runs — the store's backend fingerprint comes from
-    /// the device, which the service itself never sees.
-    std::string block_store_path;
     /// Adaptive pool: when max_workers > 0 a manager thread re-sizes the
     /// pool against the queue-depth/utilization signals the service already
     /// maintains — each adapt_interval tick with work still queued spawns
@@ -125,9 +120,6 @@ class EvalService : public opt::BatchDispatcher {
   /// on this service (inject via ExecutorOptions::block_cache).
   const std::shared_ptr<BlockCache>& block_cache() const { return cache_; }
   BlockCache::Stats cache_stats() const { return cache_->stats(); }
-  /// Configured persistent-store path ("" = in-memory only). Runs submitted
-  /// without their own store path inherit this one.
-  const std::string& block_store_path() const { return block_store_path_; }
 
   /// opt::BatchDispatcher: run all candidate tasks, possibly in parallel,
   /// and return when every one has finished. The first exception thrown by a
@@ -198,7 +190,6 @@ class EvalService : public opt::BatchDispatcher {
   Metrics metrics_;
 
   std::shared_ptr<BlockCache> cache_;
-  std::string block_store_path_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> candidates_;

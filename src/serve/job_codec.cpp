@@ -10,9 +10,6 @@
 //     *name* (dev->name(), or JobRequest::backend when dev is null); the
 //     reader leaves dev null and the receiving side resolves the name
 //     against its own preset registry.
-//   - RunConfig::block_store_path: persistent-store placement is the
-//     *server's* policy — a remote client must not steer another host's
-//     filesystem.
 //   - RunConfig::cancel: cancellation is a live channel (a wire Cancel
 //     frame, an in-process token), not request state.
 #include "serve/job.hpp"

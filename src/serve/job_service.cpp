@@ -264,9 +264,6 @@ void JobService::run_job(const std::shared_ptr<Job>& job) {
   // and oversubscribe the machine. Counts are bit-identical for any thread
   // count, so this changes scheduling only, never results.
   if (cfg.executor_threads == 0) cfg.executor_threads = 1;
-  // Jobs inherit the service-wide persistent store unless they bring their
-  // own; the first executor to construct attaches it to the shared cache.
-  if (cfg.block_store_path.empty()) cfg.block_store_path = service_.block_store_path();
   cfg.cancel = job->token();
 
   const auto started = std::chrono::steady_clock::now();

@@ -30,8 +30,7 @@ namespace hgp::serve {
 class JobService {
  public:
   /// The pool and shared-cache fields of EvalService::Options (worker count,
-  /// adaptive bounds, cache capacity, and a persistent block store shared by
-  /// every job), plus admission control.
+  /// adaptive bounds, cache capacity), plus admission control.
   struct Options : EvalService::Options {
     /// Admission control: maximum jobs waiting in the queue. A submit that
     /// finds the queue at the limit is rejected with QueueFull —

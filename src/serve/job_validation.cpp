@@ -106,6 +106,13 @@ JobError validate_job(const SweepJob& job) {
   if (job.kind != core::ModelKind::GateLevel && cfg.model.mixer_duration_dt < 1)
     return fail(JobErrorCode::BadModel,
                 label + ": mixer pulse duration must be >= 1 dt");
+  // The layout goes through the check QaoaModel::build itself runs, so the
+  // validator accepts exactly the layouts a model can be built on.
+  try {
+    core::check_initial_layout(cfg.model.initial_layout, n, *job.dev);
+  } catch (const Error& e) {
+    return fail(JobErrorCode::BadModel, label + ": " + e.what());
+  }
 
   return {};
 }

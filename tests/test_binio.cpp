@@ -114,19 +114,6 @@ TEST(BinIO, StringLengthBeyondPayloadFails) {
   EXPECT_EQ(s, "untouched");
 }
 
-TEST(BinIO, MatrixCountOverflowCannotDriveAllocation) {
-  // rows*cols sized to wrap any u32 product and to exceed remaining()/16 by
-  // orders of magnitude: the divide-based bound must reject it outright.
-  std::string bytes;
-  io::Writer w(bytes);
-  w.u32(0xFFFFFFFFu);
-  w.u32(0xFFFFFFFFu);
-  io::Reader r(bytes);
-  la::CMat m;
-  EXPECT_FALSE(r.mat(m));
-  EXPECT_FALSE(r.ok());
-}
-
 TEST(BinIO, Fnv1aIsStableAndBitSensitive) {
   const std::string payload = "HGPN payload bytes";
   EXPECT_EQ(io::fnv1a(payload), io::fnv1a(payload));

@@ -245,6 +245,22 @@ TEST(Models, InstantiateRejectsWrongParameterCount) {
   EXPECT_THROW(m.instantiate({0.1}), Error);
 }
 
+TEST(Models, BuildRejectsMalformedInitialLayout) {
+  const auto inst = graph::paper_task1();  // 6 qubits
+  core::ModelConfig cfg;
+  for (const std::vector<std::size_t>& layout :
+       {std::vector<std::size_t>{0, 1, 4, 7, 10, 4000},   // off the 27-qubit device
+        std::vector<std::size_t>{0, 0, 4, 7, 10, 12},     // physical qubit 0 twice
+        std::vector<std::size_t>{0, 1}}) {                // too few entries
+    cfg.initial_layout = layout;
+    // Both routers index the layout: greedy, and SABRE under Step II.
+    for (const bool sabre : {false, true}) {
+      cfg.gate_optimization = sabre;
+      EXPECT_THROW(QaoaModel::build(inst.graph, toronto(), ModelKind::Hybrid, cfg), Error);
+    }
+  }
+}
+
 TEST(Models, WorksOnGuadalupe16) {
   const auto inst = graph::paper_task3();  // 8 qubits
   const backend::FakeBackend dev = backend::make_guadalupe();

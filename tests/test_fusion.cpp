@@ -1,14 +1,12 @@
 // The timeline block-fusion pass: embedding/composition algebra, fused vs
 // unfused parity on every deterministic-unitary engine path, the noisy
 // engines' knob-is-a-no-op guarantee (bit-identical counts), bit-identity of
-// the bound candidate lanes against scalar fused runs, repeated runs and
-// BlockStore warm starts, and the shared transpile::PassStats reporting of
-// the cancellation pass.
+// the bound candidate lanes against scalar fused runs, repeated runs through
+// a shared block cache, and the shared transpile::PassStats reporting of the
+// cancellation pass.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -76,14 +74,12 @@ std::vector<std::vector<double>> spread_candidates(const std::vector<double>& x0
 }
 
 Executor make_executor(std::size_t fusion_width, bool noise = false,
-                       std::shared_ptr<serve::BlockCache> cache = nullptr,
-                       const std::string& store_path = {}) {
+                       std::shared_ptr<serve::BlockCache> cache = nullptr) {
   ExecutorOptions opts;
   opts.noise = noise;
   opts.num_threads = 1;
   opts.fusion_max_qubits = fusion_width;
   if (cache) opts.block_cache = std::move(cache);
-  opts.block_store_path = store_path;
   return Executor(toronto(), opts);
 }
 
@@ -360,7 +356,7 @@ TEST(FusionDelta, RepeatedBatchesReuseFusedBlocks) {
   EXPECT_EQ(first, second);
 }
 
-// ---- repeated runs and store warm start --------------------------------------
+// ---- repeated runs ------------------------------------------------------------
 
 TEST(FusionCache, SecondRunServesFusedBlocksFromCache) {
   const graph::Instance& inst = paper_instance();
@@ -374,35 +370,6 @@ TEST(FusionCache, SecondRunServesFusedBlocksFromCache) {
   const double a = ex.run_expectation(prog, 8, r0, spec);
   const double b = ex.run_expectation(prog, 8, r1, spec);
   EXPECT_EQ(a, b);
-}
-
-TEST(FusionCache, StoreWarmStartSkipsComposition) {
-  const graph::Instance& inst = paper_instance();
-  const core::QaoaModel model = paper_model();
-  const Program prog = model.instantiate(model.initial_parameters());
-  const ObjectiveSpec spec = cut_spec(inst.graph, ObjectiveKind::Expectation);
-  const std::string path = ::testing::TempDir() + "hgp_fusion_store.bin";
-  std::remove(path.c_str());
-
-  double cold = 0.0;
-  {
-    auto cache = std::make_shared<serve::BlockCache>(4096);
-    Executor ex = make_executor(2, false, cache, path);
-    Rng rng(2);
-    cold = ex.run_expectation(prog, 8, rng, spec);
-  }
-  // A fresh process: new cache, same store — every gate block comes off
-  // disk, and the fused groups compose from them.
-  {
-    auto cache = std::make_shared<serve::BlockCache>(4096);
-    Executor ex = make_executor(2, false, cache, path);
-    Rng rng(2);
-    const double warm = ex.run_expectation(prog, 8, rng, spec);
-    const auto s = cache->stats();
-    EXPECT_GT(s.store_hits, 0u);
-    EXPECT_EQ(warm, cold);  // store round trip is bit-exact
-  }
-  std::remove(path.c_str());
 }
 
 // ---- shared pass-report plumbing (cancellation dedupe) ----------------------

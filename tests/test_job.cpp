@@ -202,6 +202,17 @@ TEST(JobValidation, RejectsEachMalformation) {
   j.config.model.mixer_duration_dt = 0;
   EXPECT_EQ(code_of(j), JobErrorCode::BadModel);
 
+  // Initial layouts for the 6-vertex task on 27-qubit toronto: a physical
+  // qubit off the device, two virtual qubits on one physical qubit, and too
+  // few entries.
+  for (const std::vector<std::size_t>& layout :
+       {std::vector<std::size_t>{0, 1, 4, 7, 10, 4000},
+        std::vector<std::size_t>{0, 0, 4, 7, 10, 12}, std::vector<std::size_t>{0, 1}}) {
+    j = good_job("bad");
+    j.config.model.initial_layout = layout;
+    EXPECT_EQ(code_of(j), JobErrorCode::BadModel) << layout.size() << " entries";
+  }
+
   j = good_job("bad");
   j.tenant = "";
   EXPECT_EQ(code_of(j), JobErrorCode::BadTenant);
@@ -435,8 +446,12 @@ TEST(JobService, RejectedSubmitResolvesImmediately) {
   bad_optimizer.config.optimizer = "bogus";
   SweepJob null_dev = good_job("null-dev");
   null_dev.dev = nullptr;  // used to be a hard HGP_REQUIRE (or worse, a segfault)
+  SweepJob off_device = good_job("off-device");
+  off_device.config.model.initial_layout = {0, 1, 4, 7, 10, 4000};  // once a heap overflow
   const std::pair<SweepJob, JobErrorCode> cases[] = {
-      {bad_optimizer, JobErrorCode::BadOptimizer}, {null_dev, JobErrorCode::NullBackend}};
+      {bad_optimizer, JobErrorCode::BadOptimizer},
+      {null_dev, JobErrorCode::NullBackend},
+      {off_device, JobErrorCode::BadModel}};
   for (const auto& [job, code] : cases) {
     SCOPED_TRACE(job.label);
     JobHandle h = svc.submit(JobRequest{job});

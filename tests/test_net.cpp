@@ -198,6 +198,25 @@ TEST(NetLoopback, UnknownBackendNameIsRejectedNotCrashed) {
   EXPECT_NE(submitted.error.message.find("ibmq_atlantis"), std::string::npos);
 }
 
+TEST(NetLoopback, MalformedLayoutIsRejectedNotCrashed) {
+  // The layout travels as raw u32s: the server must reject an entry off the
+  // device, a repeated entry and a short layout at submit, before any model
+  // is built on them.
+  net::Server server(loopback_options());
+  net::Client client("127.0.0.1", server.port());
+  for (const std::vector<std::size_t>& layout :
+       {std::vector<std::size_t>{0, 1, 4, 7, 10, 4000},
+        std::vector<std::size_t>{0, 0, 4, 7, 10, 12}, std::vector<std::size_t>{0, 1}}) {
+    serve::JobRequest bad = wire_request("net/bad-layout");
+    bad.run.config.model.initial_layout = layout;
+    const auto submitted = client.submit(bad);
+    EXPECT_FALSE(submitted.accepted());
+    EXPECT_EQ(submitted.state, serve::JobState::Rejected);
+    EXPECT_EQ(submitted.error.code, serve::JobErrorCode::BadModel);
+    EXPECT_NE(submitted.error.message.find("initial layout"), std::string::npos);
+  }
+}
+
 TEST(NetLoopback, RunAsyncResolvesWithOutcome) {
   net::Server server(loopback_options());
   net::Client::Options options;

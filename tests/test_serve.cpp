@@ -5,7 +5,6 @@
 // through one JobService matches sequential execution exactly.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <future>
 #include <memory>
 #include <set>
@@ -114,6 +113,28 @@ TEST(BlockCache, LruEvictsOldestAndCountsStats) {
   EXPECT_NEAR(s.hit_rate(), 0.6, 1e-12);
 }
 
+TEST(BlockCache, ReinsertReplacesBlockAndRefreshesLru) {
+  serve::BlockCache cache(2);
+  core::CompiledBlock block;
+  block.duration_dt = 1;
+  cache.insert("a", block);
+  cache.insert("b", block);
+  // Re-inserting a resident key (two workers raced to compile it) replaces
+  // the block in place and makes it the most recent: no growth, no eviction.
+  block.duration_dt = 2;
+  cache.insert("a", block);
+  const auto a = cache.find("a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->duration_dt, 2);
+  EXPECT_EQ(cache.stats().size, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  cache.insert("c", block);  // evicts the LRU entry "b", not the re-inserted "a"
+  EXPECT_EQ(cache.find("b"), nullptr);
+  EXPECT_NE(cache.find("a"), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
 TEST(BlockCache, ExecutorHitsOnReboundBlocksAndSharesAcrossExecutors) {
   auto cache = std::make_shared<serve::BlockCache>(256);
   ExecutorOptions opts;
@@ -209,21 +230,6 @@ TEST(BlockCache, ConcurrentEvictionKeepsKeysValid) {
   for (int i = 0; i < kKeys; ++i)
     if (cache.find(key_of(i)) != nullptr) resident.push_back(i);
   ASSERT_EQ(resident.size(), 8u);
-
-  // A save/load round trip returns exactly the resident keys.
-  const std::string path = ::testing::TempDir() + "hgp_concurrent_eviction.bin";
-  std::remove(path.c_str());
-  EXPECT_EQ(cache.save(path, 1u), 8u);
-  serve::BlockCache loaded(kKeys);
-  EXPECT_EQ(loaded.load(path, 1u).loaded, 8u);
-  std::vector<int> reloaded;
-  for (int i = 0; i < kKeys; ++i)
-    if (const auto block = loaded.find(key_of(i))) {
-      EXPECT_EQ(block->duration_dt, i);
-      reloaded.push_back(i);
-    }
-  EXPECT_EQ(reloaded, resident);
-  std::remove(path.c_str());
 }
 
 namespace {

@@ -18,16 +18,9 @@ against the committed baselines in bench/baselines/ and fails (exit 1) if:
 A markdown delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set,
 into the job summary.
 
-The --require-warm-store mode instead checks a single BENCH_pulse.json from
-a store-backed run: the run must have warm-started from the persistent
-block store with a >= 95% store hit rate, zero pulse compilations, and
-bit-identical counts -- the cross-process cache acceptance gate.
-
 Usage:
   tools/check_bench.py [--baseline-dir bench/baselines] [--current-dir build]
                        [--tol 0.5]
-  tools/check_bench.py --require-warm-store build/BENCH_pulse.json
-                       [--min-store-hit-rate 0.95]
 """
 
 import argparse
@@ -156,42 +149,6 @@ def check_baselines(baseline_dir, current_dir, tol):
     return failures
 
 
-def check_warm_store(path, min_hit_rate):
-    failures = []
-    try:
-        doc = load(path)
-    except (OSError, ValueError) as err:
-        emit_summary([f"## Warm-start smoke", "", f"cannot read {path}: {err}"])
-        return [f"cannot read {path}: {err}"]
-    store = doc.get("store", {})
-    checks = [
-        ("store.enabled", store.get("enabled") is True,
-         "run was not store-backed (HGP_BLOCK_STORE unset?)"),
-        ("store.warm_start", store.get("warm_start") is True,
-         "no records were loaded -- the restored store did not warm-start"),
-        ("store.store_hit_rate", store.get("store_hit_rate", 0) >= min_hit_rate,
-         f"store hit rate {store.get('store_hit_rate')} < {min_hit_rate}"),
-        ("store.pulse_misses", store.get("pulse_misses") == 0,
-         f"warm run still compiled {store.get('pulse_misses')} pulse blocks"),
-        ("store.bit_identical", store.get("bit_identical") is True,
-         "store-warmed counts differ from a cold run"),
-        ("bit_identical", doc.get("bit_identical") is True,
-         "overall bit-identical flag is false"),
-    ]
-    lines = ["## Warm-start smoke (persistent block store)", "",
-             "| check | value | status |", "|---|---|---|"]
-    for name, ok, why in checks:
-        value = store.get(name.split(".", 1)[1]) if name.startswith("store.") \
-            else doc.get(name)
-        lines.append(f"| {name} | {json.dumps(value)} | {'✅' if ok else '❌'} |")
-        if not ok:
-            failures.append(why)
-    if failures:
-        lines += ["", "**Failures:**"] + [f"- {f}" for f in failures]
-    emit_summary(lines)
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default="bench/baselines")
@@ -199,15 +156,9 @@ def main():
     parser.add_argument("--tol", type=float,
                         default=float(os.environ.get("BENCH_TOL", "0.5")),
                         help="allowed fractional drop below the baseline speedup")
-    parser.add_argument("--require-warm-store", metavar="BENCH_PULSE_JSON",
-                        help="check a store-backed BENCH_pulse.json warm run instead")
-    parser.add_argument("--min-store-hit-rate", type=float, default=0.95)
     args = parser.parse_args()
 
-    if args.require_warm_store:
-        failures = check_warm_store(args.require_warm_store, args.min_store_hit_rate)
-    else:
-        failures = check_baselines(args.baseline_dir, args.current_dir, args.tol)
+    failures = check_baselines(args.baseline_dir, args.current_dir, args.tol)
 
     if failures:
         for failure in failures:
