@@ -15,17 +15,20 @@
 
 namespace hgp::benchutil {
 
+/// A 15-vertex simple path through ibmq_toronto's heavy-hex 27 coupling
+/// map: consecutive entries are coupled, so a line of up to 15 qubits placed
+/// along it routes without SWAPs.
+inline const std::vector<std::size_t> kTorontoChain = {6,  7,  4,  1,  2,  3,  5, 8,
+                                                       11, 14, 13, 12, 15, 18, 17};
+
 /// A representative machine-in-loop program for executor timing: an n-qubit
-/// GHZ-style ladder along a heavy-hex path of ibmq_toronto, in the native
-/// basis plus an RZ frame per qubit (exercises the virtual-RZ folding and
-/// the pulse-compiled SX/CX blocks). n <= 15.
+/// GHZ-style ladder along kTorontoChain, in the native basis plus an RZ
+/// frame per qubit (exercises the virtual-RZ folding and the pulse-compiled
+/// SX/CX blocks). n <= 15.
 inline core::Program toronto_ladder_program(std::size_t n) {
-  // A 15-vertex simple path through the heavy-hex 27 coupling map.
-  static const std::vector<std::size_t> chain = {6,  7,  4,  1,  2,  3,  5, 8,
-                                                 11, 14, 13, 12, 15, 18, 17};
   core::Program prog;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t q = chain[i];
+    const std::size_t q = kTorontoChain[i];
     prog.ops.push_back(core::ExecOp::from_gate(
         qc::Op{qc::GateKind::RZ, {q}, {qc::Param::constant(0.3 + 0.01 * i)}}));
     prog.ops.push_back(core::ExecOp::from_gate(qc::Op{qc::GateKind::SX, {q}, {}}));
@@ -33,9 +36,9 @@ inline core::Program toronto_ladder_program(std::size_t n) {
         qc::Op{qc::GateKind::RZ, {q}, {qc::Param::constant(-0.2)}}));
   }
   for (std::size_t i = 0; i + 1 < n; ++i)
-    prog.ops.push_back(
-        core::ExecOp::from_gate(qc::Op{qc::GateKind::CX, {chain[i], chain[i + 1]}, {}}));
-  for (std::size_t i = 0; i < n; ++i) prog.measure_qubits.push_back(chain[i]);
+    prog.ops.push_back(core::ExecOp::from_gate(
+        qc::Op{qc::GateKind::CX, {kTorontoChain[i], kTorontoChain[i + 1]}, {}}));
+  for (std::size_t i = 0; i < n; ++i) prog.measure_qubits.push_back(kTorontoChain[i]);
   return prog;
 }
 

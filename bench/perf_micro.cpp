@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the performance-critical kernels:
 // statevector gate application (specialized vs dense reference), the
-// executor's trajectory/density engines, pulse-propagator stepping, SABRE
-// routing, M3 mitigation solves, and the Hermitian eigensolver.
+// executor's trajectory/density engines and candidate-lane batches,
+// pulse-propagator stepping, SABRE routing, M3 mitigation solves, and the
+// Hermitian eigensolver.
 #include <benchmark/benchmark.h>
 
 #include "backend/presets.hpp"
@@ -344,9 +345,13 @@ BENCHMARK(BM_LanesExpectationBatched)->Args({12, 16});
 // ---- executor engines: the per-evaluation hot path --------------------------
 
 static void BM_ExecutorTrajectory(benchmark::State& state) {
+  // Args: qubits, threads (0 = hardware concurrency), lanes per group. The
+  // 12q one-thread pair at lanes 1 and 16 is the lockstep engine's speedup
+  // over one-lane groups; the counts are bit-identical at every width.
   const backend::FakeBackend dev = backend::make_toronto();
   core::ExecutorOptions opts;
   opts.num_threads = static_cast<std::size_t>(state.range(1));
+  opts.shot_batch_lanes = static_cast<std::size_t>(state.range(2));
   core::Executor ex(dev, opts);
   const core::Program prog = toronto_ladder_program(static_cast<std::size_t>(state.range(0)));
   Rng rng(17);
@@ -355,14 +360,15 @@ static void BM_ExecutorTrajectory(benchmark::State& state) {
   // actually exercise multi-threaded batch scheduling.
   for (auto _ : state) benchmark::DoNotOptimize(ex.run(prog, 1024, rng));
   state.SetLabel(std::to_string(state.range(0)) + "q, threads=" +
-                 std::to_string(state.range(1)));
+                 std::to_string(state.range(1)) + ", lanes=" + std::to_string(state.range(2)));
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_ExecutorTrajectory)
-    ->Args({12, 1})
-    ->Args({12, 0})
-    ->Args({14, 1})
-    ->Args({14, 0})
+    ->Args({12, 1, 1})
+    ->Args({12, 1, 16})
+    ->Args({12, 0, 16})
+    ->Args({14, 1, 16})
+    ->Args({14, 0, 16})
     ->Unit(benchmark::kMillisecond);
 
 static void BM_ExecutorExactDensity(benchmark::State& state) {
@@ -427,6 +433,73 @@ static void BM_ExecutorBoundRun6q(benchmark::State& state) {
   state.SetLabel(std::to_string(moved.front().ops.size()) + " ops");
 }
 BENCHMARK(BM_ExecutorBoundRun6q)->Unit(benchmark::kMicrosecond);
+
+// ---- candidate lanes: an optimizer batch bound to one template -------------
+//
+// K moved-θ candidates of a 12-node weighted path at p = 2, placed along
+// kTorontoChain, bound to the template of the initial point and evaluated
+// noiseless on one thread. The scalar row runs K run_expectation calls, the
+// lanes row one run_expectation_batch that evolves the K candidates as lanes
+// of one batched statevector; both return the same values bit for bit.
+
+namespace {
+
+template <typename Evaluate>
+void candidates_bench(benchmark::State& state, Evaluate evaluate) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kNodes = 12;
+  const backend::FakeBackend dev = backend::make_toronto();
+  graph::Graph g(kNodes);
+  for (std::size_t i = 0; i + 1 < kNodes; ++i)
+    g.add_edge(i, i + 1, 1.0 + 0.1 * static_cast<double>(i % 3));
+  core::ModelConfig mcfg;
+  mcfg.p = 2;
+  mcfg.initial_layout.assign(benchutil::kTorontoChain.begin(),
+                             benchutil::kTorontoChain.begin() + kNodes);
+  const core::QaoaModel model =
+      core::QaoaModel::build(g, dev, core::ModelKind::GateLevel, mcfg);
+  const std::vector<double> x0 = model.initial_parameters();
+  std::vector<core::Program> candidates;
+  for (std::size_t c = 0; c < k; ++c) {
+    std::vector<double> x = x0;
+    for (std::size_t j = 0; j < x.size(); ++j)
+      x[j] += 0.01 * static_cast<double>(c) - 0.005 * static_cast<double>(j);
+    candidates.push_back(model.instantiate(x));
+  }
+  core::ObjectiveSpec spec;
+  spec.value = [&g](std::uint64_t bits) { return g.cut_value(bits); };
+  core::ExecutorOptions opts;
+  opts.noise = false;
+  opts.num_threads = 1;
+  core::Executor ex(dev, opts);
+  const auto tmpl = ex.compile(model.instantiate(x0));
+  evaluate(ex, *tmpl, candidates, spec);  // warm the block cache outside the timed region
+  for (auto _ : state) evaluate(ex, *tmpl, candidates, spec);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
+  state.SetLabel(std::to_string(k) + " candidates");
+}
+
+}  // namespace
+
+static void BM_CandidatesScalar(benchmark::State& state) {
+  candidates_bench(state, [](core::Executor& ex, const core::ProgramTemplate& tmpl,
+                             const std::vector<core::Program>& candidates,
+                             const core::ObjectiveSpec& spec) {
+    Rng rng(31);  // untouched by noiseless run_expectation
+    for (const core::Program& p : candidates)
+      benchmark::DoNotOptimize(ex.run_expectation(tmpl, p, 1, rng, spec));
+  });
+}
+BENCHMARK(BM_CandidatesScalar)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+static void BM_CandidatesLanes(benchmark::State& state) {
+  candidates_bench(state, [](core::Executor& ex, const core::ProgramTemplate& tmpl,
+                             const std::vector<core::Program>& candidates,
+                             const core::ObjectiveSpec& spec) {
+    benchmark::DoNotOptimize(ex.run_expectation_batch(tmpl, candidates, spec));
+  });
+}
+BENCHMARK(BM_CandidatesLanes)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 static void BM_StatevectorCx(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       core::RunConfig cfg;
       cfg.max_evaluations = evals;
       cfg.optimizer = optimizer;
-      cfg.executor_threads = 1;  // the service pool provides the parallelism
       jobs.push_back(
           {{core::model_name(kind) + "/" + optimizer, instance, &dev, kind, cfg}});
     }

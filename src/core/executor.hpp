@@ -68,7 +68,8 @@ struct ObjectiveSpec {
 };
 
 /// Default lockstep width of the batched trajectory engine — the sweet spot
-/// measured by bench_shotloop_timing at 12-14 qubits on one core.
+/// at 12-14 qubits on one core (perf_micro's BM_ExecutorTrajectory rows time
+/// it against one-lane groups).
 inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 
 /// Register caps: the most touched qubits a program may have on the

@@ -39,9 +39,6 @@ struct ExecOp {
 struct Program {
   std::vector<ExecOp> ops;
   std::vector<std::size_t> measure_qubits;
-
-  /// Total drive-pulse count of the pulse blocks (reported in ablations).
-  std::size_t pulse_block_play_count() const;
 };
 
 }  // namespace hgp::core

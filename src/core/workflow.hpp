@@ -50,7 +50,8 @@ struct RunConfig {
   /// evaluation, <= 10 active qubits, no trajectory sampling noise).
   std::string engine = "trajectory";
   /// Worker threads of the trajectory shot loop (0 = hardware concurrency).
-  /// Counts are bit-identical for every value.
+  /// Counts are bit-identical for every value. serve::JobService ignores it
+  /// and runs every job's shot loop on the worker thread.
   std::size_t executor_threads = 0;
   /// Lockstep width of the trajectory engine (0 and 1 both run one-lane
   /// groups; see ExecutorOptions::shot_batch_lanes). Counts are

@@ -49,10 +49,6 @@ class BlockCache {
       const std::uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
-    double pulse_hit_rate() const {
-      const std::uint64_t total = pulse_hits + pulse_misses;
-      return total == 0 ? 0.0 : static_cast<double>(pulse_hits) / static_cast<double>(total);
-    }
   };
 
   explicit BlockCache(std::size_t capacity = 4096);

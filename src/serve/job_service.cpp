@@ -259,11 +259,11 @@ void JobService::run_job(const std::shared_ptr<Job>& job) {
 
   const SweepJob& run = job->request().run;
   core::RunConfig cfg = run.config;
-  // The pool provides the parallelism: a default thread count (0 = hardware
-  // concurrency) would nest a full trajectory shot pool inside every worker
-  // and oversubscribe the machine. Counts are bit-identical for any thread
+  // The pool provides the parallelism: any other thread count would start
+  // that many shot-loop threads per evaluation inside every worker and
+  // oversubscribe the machine. Counts are bit-identical for any thread
   // count, so this changes scheduling only, never results.
-  if (cfg.executor_threads == 0) cfg.executor_threads = 1;
+  cfg.executor_threads = 1;
   cfg.cancel = job->token();
 
   const auto started = std::chrono::steady_clock::now();

@@ -26,7 +26,9 @@ namespace hgp::serve {
 /// runs themselves are ordinary run_qaoa calls on the shared worker pool and
 /// compiled-block cache — so every job of a grid shares compiled blocks, and
 /// jobs that complete normally are bit-identical to the same SweepJob run
-/// alone, for any worker count.
+/// alone, for any worker count. The pool is the parallelism: a job's
+/// RunConfig::executor_threads is ignored, and its shot loop runs on the
+/// worker thread that runs the job.
 class JobService {
  public:
   /// The pool and shared-cache fields of EvalService::Options (worker count,

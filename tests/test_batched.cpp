@@ -89,12 +89,13 @@ la::CMat rotation(double theta) {
 
 TEST(BatchedTrajectories, CountsBitIdenticalToOneLaneAcrossLaneCounts) {
   // 600 shots span two full 256-shot thread batches plus a partial tail, so
-  // lane counts that do not divide the batch exercise tail lane groups too.
+  // lane counts that do not divide the batch exercise tail lane groups too;
+  // 16 is the engine's default width.
   const Program prog = ladder_program(5);
   auto cache = std::make_shared<serve::BlockCache>(256);
   const sim::Counts reference = run_with(prog, 1, 1, 600, 123, cache);
   EXPECT_EQ(total_shots(reference), 600u);
-  for (std::size_t lanes : {4u, 7u, 32u}) {
+  for (std::size_t lanes : {4u, 7u, 16u, 32u}) {
     const sim::Counts counts = run_with(prog, lanes, 1, 600, 123, cache);
     EXPECT_EQ(counts, reference) << "lanes=" << lanes;
   }

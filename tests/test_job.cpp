@@ -21,6 +21,7 @@
 #include "graph/instances.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "serve/eval_service.hpp"
 #include "serve/job.hpp"
 #include "serve/job_service.hpp"
@@ -479,6 +480,33 @@ TEST(JobService, CompletedJobsBitIdenticalToPlainRunForAnyWorkerCount) {
     ASSERT_EQ(outcome.state, JobState::Completed);
     expect_same_result(outcome.result, inline_result);
   }
+}
+
+TEST(JobService, ShotLoopRunsOnTheWorkerThread) {
+  // The pool is the parallelism: a job asking for 4 shot-loop threads must
+  // still evolve every lane group on its worker, inside the executor.run
+  // span open there. A spawned shot thread has no open span, so its
+  // lane-group spans would record as roots.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Tracer::global().clear();
+  SweepJob job = good_job("threads");
+  job.config.shots = 1024;  // 4 shot batches: enough for 4 threads
+  job.config.executor_threads = 4;
+  JobService svc(JobService::Options{1, 1024});
+  const JobOutcome outcome = svc.submit(JobRequest{job}).outcome.get();
+  obs::set_enabled(was_enabled);
+  ASSERT_EQ(outcome.state, JobState::Completed);
+
+  std::size_t lane_spans = 0, roots = 0;
+  for (const obs::SpanRecord& r : obs::Tracer::global().snapshot()) {
+    if (std::string(r.name) != "executor.lane_evolve") continue;
+    ++lane_spans;
+    if (r.parent == 0) ++roots;
+  }
+  EXPECT_GT(lane_spans, 0u);
+  EXPECT_EQ(roots, 0u) << roots << " of " << lane_spans
+                       << " lane groups evolved off the worker thread";
 }
 
 // ---------------------------------------------------------------------------

@@ -399,14 +399,16 @@ TEST(Serve, RunQaoaBitIdenticalForAnyWorkerCount) {
 }
 
 TEST(Serve, SweepMatchesSequentialExecutionBitExactly) {
+  // Two tenants, so the fair-share scheduler rotates between them; the
+  // dispatch order must not reach any job's result.
   const backend::FakeBackend& dev = toronto();
   std::vector<serve::JobRequest> jobs;
   jobs.push_back({{"t1-gate-cobyla", graph::paper_task1(), &dev,
-                   core::ModelKind::GateLevel, tiny_config("cobyla")}});
+                   core::ModelKind::GateLevel, tiny_config("cobyla"), "tenant-a"}});
   jobs.push_back({{"t1-hybrid-spsa", graph::paper_task1(), &dev, core::ModelKind::Hybrid,
-                   tiny_config("spsa")}});
+                   tiny_config("spsa"), "tenant-b"}});
   jobs.push_back({{"t2-gate-nm", graph::paper_task2(), &dev, core::ModelKind::GateLevel,
-                   tiny_config("neldermead")}});
+                   tiny_config("neldermead"), "tenant-a"}});
 
   std::vector<core::RunResult> sequential;
   for (const serve::JobRequest& request : jobs)
