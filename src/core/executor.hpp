@@ -27,7 +27,7 @@ enum class Engine {
   /// RNG stream derived from one parent draw, so counts are bit-identical
   /// regardless of worker-thread count or lane-batch width.
   Trajectory,
-  /// One exact density-matrix pass with Kraus channels — no shot loop at
+  /// One exact density-matrix pass with exact channels — no shot loop at
   /// all. Exact statistics for small registers (<= 10 active qubits).
   ExactDensity,
 };
@@ -77,7 +77,7 @@ inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 /// the exact density engine. Executor::compile enforces them; serve's job
 /// validation checks them before any executor exists.
 inline constexpr std::size_t kMaxTrajectoryQubits = 14;
-inline constexpr std::size_t kMaxDensityQubits = 10;
+inline constexpr std::size_t kMaxDensityQubits = sim::DensityMatrix::kMaxQubits;
 
 struct ExecutorOptions {
   /// Master switch: false = ideal (noiseless, exact gate matrices).

@@ -101,11 +101,15 @@ JobError validate_job(const SweepJob& job) {
     return fail(JobErrorCode::BadCvarAlpha,
                 label + ": cvar_alpha must lie in (0, 1]");
 
-  if (cfg.model.p < 1)
-    return fail(JobErrorCode::BadModel, label + ": model depth p must be >= 1");
-  if (job.kind != core::ModelKind::GateLevel && cfg.model.mixer_duration_dt < 1)
+  if (cfg.model.p < 1 || cfg.model.p > kMaxDepth)
     return fail(JobErrorCode::BadModel,
-                label + ": mixer pulse duration must be >= 1 dt");
+                label + ": model depth p " + std::to_string(cfg.model.p) + " outside [1, " +
+                    std::to_string(kMaxDepth) + "]");
+  if (job.kind != core::ModelKind::GateLevel &&
+      (cfg.model.mixer_duration_dt < 1 || cfg.model.mixer_duration_dt > kMaxMixerDurationDt))
+    return fail(JobErrorCode::BadModel,
+                label + ": mixer pulse duration " + std::to_string(cfg.model.mixer_duration_dt) +
+                    " dt outside [1, " + std::to_string(kMaxMixerDurationDt) + "]");
   // The layout goes through the check QaoaModel::build itself runs, so the
   // validator accepts exactly the layouts a model can be built on.
   try {

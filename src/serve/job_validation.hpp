@@ -11,6 +11,12 @@ namespace hgp::serve {
 inline constexpr std::size_t kMaxShots = std::size_t{1} << 26;  // 67M
 inline constexpr int kMaxEvaluations = 1 << 20;
 inline constexpr std::size_t kMaxLanes = 4096;
+/// Model-size caps. A QAOA model is built (p layers transpiled) and its mixer
+/// walked through the pulse ODE before run_qaoa first polls the cancel
+/// token, so neither a cancel nor a deadline bounds that work: the size
+/// itself must. Every caller runs p <= 2 and mixers of <= 320 dt.
+inline constexpr int kMaxDepth = 64;
+inline constexpr int kMaxMixerDurationDt = 1 << 14;
 
 /// Validate a run request without touching a backend, model, or executor.
 /// Returns {None, ""} when the job is well-formed; otherwise the first

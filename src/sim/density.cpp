@@ -5,18 +5,37 @@
 
 #include "common/error.hpp"
 #include "noise/channels.hpp"
+#include "sim/kernel_structure.hpp"
 
 namespace hgp::sim {
 
 using la::cxd;
 using la::CMat;
 
-DensityMatrix::DensityMatrix(std::size_t num_qubits)
-    : num_qubits_(num_qubits),
-      rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits) {
-  HGP_REQUIRE(num_qubits <= 10, "DensityMatrix: too many qubits for a dense matrix");
-  rho_(0, 0) = 1.0;
+namespace {
+
+std::size_t vector_width(std::size_t num_qubits) {
+  HGP_REQUIRE(num_qubits <= DensityMatrix::kMaxQubits,
+              "DensityMatrix: too many qubits for a dense matrix");
+  return 2 * num_qubits;
 }
+
+/// The column qubits (q + n) of distinct row qubits q of an n-qubit rho.
+std::vector<std::size_t> columns_of(const std::vector<std::size_t>& qubits, std::size_t n) {
+  std::vector<std::size_t> columns;
+  for (std::size_t q : qubits) {
+    HGP_REQUIRE(q < n, "DensityMatrix: qubit out of range");
+    HGP_REQUIRE(std::count(qubits.begin(), qubits.end(), q) == 1,
+                "DensityMatrix: duplicate qubit");
+    columns.push_back(q + n);
+  }
+  return columns;
+}
+
+}  // namespace
+
+DensityMatrix::DensityMatrix(std::size_t num_qubits)
+    : num_qubits_(num_qubits), vec_(vector_width(num_qubits)) {}
 
 DensityMatrix DensityMatrix::from_amplitudes(const la::CVec& amplitudes) {
   std::size_t n = 0;
@@ -24,107 +43,76 @@ DensityMatrix DensityMatrix::from_amplitudes(const la::CVec& amplitudes) {
   HGP_REQUIRE((std::size_t{1} << n) == amplitudes.size(),
               "DensityMatrix: amplitude count is not a power of two");
   DensityMatrix dm(n);
-  for (std::size_t i = 0; i < amplitudes.size(); ++i)
-    for (std::size_t j = 0; j < amplitudes.size(); ++j)
-      dm.rho_(i, j) = amplitudes[i] * std::conj(amplitudes[j]);
+  la::CVec& v = dm.vec_.data();
+  for (std::uint64_t r = 0; r < amplitudes.size(); ++r)
+    for (std::uint64_t c = 0; c < amplitudes.size(); ++c) {
+      const la::Cx z = la::to_cx(amplitudes[r]) * la::to_cx(std::conj(amplitudes[c]));
+      v[r | c << n] = cxd{z.r, z.i};
+    }
   return dm;
 }
 
 void DensityMatrix::apply_matrix(const CMat& u, const std::vector<std::size_t>& qubits) {
-  apply_kraus({u}, qubits);
-}
-
-void DensityMatrix::apply_kraus(const std::vector<CMat>& kraus,
-                                const std::vector<std::size_t>& qubits) {
-  // In-place block-partitioned update. rho' = Σ_k K rho K† with K acting on
-  // `qubits` couples only entries that agree on every *other* qubit, so rho
-  // decomposes into independent m x m blocks (m = 2^k) indexed by the rest
-  // bits — each block transforms in place with two small matrix products.
-  // O(4^n · |K| · m) work and O(m²) scratch, vs the dense-lift formulation's
-  // O(8^n) products and O(4^n) temporaries per operator.
-  HGP_REQUIRE(!kraus.empty(), "apply_kraus: empty Kraus set");
-  const std::size_t k = qubits.size();
-  const std::size_t m = std::size_t{1} << k;
-  for (const CMat& op : kraus)
-    HGP_REQUIRE(op.rows() == m && op.cols() == m, "apply_kraus: operator size mismatch");
-
-  // offset[sub] spreads a k-bit sub-index onto the qubit positions
-  // (qubits[j] carries bit j — first listed qubit is the LSB).
-  std::uint64_t mask = 0;
-  std::vector<std::uint64_t> offset(m, 0);
-  for (std::size_t j = 0; j < k; ++j) {
-    HGP_REQUIRE(qubits[j] < num_qubits_, "apply_kraus: qubit out of range");
-    const std::uint64_t bit = std::uint64_t{1} << qubits[j];
-    HGP_REQUIRE((mask & bit) == 0, "apply_kraus: duplicate qubit");
-    mask |= bit;
-  }
-  for (std::size_t sub = 0; sub < m; ++sub)
-    for (std::size_t j = 0; j < k; ++j)
-      if ((sub >> j) & 1) offset[sub] |= std::uint64_t{1} << qubits[j];
-
-  const std::uint64_t dim = rho_.rows();
-  std::vector<cxd> block(m * m), tmp(m * m), out(m * m);
-  for (std::uint64_t rb = 0; rb < dim; ++rb) {
-    if (rb & mask) continue;
-    for (std::uint64_t cb = 0; cb < dim; ++cb) {
-      if (cb & mask) continue;
-      for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < m; ++j)
-          block[i * m + j] = rho_(rb | offset[i], cb | offset[j]);
-      std::fill(out.begin(), out.end(), cxd{0.0, 0.0});
-      for (const CMat& op : kraus) {
-        // tmp = K · block, then out += tmp · K†.
-        for (std::size_t a = 0; a < m; ++a)
-          for (std::size_t j = 0; j < m; ++j) {
-            cxd s{0.0, 0.0};
-            for (std::size_t i = 0; i < m; ++i) s += op(a, i) * block[i * m + j];
-            tmp[a * m + j] = s;
-          }
-        for (std::size_t a = 0; a < m; ++a)
-          for (std::size_t b = 0; b < m; ++b) {
-            cxd s{0.0, 0.0};
-            for (std::size_t j = 0; j < m; ++j) s += tmp[a * m + j] * std::conj(op(b, j));
-            out[a * m + b] += s;
-          }
-      }
-      for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < m; ++j)
-          rho_(rb | offset[i], cb | offset[j]) = out[i * m + j];
-    }
-  }
+  const std::vector<std::size_t> columns = columns_of(qubits, num_qubits_);
+  vec_.apply_matrix(u, qubits);
+  vec_.apply_matrix(u.conj(), columns);
 }
 
 void DensityMatrix::apply_depolarizing(const std::vector<std::size_t>& qubits, double p) {
   HGP_REQUIRE(p >= 0.0 && p <= 1.0, "apply_depolarizing: bad probability");
   if (p == 0.0) return;
+  // Σ_P P rho P over all d² Paulis of the qubits is d · Tr_Q(rho) ⊗ I, so
+  // rho' = (1 - p d²/(d²-1)) rho + p d/(d²-1) Tr_Q(rho) ⊗ I. Each block of
+  // entries that differ only on the qubits' row and column bits scales, and
+  // its diagonal gains its own trace.
   const std::size_t k = qubits.size();
-  const int paulis = 1 << (2 * static_cast<int>(k));
-  std::vector<CMat> kraus;
-  kraus.reserve(static_cast<std::size_t>(paulis));
-  for (int pick = 0; pick < paulis; ++pick) {
-    CMat op = CMat::identity(1);
-    for (std::size_t j = k; j-- > 0;) {
-      const int pj = (pick >> (2 * j)) & 3;
-      op = la::kron(op, la::pauli_matrix(static_cast<la::Pauli>(pj)));
-    }
-    const double weight = pick == 0 ? 1.0 - p : p / (paulis - 1);
-    kraus.push_back(op * cxd{std::sqrt(weight), 0.0});
-  }
-  apply_kraus(kraus, qubits);
+  const std::size_t d = std::size_t{1} << k;
+  const double d2 = static_cast<double>(d * d);
+  const double keep = 1.0 - p * d2 / (d2 - 1.0);
+  const double mix = p * static_cast<double>(d) / (d2 - 1.0);
+  std::vector<std::size_t> bits(qubits);
+  for (std::size_t c : columns_of(qubits, num_qubits_)) bits.push_back(c);
+  // off[a | b << k] = the offset of (row a, column b) on the qubits; the
+  // block diagonal (s, s) sits at s * (d + 1).
+  std::vector<std::uint64_t> off(d * d);
+  detail::sub_offsets(bits, off.data());
+  la::CVec& v = vec_.data();
+  detail::for_each_base(v.size(), bits, [&](std::uint64_t i) {
+    cxd tr{0.0, 0.0};
+    for (std::size_t s = 0; s < d; ++s) tr += v[i | off[s * (d + 1)]];
+    for (const std::uint64_t o : off) v[i | o] *= keep;
+    for (std::size_t s = 0; s < d; ++s) v[i | off[s * (d + 1)]] += mix * tr;
+  });
 }
 
 void DensityMatrix::apply_amplitude_damping(std::size_t q, double gamma) {
   HGP_REQUIRE(gamma >= 0.0 && gamma <= 1.0, "apply_amplitude_damping: bad gamma");
-  const CMat k0{{1, 0}, {0, std::sqrt(1.0 - gamma)}};
-  const CMat k1{{0, std::sqrt(gamma)}, {0, 0}};
-  apply_kraus({k0, k1}, {q});
+  HGP_REQUIRE(q < num_qubits_, "apply_amplitude_damping: qubit out of range");
+  // K0 = diag(1, sqrt(1-γ)), K1 = sqrt(γ)|0><1|: the excited population
+  // decays into the ground one and the coherences shrink by sqrt(1-γ).
+  const std::uint64_t row = std::uint64_t{1} << q, col = row << num_qubits_;
+  const double keep = std::sqrt(1.0 - gamma);
+  la::CVec& v = vec_.data();
+  detail::for_each_quad_base(v.size(), row, col, [&](std::uint64_t i) {
+    const cxd excited = v[i | row | col];
+    v[i] += gamma * excited;
+    v[i | row] *= keep;
+    v[i | col] *= keep;
+    v[i | row | col] = (1.0 - gamma) * excited;
+  });
 }
 
 void DensityMatrix::apply_phase_damping(std::size_t q, double p_z) {
   HGP_REQUIRE(p_z >= 0.0 && p_z <= 1.0, "apply_phase_damping: bad probability");
-  const CMat kz = la::pauli_matrix(la::Pauli::Z) * cxd{std::sqrt(p_z), 0.0};
-  const CMat ki = CMat::identity(2) * cxd{std::sqrt(1.0 - p_z), 0.0};
-  apply_kraus({ki, kz}, {q});
+  HGP_REQUIRE(q < num_qubits_, "apply_phase_damping: qubit out of range");
+  // (1 - p) rho + p Z rho Z: the coherences scale by 1 - 2p.
+  const std::uint64_t row = std::uint64_t{1} << q, col = row << num_qubits_;
+  const double keep = 1.0 - 2.0 * p_z;
+  la::CVec& v = vec_.data();
+  detail::for_each_quad_base(v.size(), row, col, [&](std::uint64_t i) {
+    v[i | row] *= keep;
+    v[i | col] *= keep;
+  });
 }
 
 void DensityMatrix::apply_thermal_relaxation(std::size_t q, double t1_us, double t2_us,
@@ -136,21 +124,23 @@ void DensityMatrix::apply_thermal_relaxation(std::size_t q, double t1_us, double
 }
 
 std::vector<double> DensityMatrix::probabilities() const {
-  std::vector<double> p(rho_.rows());
-  for (std::size_t i = 0; i < rho_.rows(); ++i) p[i] = rho_(i, i).real();
+  std::vector<double> p(std::size_t{1} << num_qubits_);
+  for (std::uint64_t r = 0; r < p.size(); ++r) p[r] = entry(r, r).real();
   return p;
 }
 
 double DensityMatrix::expectation(const la::PauliSum& obs) const {
   HGP_REQUIRE(obs.num_qubits() == num_qubits_, "expectation: observable width mismatch");
-  // Tr(rho P) per term.
+  // Tr(rho P) per term: the trace of P rho, which is P on the row qubits.
   double total = 0.0;
   for (const la::PauliTerm& term : obs.terms()) {
-    const CMat full = term.string.matrix();
-    cxd tr{0.0, 0.0};
-    for (std::size_t i = 0; i < rho_.rows(); ++i)
-      for (std::size_t j = 0; j < rho_.cols(); ++j) tr += rho_(i, j) * full(j, i);
-    total += term.coeff * tr.real();
+    std::vector<la::Pauli> rows(2 * num_qubits_, la::Pauli::I);
+    for (std::size_t q = 0; q < num_qubits_; ++q) rows[q] = term.string.op(q);
+    const la::CVec p_rho = la::PauliString(rows).apply(vec_.data());
+    double tr = 0.0;
+    for (std::uint64_t r = 0; r < (std::uint64_t{1} << num_qubits_); ++r)
+      tr += p_rho[r | r << num_qubits_].real();
+    total += term.coeff * tr;
   }
   return total;
 }
@@ -159,17 +149,21 @@ double DensityMatrix::prob_one(std::size_t q) const {
   HGP_REQUIRE(q < num_qubits_, "prob_one: qubit out of range");
   const std::uint64_t bit = std::uint64_t{1} << q;
   double p = 0.0;
-  for (std::uint64_t i = 0; i < rho_.rows(); ++i)
-    if (i & bit) p += rho_(i, i).real();
+  for (std::uint64_t r = 0; r < (std::uint64_t{1} << num_qubits_); ++r)
+    if (r & bit) p += entry(r, r).real();
   return p;
 }
 
-double DensityMatrix::trace() const { return rho_.trace().real(); }
+double DensityMatrix::trace() const {
+  double t = 0.0;
+  for (const double p : probabilities()) t += p;
+  return t;
+}
 
 double DensityMatrix::purity() const {
   // Tr(rho²) = Σ_ij rho_ij rho_ji; rho is Hermitian so this is Σ |rho_ij|².
   double s = 0.0;
-  for (const cxd& x : rho_.data()) s += std::norm(x);
+  for (const cxd& x : vec_.data()) s += std::norm(x);
   return s;
 }
 

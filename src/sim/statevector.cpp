@@ -65,19 +65,6 @@ void Statevector::weighted_mass(const double* values, double& num, double& den) 
   }
 }
 
-std::uint64_t Statevector::sample_one(Rng& rng) const {
-  // One shot: a single accumulate-and-compare pass, no CDF materialization.
-  // The state is unit-norm, so the draw is against 1 with a fall-through to
-  // the last amplitude for rounding slack.
-  const double x = rng.uniform();
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size(); ++i) {
-    acc += std::norm(amp_[i]);
-    if (x < acc) return i;
-  }
-  return amp_.size() - 1;
-}
-
 double Statevector::expectation(const la::PauliSum& obs) const {
   HGP_REQUIRE(obs.num_qubits() == num_qubits_, "expectation: observable width mismatch");
   return obs.expectation(amp_);

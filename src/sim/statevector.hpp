@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "circuit/circuit.hpp"
-#include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/pauli.hpp"
 #include "linalg/types.hpp"
@@ -40,9 +39,6 @@ class Statevector final : public CircuitState<Statevector> {
   /// bit-identical to any lane of a batched one. The state may be
   /// unnormalized (den carries the actual squared norm).
   void weighted_mass(const double* values, double& num, double& den) const;
-  /// One outcome of all qubits from a single uniform draw, without
-  /// materializing the CDF (classical shadows take one per snapshot).
-  std::uint64_t sample_one(Rng& rng) const;
   /// Expectation of a Pauli-sum observable.
   double expectation(const la::PauliSum& obs) const;
   /// Probability that qubit q reads 1.

@@ -6,10 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "backend/presets.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
+#include "core/models.hpp"
+#include "graph/instances.hpp"
 #include "sim/density.hpp"
 #include "sim/state.hpp"
 
@@ -137,6 +140,75 @@ TEST(ExactDensity, RejectsLargeRegisters) {
   Executor ex(toronto(), opts);
   Rng rng(1);
   EXPECT_THROW(ex.run(prog, 16, rng), Error);
+}
+
+// ---- trajectory vs exact density on the paper's programs ------------------
+
+TEST(ExactDensity, AgreesWithTrajectoriesOnTableIIPrograms) {
+  // The task-1 gate-level and hybrid programs at x0, GO off and on, under
+  // the full toronto noise model. Per program:
+  //  - the trajectory Expectation, swept over kSeeds seeds, lies within
+  //    kStdErrs standard errors of its seed spread from the density
+  //    engine's exact value;
+  //  - the trajectory run() counts pooled over the seeds lie within a
+  //    total-variation bound of the density engine's counts: the
+  //    multinomial mean of TV between two samples of the same distribution,
+  //    plus a McDiarmid tail at 1e-6.
+  constexpr std::size_t kSeeds = 16;
+  constexpr std::size_t kShots = 256;
+  constexpr double kStdErrs = 6.0;
+  constexpr std::size_t kExactShots = std::size_t{1} << 22;
+  const graph::Instance task1 = graph::paper_task1();
+  core::ObjectiveSpec cut;
+  cut.kind = ObjectiveKind::Expectation;
+  cut.value = [&](std::uint64_t bits) { return task1.graph.cut_value(bits); };
+
+  for (const core::ModelKind kind : {core::ModelKind::GateLevel, core::ModelKind::Hybrid})
+    for (const bool go : {false, true}) {
+      core::ModelConfig cfg;
+      cfg.gate_optimization = go;
+      const core::QaoaModel model = core::QaoaModel::build(task1.graph, toronto(), kind, cfg);
+      const Program prog = model.instantiate(model.initial_parameters());
+      const std::string where = core::model_name(kind) + (go ? " GO" : " raw");
+
+      ExecutorOptions dopts;
+      dopts.engine = Engine::ExactDensity;
+      Executor exact(toronto(), dopts);
+      Rng drng(5);
+      const double e_exact = exact.run_expectation(prog, kShots, drng, cut);
+      const sim::Counts dc = exact.run(prog, kExactShots, drng);
+
+      Executor traj(toronto());
+      const auto tmpl = traj.compile(prog);
+      std::vector<double> e;
+      sim::Counts tc;
+      for (std::size_t s = 0; s < kSeeds; ++s) {
+        Rng rng(100 + s);
+        e.push_back(traj.run_expectation(*tmpl, prog, kShots, rng, cut));
+        for (const auto& [bits, n] : traj.run(*tmpl, prog, kShots, rng)) tc[bits] += n;
+      }
+      double mean = 0.0, var = 0.0;
+      for (double v : e) mean += v / kSeeds;
+      for (double v : e) var += (v - mean) * (v - mean) / (kSeeds - 1);
+      const double stderr_e = std::sqrt(var / kSeeds);
+      EXPECT_GT(stderr_e, 0.0) << where;
+      EXPECT_LE(std::abs(mean - e_exact), kStdErrs * stderr_e)
+          << where << ": trajectory " << mean << " exact " << e_exact;
+
+      const double nt = static_cast<double>(kSeeds * kShots);
+      const double nd = static_cast<double>(kExactShots);
+      const double spread = 1.0 / nt + 1.0 / nd;
+      double tv = 0.0, mean_tv = 0.0;
+      for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << prog.measure_qubits.size());
+           ++bits) {
+        const double pd = dc.count(bits) ? dc.at(bits) / nd : 0.0;
+        const double pt = tc.count(bits) ? tc.at(bits) / nt : 0.0;
+        tv += 0.5 * std::abs(pt - pd);
+        mean_tv += 0.5 * std::sqrt(pd * (1.0 - pd) * spread);
+      }
+      const double bound = mean_tv + std::sqrt(std::log(1e6) / 2.0 * spread);
+      EXPECT_LE(tv, bound) << where;
+    }
 }
 
 // ---- trajectory vs exact density, one channel per program -----------------

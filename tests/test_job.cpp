@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -198,10 +199,22 @@ TEST(JobValidation, RejectsEachMalformation) {
   j.config.model.p = 0;
   EXPECT_EQ(code_of(j), JobErrorCode::BadModel);
 
+  // Unbounded model sizes: p layers are transpiled and the mixer is walked
+  // through the pulse ODE before the run first polls its cancel token.
   j = good_job("bad");
-  j.kind = core::ModelKind::Hybrid;
-  j.config.model.mixer_duration_dt = 0;
+  j.config.model.p = std::numeric_limits<int>::max();
   EXPECT_EQ(code_of(j), JobErrorCode::BadModel);
+  j.config.model.p = serve::kMaxDepth;
+  EXPECT_EQ(code_of(j), JobErrorCode::None);
+
+  for (const int duration : {0, serve::kMaxMixerDurationDt + 1, std::numeric_limits<int>::max()}) {
+    j = good_job("bad");
+    j.kind = core::ModelKind::Hybrid;
+    j.config.model.mixer_duration_dt = duration;
+    EXPECT_EQ(code_of(j), JobErrorCode::BadModel) << duration;
+  }
+  j.config.model.mixer_duration_dt = serve::kMaxMixerDurationDt;
+  EXPECT_EQ(code_of(j), JobErrorCode::None);
 
   // Initial layouts for the 6-vertex task on 27-qubit toronto: a physical
   // qubit off the device, two virtual qubits on one physical qubit, and too

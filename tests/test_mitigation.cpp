@@ -7,8 +7,6 @@
 #include "common/rng.hpp"
 #include "mitigation/cvar.hpp"
 #include "mitigation/m3.hpp"
-#include "mitigation/zne.hpp"
-#include "linalg/vec.hpp"
 #include "sim/statevector.hpp"
 
 using namespace hgp;
@@ -172,31 +170,3 @@ TEST(Cvar, RejectsBadAlpha) {
   EXPECT_THROW(mit::cvar_from_counts(counts, value, 1.5), Error);
 }
 
-TEST(Zne, FoldingPreservesUnitary) {
-  qc::Circuit c(2);
-  c.h(0).cx(0, 1).rz(1, 0.7).sx(1);
-  const qc::Circuit folded = mit::fold_gates(c, 3);
-  EXPECT_GT(folded.size(), c.size());
-  sim::Statevector a(2), b(2);
-  a.run(c);
-  b.run(folded);
-  EXPECT_LT(la::max_abs_diff_up_to_phase(a.data(), b.data()), 1e-12);
-}
-
-TEST(Zne, FoldCountScaling) {
-  qc::Circuit c(1);
-  c.x(0);
-  EXPECT_EQ(mit::fold_gates(c, 1).count(qc::GateKind::X), 1u);
-  EXPECT_EQ(mit::fold_gates(c, 3).count(qc::GateKind::X), 3u);
-  EXPECT_EQ(mit::fold_gates(c, 5).count(qc::GateKind::X), 5u);
-  EXPECT_THROW(mit::fold_gates(c, 2), Error);
-}
-
-TEST(Zne, RichardsonLinearAndQuadratic) {
-  // Linear data y = 1 - 0.1 x.
-  EXPECT_NEAR(mit::richardson_extrapolate({{1.0, 0.9}, {3.0, 0.7}}), 1.0, 1e-12);
-  // Quadratic data y = 1 - 0.1 x - 0.02 x^2.
-  auto y = [](double x) { return 1.0 - 0.1 * x - 0.02 * x * x; };
-  EXPECT_NEAR(mit::richardson_extrapolate({{1.0, y(1)}, {3.0, y(3)}, {5.0, y(5)}}), 1.0,
-              1e-12);
-}

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -214,6 +215,25 @@ TEST(NetLoopback, MalformedLayoutIsRejectedNotCrashed) {
     EXPECT_EQ(submitted.state, serve::JobState::Rejected);
     EXPECT_EQ(submitted.error.code, serve::JobErrorCode::BadModel);
     EXPECT_NE(submitted.error.message.find("initial layout"), std::string::npos);
+  }
+}
+
+TEST(NetLoopback, UnboundedModelSizeIsRejectedAtSubmit) {
+  // p and the mixer duration travel as raw i32s: INT_MAX of either must be
+  // rejected at submit, before a worker transpiles ~2^31 layers or walks a
+  // ~2^31-sample mixer through the pulse ODE.
+  net::Server server(loopback_options());
+  net::Client client("127.0.0.1", server.port());
+  serve::JobRequest deep = wire_request("net/deep");
+  deep.run.config.model.p = std::numeric_limits<int>::max();
+  serve::JobRequest long_mixer = wire_request("net/long-mixer");
+  long_mixer.run.kind = core::ModelKind::Hybrid;
+  long_mixer.run.config.model.mixer_duration_dt = std::numeric_limits<int>::max();
+  for (const serve::JobRequest& bad : {deep, long_mixer}) {
+    const auto submitted = client.submit(bad);
+    EXPECT_FALSE(submitted.accepted()) << bad.run.label;
+    EXPECT_EQ(submitted.state, serve::JobState::Rejected) << bad.run.label;
+    EXPECT_EQ(submitted.error.code, serve::JobErrorCode::BadModel) << bad.run.label;
   }
 }
 

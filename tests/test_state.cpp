@@ -146,19 +146,6 @@ TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
   }
 }
 
-TEST(Statevector, SampleOneMatchesSampleStatistics) {
-  qc::Circuit c(3);
-  c.h(0).cx(0, 1).ry(2, 0.7);
-  Statevector sv(3);
-  sv.run(c);
-  Rng rng(5);
-  sim::Counts one_at_a_time;
-  for (int s = 0; s < 20000; ++s) ++one_at_a_time[sv.sample_one(rng)];
-  const auto p = sv.probabilities();
-  for (const auto& [bits, n] : one_at_a_time)
-    EXPECT_NEAR(static_cast<double>(n) / 20000.0, p[bits], 0.02) << bits;
-}
-
 TEST(Kernels, SpecializedTwoQubitPathsMatchGenericLift) {
   // kron(u, I) listed on {0,1,2} reproduces u on {1,2} through the generic
   // k=3 path — pins the diagonal (RZZ/CZ) and permutation (CX/SWAP) kernels
