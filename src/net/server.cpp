@@ -1,11 +1,15 @@
 #include "net/server.hpp"
 
+#include <chrono>
 #include <cstring>
 #include <utility>
 
 namespace hgp::net {
 
 namespace {
+
+/// Poll cadence of Watch sessions and the Await stop check.
+constexpr std::chrono::milliseconds kWatchInterval{2};
 
 bool get_u64(const std::string& payload, std::uint64_t& v) {
   io::Reader r(payload);
@@ -269,7 +273,7 @@ void Server::handle_await(Session& session, const Frame& frame) {
   // Wait in slices so a stopping server never hangs on a long job; on stop
   // the session just ends and the outcome stays retained in the service.
   while (!stop_.load(std::memory_order_acquire)) {
-    if (future->wait_for(options_.watch_interval) == std::future_status::ready) {
+    if (future->wait_for(kWatchInterval) == std::future_status::ready) {
       w.u8(1);
       future->get().serialize(w);
       write_frame(session.sock, FrameType::Outcome, payload);
@@ -311,7 +315,7 @@ void Server::handle_watch(Session& session, const Frame& frame) {
       last = now;
     }
     if (last && serve::job_state_terminal(*last)) break;
-    std::this_thread::sleep_for(options_.watch_interval);
+    std::this_thread::sleep_for(kWatchInterval);
   }
   if (!last || !serve::job_state_terminal(*last)) return;  // stopped mid-watch
   const auto future = service_.outcome(id);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -49,13 +48,10 @@ class Server {
     std::uint16_t port = 0;
     /// token -> tenant (see class comment). Empty = open server.
     std::map<std::string, std::string> tokens;
-    /// Options of the owned JobService (worker pool, admission control,
-    /// adaptive sizing).
+    /// Options of the owned JobService (worker pool, admission control).
     serve::JobService::Options service;
     /// Refuse frames with a larger payload (corrupt or hostile length).
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Poll cadence of Watch sessions and the Await stop check.
-    std::chrono::milliseconds watch_interval{2};
   };
 
   explicit Server(Options options);

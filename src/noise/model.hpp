@@ -19,9 +19,9 @@ struct QubitNoise {
   double drive_gain = 1.0;
 };
 
-/// Backend-level noise model used by the machine-in-loop executor.
+/// Backend-level noise model used by the machine-in-loop executor. It has no
+/// off switch of its own: core::ExecutorOptions::noise turns it off.
 struct NoiseModel {
-  bool enabled = true;
   std::vector<QubitNoise> qubits;
   /// Depolarizing probability charged per played single-qubit pulse.
   double dep_per_1q_pulse = 3e-4;
@@ -30,13 +30,6 @@ struct NoiseModel {
   /// Static ZZ crosstalk between coupled pairs (GHz), active during blocks
   /// that contain both qubits.
   double zz_crosstalk_ghz = 0.0;
-
-  std::vector<ReadoutError> readout_errors() const {
-    std::vector<ReadoutError> out;
-    out.reserve(qubits.size());
-    for (const QubitNoise& q : qubits) out.push_back(q.readout);
-    return out;
-  }
 };
 
 }  // namespace hgp::noise

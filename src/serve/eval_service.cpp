@@ -59,37 +59,24 @@ bool FairJobQueue::pop(std::function<void()>& out) {
 }
 
 EvalService::EvalService(Options options)
-    : cache_(std::make_shared<BlockCache>(options.cache_capacity)),
-      min_workers_(std::max<std::size_t>(1, options.min_workers)),
-      max_workers_(options.max_workers),
-      adapt_interval_(options.adapt_interval) {
+    : cache_(std::make_shared<BlockCache>(options.cache_capacity)) {
   obs::Registry& reg = obs::Registry::global();
   metrics_.candidates_submitted = &reg.counter("service.candidates_submitted");
   metrics_.jobs_submitted = &reg.counter("service.jobs_submitted");
   metrics_.helping_steals = &reg.counter("service.helping_steals");
   metrics_.worker_busy_ns = &reg.counter("service.worker_busy_ns");
   metrics_.worker_idle_ns = &reg.counter("service.worker_idle_ns");
-  metrics_.pool_grows = &reg.counter("service.pool_grows");
-  metrics_.pool_shrinks = &reg.counter("service.pool_shrinks");
   metrics_.queue_depth = &reg.gauge("service.queue_depth");
   metrics_.workers = &reg.gauge("service.workers");
   metrics_.candidate_wait_ns = &reg.histogram("service.candidate_wait_ns");
   metrics_.job_wait_ns = &reg.histogram("service.job_wait_ns");
 
-  std::size_t n = options.num_workers != 0
-                      ? options.num_workers
-                      : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (max_workers_ != 0) {
-    // Adaptive mode: a max below min is a config slip, not a mode; resolve
-    // it in min's favor and clamp the starting size into the band.
-    max_workers_ = std::max(max_workers_, min_workers_);
-    n = std::min(std::max(n, min_workers_), max_workers_);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < n; ++i) spawn_worker();
-  }
-  if (max_workers_ != 0) manager_ = std::thread([this] { manager_loop(); });
+  const std::size_t n = options.num_workers != 0
+                            ? options.num_workers
+                            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
+  metrics_.workers->set(static_cast<std::int64_t>(n));
 }
 
 EvalService::~EvalService() {
@@ -98,68 +85,8 @@ EvalService::~EvalService() {
     stop_ = true;
   }
   cv_.notify_all();
-  if (manager_.joinable()) manager_.join();
-  for (WorkerSlot& slot : workers_)
-    if (slot.thread.joinable()) slot.thread.join();
-}
-
-void EvalService::spawn_worker() {
-  workers_.emplace_back();
-  WorkerSlot* slot = &workers_.back();
-  ++alive_workers_;
-  alive_count_.store(alive_workers_, std::memory_order_release);
-  metrics_.workers->set(static_cast<std::int64_t>(alive_workers_));
-  slot->thread = std::thread([this, slot] { worker_loop(slot); });
-}
-
-void EvalService::manager_loop() {
-  // Consecutive ticks with both queues empty; one shrink per kIdleTicks run
-  // so the pool decays gradually instead of collapsing on the first gap.
-  constexpr std::size_t kIdleTicks = 4;
-  std::size_t idle_ticks = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_) {
-    // There is no dedicated manager CV: cv_ is notified on every enqueue and
-    // on stop, and the wait_for timeout is the adaptation tick. Spurious
-    // wakes just re-evaluate the same policy a little early.
-    cv_.wait_for(lock, adapt_interval_, [&] { return stop_; });
-    if (stop_) break;
-
-    // Reap exited workers (retired ones; the list never shrinks otherwise).
-    // `exited` flips after the thread's last touch of pool state, so these
-    // joins return promptly.
-    for (auto it = workers_.begin(); it != workers_.end();) {
-      if (it->exited.load(std::memory_order_acquire) && it->thread.joinable()) {
-        it->thread.join();
-        it = workers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    const std::size_t depth = candidates_.size() + jobs_.size();
-    if (depth > 0) {
-      idle_ticks = 0;
-      // Work outlasted a whole tick with every worker busy: grow toward the
-      // backlog, bounded by max_workers. Pending retirements are cancelled
-      // first — un-asking an idle worker beats spawning a fresh thread.
-      std::size_t want = std::min(max_workers_, alive_workers_ - retire_requests_ + depth);
-      while (retire_requests_ > 0 && alive_workers_ - retire_requests_ < want)
-        --retire_requests_;
-      while (alive_workers_ < want) {
-        spawn_worker();
-        metrics_.pool_grows->inc();
-        grow_events_.fetch_add(1, std::memory_order_acq_rel);
-      }
-    } else if (alive_workers_ - retire_requests_ > min_workers_ &&
-               ++idle_ticks >= kIdleTicks) {
-      idle_ticks = 0;
-      ++retire_requests_;
-      metrics_.pool_shrinks->inc();
-      shrink_events_.fetch_add(1, std::memory_order_acq_rel);
-      cv_.notify_all();
-    }
-  }
+  for (std::thread& worker : workers_) worker.join();
+  metrics_.workers->set(0);
 }
 
 bool EvalService::run_one(std::unique_lock<std::mutex>& lock, bool jobs_too) {
@@ -181,28 +108,16 @@ bool EvalService::run_one(std::unique_lock<std::mutex>& lock, bool jobs_too) {
   return true;
 }
 
-void EvalService::worker_loop(WorkerSlot* slot) {
+void EvalService::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    cv_.wait(lock, [&] {
-      return stop_ || retire_requests_ > 0 || !candidates_.empty() || !jobs_.empty();
-    });
+    cv_.wait(lock, [&] { return stop_ || !candidates_.empty() || !jobs_.empty(); });
     if (t0 != 0) metrics_.worker_idle_ns->inc(obs::now_ns() - t0);
-    if (!run_one(lock, /*jobs_too=*/true)) {
-      if (stop_) break;
-      // Retirement is taken only with both queues empty: a worker never
-      // abandons queued work, so shrinking cannot delay a running job.
-      if (retire_requests_ > 0) {
-        --retire_requests_;
-        break;
-      }
-    }
+    // On stop a worker still drains both queues before it exits, so every
+    // posted task runs before the destructor's joins return.
+    if (!run_one(lock, /*jobs_too=*/true) && stop_) return;
   }
-  --alive_workers_;
-  alive_count_.store(alive_workers_, std::memory_order_release);
-  metrics_.workers->set(static_cast<std::int64_t>(alive_workers_));
-  slot->exited.store(true, std::memory_order_release);
 }
 
 void EvalService::post(const SubmitOptions& options, std::function<void()> task) {
@@ -220,16 +135,11 @@ void EvalService::post(const SubmitOptions& options, std::function<void()> task)
   cv_.notify_all();
 }
 
-std::size_t EvalService::queued_jobs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return jobs_.size();
-}
-
 void EvalService::run(std::vector<std::function<void()>>& tasks) {
   if (tasks.empty()) return;
-  if (tasks.size() == 1 || num_workers() == 0) {
-    // Nothing to fan out — run inline (exceptions propagate directly).
-    for (std::function<void()>& task : tasks) task();
+  if (tasks.size() == 1) {
+    // Nothing to fan out — run inline (the exception propagates directly).
+    tasks.front()();
     return;
   }
 

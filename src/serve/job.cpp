@@ -29,16 +29,12 @@ bool job_transition_allowed(JobState from, JobState to) {
 
 const std::string& job_error_code_name(JobErrorCode code) {
   static const std::string names[] = {
-      "none",           "null_backend",    "backend_too_small", "empty_instance",
+      "none",          "null_backend",     "backend_too_small", "empty_instance",
       "too_many_qubits", "bad_shots",      "bad_evaluations",   "bad_engine",
-      "bad_objective",  "bad_optimizer",   "bad_lanes",         "bad_cvar_alpha",
-      "bad_model",      "incompatible_m3", "bad_tenant",        "queue_full",
-      "backlog_full",   "deadline_expired", "cancel_requested", "execution_failed"};
+      "bad_objective", "bad_optimizer",    "bad_lanes",         "bad_cvar_alpha",
+      "bad_model",     "incompatible_m3",  "bad_tenant",        "queue_full",
+      "deadline_expired", "cancel_requested", "execution_failed"};
   return names[static_cast<int>(code)];
-}
-
-bool job_error_transient(JobErrorCode code) {
-  return code == JobErrorCode::QueueFull || code == JobErrorCode::BacklogFull;
 }
 
 Job::Job(JobId id, JobRequest request)

@@ -61,7 +61,7 @@ bool job_transition_allowed(JobState from, JobState to);
 
 /// Structured error codes for every non-Completed outcome. Validation codes
 /// are produced by validate_job() before any executor is constructed;
-/// QueueFull/BacklogFull by admission control; the rest by the lifecycle.
+/// QueueFull by admission control; the rest by the lifecycle.
 enum class JobErrorCode : int {
   None = 0,
   // -- validation (request never queued) --------------------------------
@@ -81,7 +81,6 @@ enum class JobErrorCode : int {
   BadTenant,          ///< empty tenant tag or non-positive fair-share weight
   // -- admission control ------------------------------------------------
   QueueFull,          ///< queued-job limit reached — retry later
-  BacklogFull,        ///< estimated backlog exceeds the configured bound
   // -- lifecycle --------------------------------------------------------
   DeadlineExpired,    ///< soft deadline passed (queued or running)
   CancelRequested,    ///< client cancelled the job
@@ -89,9 +88,6 @@ enum class JobErrorCode : int {
 };
 
 const std::string& job_error_code_name(JobErrorCode code);
-/// Transient codes are worth retrying with backoff (queue pressure);
-/// everything else is permanent for an identical request.
-bool job_error_transient(JobErrorCode code);
 
 struct JobError {
   JobErrorCode code = JobErrorCode::None;
@@ -125,9 +121,10 @@ struct JobRequest {
   std::string backend;
 
   /// Version stamp leading every serialized request/outcome. Bump on any
-  /// layout change; deserialize() rejects versions it does not speak, so a
-  /// newer peer degrades to a structured error instead of misparsing.
-  static constexpr std::uint32_t kSchemaVersion = 1;
+  /// layout change, a renumbered JobErrorCode included; deserialize()
+  /// rejects versions it does not speak, so a newer peer degrades to a
+  /// structured error instead of misparsing.
+  static constexpr std::uint32_t kSchemaVersion = 2;
 
   void serialize(io::Writer& w) const;
   std::string serialize() const;

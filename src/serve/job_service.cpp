@@ -1,7 +1,6 @@
 #include "serve/job_service.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace hgp::serve {
 
@@ -47,7 +46,6 @@ JobService::JobService(Options options) : options_(options), service_(std::move(
   metrics_.cancelled = &reg.counter("service.jobs_cancelled");
   metrics_.expired = &reg.counter("service.jobs_expired");
   metrics_.queued = &reg.gauge("service.jobs_queued");
-  metrics_.backlog_ns = &reg.gauge("service.estimated_backlog_ns");
   metrics_.queue_ns = &reg.histogram("service.job_queue_ns");
   metrics_.run_ns = &reg.histogram("service.job_run_ns");
   metrics_.cancel_ns = &reg.histogram("service.job_cancel_ns");
@@ -70,13 +68,6 @@ void JobService::note_queued_delta(long delta) {
 std::size_t JobService::queued() const {
   const std::lock_guard<std::mutex> lock(jobs_mutex_);
   return queued_count_;
-}
-
-std::uint64_t JobService::estimated_backlog_ns() const {
-  const std::lock_guard<std::mutex> lock(jobs_mutex_);
-  const double per_worker = static_cast<double>(queued_count_) /
-                            static_cast<double>(std::max<std::size_t>(1, service_.num_workers()));
-  return static_cast<std::uint64_t>(ewma_run_ns_ * per_worker);
 }
 
 JobHandle JobService::submit(JobRequest request) {
@@ -114,8 +105,7 @@ JobHandle JobService::submit(JobRequest request) {
 
   // Admission control under the registry lock, so the verdict at the limit
   // is exact: the (max_queued_jobs + 1)-th concurrent submit is rejected, not
-  // raced in. Backlog uses the EWMA drain estimate mirrored to the
-  // service.estimated_backlog_ns gauge.
+  // raced in.
   std::shared_ptr<Job> job;
   {
     const std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -129,31 +119,10 @@ JobHandle JobService::submit(JobRequest request) {
                        " jobs queued (limit " + std::to_string(options_.max_queued_jobs) +
                        ") — retry later"});
     }
-    if (options_.max_backlog.count() > 0 && ewma_run_ns_ > 0.0) {
-      const double per_worker =
-          static_cast<double>(queued_count_ + 1) /
-          static_cast<double>(std::max<std::size_t>(1, service_.num_workers()));
-      const double estimate_ns = ewma_run_ns_ * per_worker;
-      const double bound_ns = static_cast<double>(options_.max_backlog.count()) * 1e6;
-      if (estimate_ns > bound_ns) {
-        metrics_.rejected->inc();
-        reg.counter("service.tenant." + tenant + ".rejected").inc();
-        return settled_handle(
-            next_id_++, JobState::Rejected,
-            JobError{JobErrorCode::BacklogFull,
-                     request.run.label + ": estimated backlog " +
-                         std::to_string(static_cast<std::uint64_t>(estimate_ns / 1e6)) +
-                         "ms exceeds the " + std::to_string(options_.max_backlog.count()) +
-                         "ms bound — retry later"});
-      }
-    }
     job = std::make_shared<Job>(next_id_++, std::move(request));
     jobs_.emplace(job->id(), job);
     ++queued_count_;
     metrics_.queued->set(static_cast<std::int64_t>(queued_count_));
-    const double per_worker = static_cast<double>(queued_count_) /
-                              static_cast<double>(std::max<std::size_t>(1, service_.num_workers()));
-    metrics_.backlog_ns->set(static_cast<std::int64_t>(ewma_run_ns_ * per_worker));
   }
   metrics_.accepted->inc();
 
@@ -170,21 +139,6 @@ JobHandle JobService::submit(JobRequest request) {
   return handle;
 }
 
-JobHandle JobService::submit_with_retry(const JobRequest& request, const RetryPolicy& policy) {
-  std::chrono::milliseconds delay = policy.initial_delay;
-  JobHandle handle;
-  for (int attempt = 1;; ++attempt) {
-    handle = submit(request);
-    if (handle.accepted() || !job_error_transient(handle.submit_error.code) ||
-        attempt >= policy.max_attempts)
-      return handle;
-    std::this_thread::sleep_for(delay);
-    delay = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                         static_cast<double>(delay.count()) * policy.multiplier)),
-                     policy.max_delay);
-  }
-}
-
 bool JobService::finish(const std::shared_ptr<Job>& job, JobState from, JobOutcome outcome) {
   const JobState to = outcome.state;
   if (!job->try_transition(from, to)) return false;
@@ -197,19 +151,10 @@ bool JobService::finish(const std::shared_ptr<Job>& job, JobState from, JobOutco
     case JobState::Expired: metrics_.expired->inc(); break;
     default: break;
   }
-  if (to == JobState::Completed) {
+  if (to == JobState::Completed)
     obs::Registry::global()
         .counter("service.tenant." + job->tenant() + ".completed")
         .inc();
-    // Only clean completions feed the backlog estimator: a cancelled or
-    // expired run's truncated duration would bias the drain estimate low.
-    const std::lock_guard<std::mutex> lock(jobs_mutex_);
-    constexpr double kAlpha = 0.3;
-    ewma_run_ns_ = ewma_run_ns_ == 0.0
-                       ? static_cast<double>(outcome.run_ns)
-                       : kAlpha * static_cast<double>(outcome.run_ns) +
-                             (1.0 - kAlpha) * ewma_run_ns_;
-  }
   metrics_.queue_ns->record(outcome.wait_ns);
   if (outcome.run_ns != 0) metrics_.run_ns->record(outcome.run_ns);
   const std::int64_t cancel_at = job->cancel_requested_ns.load(std::memory_order_acquire);

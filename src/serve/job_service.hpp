@@ -1,7 +1,5 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,7 +14,7 @@ namespace hgp::serve {
 
 /// The serve subsystem's front door: every run, in process or from the
 /// net::Server wire front end, is a *job* — validated before any executor
-/// exists, admitted against queue and backlog limits, scheduled weighted-fair
+/// exists, admitted against the queued-job limit, scheduled weighted-fair
 /// across tenants, cancellable mid-run, and expired when a soft deadline
 /// passes while it waits. Every outcome is a terminal JobState plus a
 /// structured JobError delivered through a future that always resolves with
@@ -32,26 +30,12 @@ namespace hgp::serve {
 class JobService {
  public:
   /// The pool and shared-cache fields of EvalService::Options (worker count,
-  /// adaptive bounds, cache capacity), plus admission control.
+  /// cache capacity), plus admission control.
   struct Options : EvalService::Options {
     /// Admission control: maximum jobs waiting in the queue. A submit that
     /// finds the queue at the limit is rejected with QueueFull —
     /// deterministically, the limit is exact, not advisory. 0 = unbounded.
     std::size_t max_queued_jobs = 0;
-    /// Admission control: reject with BacklogFull when the estimated time to
-    /// drain the queue (EWMA of recent job run times × queued jobs / worker
-    /// count) exceeds this bound. 0 = unbounded. The estimate warms up from
-    /// completed jobs, so an empty service always admits.
-    std::chrono::milliseconds max_backlog{0};
-  };
-
-  /// Backoff schedule for submit_with_retry: only transient rejections
-  /// (QueueFull/BacklogFull — see job_error_transient) are retried.
-  struct RetryPolicy {
-    int max_attempts = 4;
-    std::chrono::milliseconds initial_delay{5};
-    double multiplier = 2.0;
-    std::chrono::milliseconds max_delay{500};
   };
 
   JobService() : JobService(Options{}) {}
@@ -66,13 +50,6 @@ class JobService {
   /// submit_state is Rejected (validation / admission) or Expired (deadline
   /// already in the past) and `outcome` is already resolved.
   JobHandle submit(JobRequest request);
-
-  /// submit(), retrying transient rejections (queue pressure) with
-  /// exponential backoff. Permanent rejections return immediately.
-  JobHandle submit_with_retry(const JobRequest& request, const RetryPolicy& policy);
-  JobHandle submit_with_retry(const JobRequest& request) {
-    return submit_with_retry(request, RetryPolicy{});
-  }
 
   /// Request cooperative cancellation. A still-queued job resolves Cancelled
   /// immediately (no executor is ever constructed); a running job observes
@@ -101,10 +78,6 @@ class JobService {
   /// Jobs currently in the Queued state (admission control's view).
   std::size_t queued() const;
 
-  /// Estimated nanoseconds to drain the current queue (the BacklogFull
-  /// signal): EWMA job run time × queued / workers. 0 until a job finishes.
-  std::uint64_t estimated_backlog_ns() const;
-
   /// Drop terminal jobs from the registry (their futures stay valid — the
   /// shared state lives in the handle), after first expiring any queued job
   /// whose deadline passed. Returns how many were dropped.
@@ -132,8 +105,6 @@ class JobService {
   /// Jobs in the Queued state; decremented exactly once per job by whichever
   /// thread wins the transition out of Queued.
   std::size_t queued_count_ = 0;
-  /// EWMA of completed-job run time, the backlog estimator's rate input.
-  double ewma_run_ns_ = 0.0;
 
   /// "service.*" job-lifecycle series (resolved once at construction); the
   /// per-tenant "service.tenant.<t>.*" counters resolve lazily per tenant.
@@ -145,7 +116,6 @@ class JobService {
     obs::Counter* cancelled;
     obs::Counter* expired;
     obs::Gauge* queued;
-    obs::Gauge* backlog_ns;
     obs::Histogram* queue_ns;
     obs::Histogram* run_ns;
     /// Cancel-request to future-resolution latency — the "how fast does a

@@ -347,8 +347,7 @@ void BatchedStatevector::apply_matrix(const CMat& u,
   const std::size_t k = qubits.size();
   HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
               "BatchedStatevector::apply_matrix: matrix size mismatch");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "BatchedStatevector::apply_matrix: qubit out of range");
+  detail::require_qubits(qubits, num_qubits_, "BatchedStatevector::apply_matrix");
   detail::Perm4 p4{};
   const Structure structure = detail::classify(u, k, p4);
   apply_lanes(Planes{re_.data(), im_.data(), dim_, lanes_, scratch_re_.data(), scratch_im_.data()},
@@ -466,8 +465,7 @@ void BatchedStatevector::apply_matrix_per_lane(const std::vector<const CMat*>& u
   for (const CMat* u : us)
     HGP_REQUIRE(u->rows() == rows && u->cols() == rows,
                 "apply_matrix_per_lane: matrix size mismatch");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "apply_matrix_per_lane: qubit out of range");
+  detail::require_qubits(qubits, num_qubits_, "apply_matrix_per_lane");
 
   // Lane-vectorized when every lane is diagonal, every lane anti-diagonal,
   // or every lane dense. Permutations (whose pattern may differ by lane),
@@ -492,8 +490,7 @@ void BatchedStatevector::apply_matrix_one_lane(const CMat& u,
   HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
               "apply_matrix_one_lane: matrix size mismatch");
   HGP_REQUIRE(lane < lanes_, "apply_matrix_one_lane: lane out of range");
-  for (std::size_t q : qubits)
-    HGP_REQUIRE(q < num_qubits_, "apply_matrix_one_lane: qubit out of range");
+  detail::require_qubits(qubits, num_qubits_, "apply_matrix_one_lane");
   detail::apply_matrix_scalar(LaneAmps{&re_[lane], &im_[lane], lanes_}, dim_, u, qubits);
 }
 

@@ -1,6 +1,5 @@
 #include "sim/density.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -22,13 +21,9 @@ std::size_t vector_width(std::size_t num_qubits) {
 
 /// The column qubits (q + n) of distinct row qubits q of an n-qubit rho.
 std::vector<std::size_t> columns_of(const std::vector<std::size_t>& qubits, std::size_t n) {
+  detail::require_qubits(qubits, n, "DensityMatrix");
   std::vector<std::size_t> columns;
-  for (std::size_t q : qubits) {
-    HGP_REQUIRE(q < n, "DensityMatrix: qubit out of range");
-    HGP_REQUIRE(std::count(qubits.begin(), qubits.end(), q) == 1,
-                "DensityMatrix: duplicate qubit");
-    columns.push_back(q + n);
-  }
+  for (std::size_t q : qubits) columns.push_back(q + n);
   return columns;
 }
 

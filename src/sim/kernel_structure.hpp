@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/types.hpp"
 
@@ -19,6 +21,19 @@ using la::Cx;
 using la::to_cx;
 
 inline bool is_zero(const la::cxd& x) { return x.real() == 0.0 && x.imag() == 0.0; }
+
+/// Require every listed qubit to be below `num_qubits` and none to repeat:
+/// the block walks assume distinct target bits, so a repeated qubit would
+/// alias amplitudes and apply a wrong operator. `who` names the caller in
+/// the error.
+inline void require_qubits(const std::vector<std::size_t>& qubits, std::size_t num_qubits,
+                           const char* who) {
+  for (std::size_t j = 0; j < qubits.size(); ++j) {
+    HGP_REQUIRE(qubits[j] < num_qubits, std::string(who) + ": qubit out of range");
+    for (std::size_t i = 0; i < j; ++i)
+      HGP_REQUIRE(qubits[i] != qubits[j], std::string(who) + ": duplicate qubit");
+  }
+}
 
 /// Iterate f(i) over all basis indices with bit `b` clear — nested block
 /// iteration touches exactly size/2 indices instead of a skip-test over all.

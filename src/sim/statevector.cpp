@@ -44,7 +44,7 @@ void Statevector::apply_matrix(const CMat& u, const std::vector<std::size_t>& qu
   const std::size_t k = qubits.size();
   HGP_REQUIRE(u.rows() == (std::size_t{1} << k) && u.cols() == u.rows(),
               "apply_matrix: matrix size does not match qubit count");
-  for (std::size_t q : qubits) HGP_REQUIRE(q < num_qubits_, "apply_matrix: qubit out of range");
+  detail::require_qubits(qubits, num_qubits_, "apply_matrix");
   detail::apply_matrix_scalar(ComplexAmps{amp_.data()}, amp_.size(), u, qubits);
 }
 

@@ -172,6 +172,9 @@ TEST(JobCodec, UnknownSchemaVersionIsRejected) {
   std::string bytes = sample_request().serialize();
   bytes[0] = char(serve::JobRequest::kSchemaVersion + 1);  // version is the leading u32
   EXPECT_FALSE(parse_request(bytes));
+  // The previous version numbered its error codes differently.
+  bytes[0] = char(serve::JobRequest::kSchemaVersion - 1);
+  EXPECT_FALSE(parse_request(bytes));
 }
 
 TEST(JobCodec, EveryTruncationFailsCleanly) {

@@ -1,7 +1,8 @@
 // Density-matrix simulator tests: pure-state parity with the statevector,
 // the exact channels against their analytic values and against an explicit
-// Kraus-sum lift. The trajectory engine is compared with this one channel by
-// channel in test_engine.cpp.
+// Kraus-sum lift, and the qubit-list check all three states share. The
+// trajectory engine is compared with this one channel by channel in
+// test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
+#include "sim/batched_statevector.hpp"
 #include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
@@ -86,6 +88,33 @@ TEST(Density, RejectsBadRegistersAndQubitLists) {
   EXPECT_THROW(dm.apply_amplitude_damping(2, 0.1), Error);
   EXPECT_THROW(dm.apply_phase_damping(2, 0.1), Error);
   EXPECT_NEAR(dm.trace(), 1.0, 0.0);  // nothing applied
+}
+
+// The statevectors run the same range-and-distinct check as the density
+// matrix: a repeated qubit would alias the block walk's amplitudes and apply
+// a wrong operator instead of failing.
+TEST(Statevector, RejectsRepeatedAndOutOfRangeQubits) {
+  Statevector sv(3);
+  const la::CMat cx = qc::gate_matrix(qc::GateKind::CX);
+  EXPECT_THROW(sv.apply_matrix(cx, {1, 1}), Error);
+  EXPECT_THROW(sv.apply_matrix(la::CMat::identity(8), {0, 2, 0}), Error);
+  EXPECT_THROW(sv.apply_matrix(cx, {0, 3}), Error);
+  EXPECT_THROW(sv.apply_matrix(qc::gate_matrix(qc::GateKind::H), {3}), Error);
+  EXPECT_EQ(sv.probabilities()[0], 1.0);  // nothing applied
+}
+
+TEST(BatchedStatevector, RejectsRepeatedAndOutOfRangeQubits) {
+  sim::BatchedStatevector bsv(3, 4);
+  const la::CMat cx = qc::gate_matrix(qc::GateKind::CX);
+  const std::vector<const la::CMat*> per_lane(bsv.lanes(), &cx);
+  EXPECT_THROW(bsv.apply_matrix(cx, {0, 0}), Error);
+  EXPECT_THROW(bsv.apply_matrix(cx, {3, 0}), Error);
+  EXPECT_THROW(bsv.apply_matrix_per_lane(per_lane, {2, 2}), Error);
+  EXPECT_THROW(bsv.apply_matrix_per_lane(per_lane, {0, 3}), Error);
+  EXPECT_THROW(bsv.apply_matrix_one_lane(cx, {1, 1}, 2), Error);
+  EXPECT_THROW(bsv.apply_matrix_one_lane(cx, {1, 3}, 2), Error);
+  for (std::size_t lane = 0; lane < bsv.lanes(); ++lane)
+    EXPECT_EQ(bsv.amplitude(0, lane), la::cxd(1.0, 0.0));  // nothing applied
 }
 
 namespace {

@@ -246,14 +246,12 @@ TEST(JobValidation, BackendTooSmallForInstance) {
   EXPECT_EQ(code_of(j), JobErrorCode::TooManyQubits);  // register cap first
 }
 
-TEST(JobValidation, ErrorCodeNamesAndTransience) {
+TEST(JobValidation, ErrorCodeNames) {
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::None), "none");
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::QueueFull), "queue_full");
+  EXPECT_EQ(serve::job_error_code_name(JobErrorCode::DeadlineExpired), "deadline_expired");
+  EXPECT_EQ(serve::job_error_code_name(JobErrorCode::CancelRequested), "cancel_requested");
   EXPECT_EQ(serve::job_error_code_name(JobErrorCode::ExecutionFailed), "execution_failed");
-  EXPECT_TRUE(serve::job_error_transient(JobErrorCode::QueueFull));
-  EXPECT_TRUE(serve::job_error_transient(JobErrorCode::BacklogFull));
-  EXPECT_FALSE(serve::job_error_transient(JobErrorCode::NullBackend));
-  EXPECT_FALSE(serve::job_error_transient(JobErrorCode::DeadlineExpired));
 }
 
 // ---------------------------------------------------------------------------
@@ -801,65 +799,6 @@ TEST(JobAdmission, QueueLimitIsExactAndDeterministic) {
   EXPECT_EQ(h4.outcome.get().state, JobState::Completed);
 }
 
-TEST(JobAdmission, RetryWithBackoffRidesOutQueuePressure) {
-  JobService::Options opt;
-  opt.num_workers = 1;
-  opt.cache_capacity = 1024;
-  opt.max_queued_jobs = 1;
-  JobService svc(opt);
-  block_worker(svc, std::chrono::milliseconds(400));
-  JobHandle occupant = svc.submit(JobRequest{good_job("occupant")});
-  ASSERT_TRUE(occupant.accepted());
-
-  // Free the slot shortly after the first retry attempt fails.
-  std::thread canceller([&svc, &occupant] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    svc.cancel(occupant.id);
-  });
-
-  JobService::RetryPolicy policy;
-  policy.max_attempts = 8;
-  policy.initial_delay = std::chrono::milliseconds(20);
-  JobHandle h = svc.submit_with_retry(JobRequest{good_job("patient")}, policy);
-  canceller.join();
-  EXPECT_TRUE(h.accepted());
-  EXPECT_EQ(h.outcome.get().state, JobState::Completed);
-}
-
-TEST(JobAdmission, ExhaustedRetriesReturnTheRejection) {
-  JobService::Options opt;
-  opt.num_workers = 1;
-  opt.cache_capacity = 1024;
-  opt.max_queued_jobs = 1;
-  JobService svc(opt);
-  block_worker(svc, std::chrono::milliseconds(300));
-  JobHandle occupant = svc.submit(JobRequest{good_job("occupant")});
-  ASSERT_TRUE(occupant.accepted());
-
-  JobService::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_delay = std::chrono::milliseconds(5);
-  JobHandle h = svc.submit_with_retry(JobRequest{good_job("gives-up")}, policy);
-  EXPECT_FALSE(h.accepted());
-  EXPECT_EQ(h.submit_error.code, JobErrorCode::QueueFull);
-  occupant.outcome.wait();
-}
-
-TEST(JobAdmission, PermanentRejectionsAreNotRetried) {
-  JobService svc(JobService::Options{1, 64});
-  SweepJob bad = good_job("permanent");
-  bad.config.engine = "warp";
-  JobService::RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_delay = std::chrono::milliseconds(50);
-  const auto t0 = std::chrono::steady_clock::now();
-  JobHandle h = svc.submit_with_retry(JobRequest{std::move(bad)}, policy);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(h.submit_error.code, JobErrorCode::BadEngine);
-  // Returned on the first attempt — no backoff sleeps for a permanent code.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 50);
-}
-
 // ---------------------------------------------------------------------------
 // Failure isolation
 
@@ -938,7 +877,6 @@ TEST(JobStress, ConcurrentCancelsAndQueriesResolveEveryFuture) {
     while (!stop.load()) {
       for (const JobHandle& h : handles) (void)svc.state(h.id);
       (void)svc.queued();
-      (void)svc.estimated_backlog_ns();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

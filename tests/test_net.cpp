@@ -1,9 +1,9 @@
 // Loopback coverage of the hgp::net wire front end: the HGPN framing, the
 // Hello/token handshake, submit/poll/cancel/await/watch over TCP, the
 // bit-identical contract against in-process JobService::submit, session
-// survival under malformed frames and dead peers, the Prometheus endpoints,
-// and the adaptive worker pool. Every suite here is named Net* so the
-// sanitizer matrix can point TSan at the acceptor/session paths directly.
+// survival under malformed frames and dead peers, and the Prometheus
+// endpoints. Every suite here is named Net* so the sanitizer matrix can point
+// TSan at the acceptor/session paths directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -525,94 +525,4 @@ TEST(NetScrape, BinaryScrapeCarriesNetSeries) {
   EXPECT_NE(text.find("hgp_net_connections"), std::string::npos);
   EXPECT_NE(text.find("hgp_net_frames_rx"), std::string::npos);
   EXPECT_NE(text.find("hgp_service_jobs_queued"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive worker pool
-
-TEST(NetAdaptivePool, GrowsUnderBurstAndShrinksWhenIdle) {
-  serve::EvalService::Options options;
-  options.num_workers = 1;
-  options.cache_capacity = 64;
-  options.min_workers = 1;
-  options.max_workers = 4;
-  options.adapt_interval = std::chrono::milliseconds(5);
-  serve::EvalService svc(options);
-  EXPECT_EQ(svc.num_workers(), 1u);
-
-  // A burst the single worker cannot drain within a tick: the manager must
-  // grow toward max_workers.
-  std::vector<std::future<void>> finished;
-  for (int i = 0; i < 16; ++i) {
-    auto done = std::make_shared<std::promise<void>>();
-    finished.push_back(done->get_future());
-    svc.post({}, [done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      done->set_value();
-    });
-  }
-
-  std::size_t peak = 0;
-  const auto grow_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < grow_deadline) {
-    peak = std::max(peak, svc.num_workers());
-    if (peak >= 4) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(peak, 4u);
-  EXPECT_GT(svc.pool_grow_events(), 0u);
-
-  for (std::future<void>& f : finished) f.get();
-
-  // Idle queues: the pool must breathe back down to min_workers.
-  const auto shrink_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (svc.num_workers() > 1 && std::chrono::steady_clock::now() < shrink_deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(svc.num_workers(), 1u);
-  EXPECT_GT(svc.pool_shrink_events(), 0u);
-}
-
-TEST(NetAdaptivePool, FixedPoolNeverResizes) {
-  serve::EvalService::Options options;
-  options.num_workers = 2;
-  options.cache_capacity = 64;
-  // max_workers defaults to 0: fixed pool.
-  serve::EvalService svc(options);
-  std::vector<std::future<void>> finished;
-  for (int i = 0; i < 8; ++i) {
-    auto done = std::make_shared<std::promise<void>>();
-    finished.push_back(done->get_future());
-    svc.post({}, [done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done->set_value();
-    });
-  }
-  for (std::future<void>& f : finished) f.get();
-  EXPECT_EQ(svc.num_workers(), 2u);
-  EXPECT_EQ(svc.pool_grow_events(), 0u);
-  EXPECT_EQ(svc.pool_shrink_events(), 0u);
-}
-
-TEST(NetAdaptivePool, BurstOverTheWireGrowsTheServicePool) {
-  net::Server::Options options = loopback_options(1);
-  options.service.min_workers = 1;
-  options.service.max_workers = 3;
-  options.service.adapt_interval = std::chrono::milliseconds(5);
-  net::Server server(options);
-  net::Client client("127.0.0.1", server.port());
-
-  std::vector<serve::JobId> ids;
-  for (int i = 0; i < 6; ++i) {
-    const auto submitted = client.submit(request12q("net/burst"));
-    ASSERT_TRUE(submitted.accepted());
-    ids.push_back(submitted.id);
-  }
-  std::size_t peak = 1;
-  for (const serve::JobId id : ids) {
-    const auto outcome = client.await(id);
-    ASSERT_TRUE(outcome && outcome->state == serve::JobState::Completed);
-    peak = std::max(peak, server.service().service().num_workers());
-  }
-  EXPECT_GT(peak, 1u);
-  EXPECT_GT(server.service().service().pool_grow_events(), 0u);
 }

@@ -1,13 +1,12 @@
-// The noise primitives the engines share: readout confusion, the noise
-// model's readout table, and the validators of the depolarizing draw and the
-// relaxation constants. Channel statistics are tested on the executor's
-// engines, channel by channel (test_engine.cpp).
+// The noise primitives the engines share: readout confusion and the
+// validators of the depolarizing draw and the relaxation constants. Channel
+// statistics are tested on the executor's engines, channel by channel
+// (test_engine.cpp).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "noise/channels.hpp"
-#include "noise/model.hpp"
 
 using namespace hgp;
 
@@ -34,15 +33,6 @@ TEST(Readout, MultiQubitIndependence) {
     if (((out >> 1) & 1) != 1) ++q1_flips;
   }
   EXPECT_EQ(q1_flips, 0);
-}
-
-TEST(NoiseModel, ReadoutVectorExtraction) {
-  noise::NoiseModel nm;
-  nm.qubits.resize(3);
-  nm.qubits[1].readout.p1_given_0 = 0.05;
-  const auto v = nm.readout_errors();
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[1].p1_given_0, 0.05);
 }
 
 TEST(Channels, RejectBadParameters) {

@@ -1,12 +1,16 @@
 // The serve subsystem: the shared compiled-block cache (LRU semantics,
 // structure keys, calibration invalidation), the EvalService worker pool
-// (nested batches, error propagation), and the determinism contract —
+// (its fixed size, nested batches, error propagation, draining on
+// destruction), and the determinism contract —
 // batched runs are bit-identical for any worker count, and a grid of jobs
 // through one JobService matches sequential execution exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -351,6 +355,69 @@ TEST(BlockCachePulse, HybridQaoaRunHitsAcrossOptimizerIterations) {
   ASSERT_GT(gate_blocks, 0u);
   EXPECT_EQ(s.gate_hits + s.gate_misses, gate_blocks);
   EXPECT_EQ(s.gate_misses, distinct.size());
+}
+
+TEST(EvalService, FixedPoolRunsAtMostNumWorkersTasksAtOnce) {
+  constexpr std::size_t kWorkers = 3;
+  constexpr int kTasks = 16;
+  serve::EvalService svc(serve::EvalService::Options{kWorkers, 64});
+  EXPECT_EQ(svc.num_workers(), kWorkers);
+
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  std::vector<std::future<void>> finished;
+  for (int i = 0; i < kTasks; ++i) {
+    auto done = std::make_shared<std::promise<void>>();
+    finished.push_back(done->get_future());
+    svc.post({}, [&, done] {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      {
+        const std::lock_guard<std::mutex> lock(ids_mutex);
+        ids.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      running.fetch_sub(1);
+      done->set_value();
+    });
+  }
+  for (std::future<void>& f : finished) f.get();  // all 16 ran
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), static_cast<int>(kWorkers));
+  EXPECT_LE(ids.size(), kWorkers);  // no thread beyond the pool ran a task
+  EXPECT_EQ(svc.num_workers(), kWorkers);
+}
+
+TEST(EvalService, DestructorRunsEveryQueuedTask) {
+  // JobService relies on this: its queued run_job lambdas resolve their
+  // futures before the pool is gone.
+  constexpr int kQueued = 8;
+  std::atomic<int> ran{0};
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread releaser;
+  {
+    serve::EvalService svc(serve::EvalService::Options{1, 64});
+    svc.post({}, [&held, released] {
+      held.set_value();
+      released.wait();
+    });
+    held.get_future().wait();  // the only worker is busy from here on
+    for (int i = 0; i < kQueued; ++i) svc.post({}, [&ran] { ran.fetch_add(1); });
+    // Free the worker once the destructor below has begun to shut down.
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.set_value();
+    });
+    EXPECT_EQ(ran.load(), 0);
+  }
+  EXPECT_EQ(ran.load(), kQueued);
+  releaser.join();
 }
 
 TEST(EvalService, NestedBatchesCompleteWithoutDeadlock) {
