@@ -4,7 +4,7 @@
 
 namespace hgp::core {
 
-std::vector<noise::ReadoutError> calibrate_readout(Executor& executor,
+std::vector<noise::ReadoutError> calibrate_readout(const Executor& executor,
                                                    const std::vector<std::size_t>& phys_qubits,
                                                    std::size_t shots, Rng& rng) {
   HGP_REQUIRE(!phys_qubits.empty(), "calibrate_readout: no qubits");

@@ -14,7 +14,7 @@ namespace hgp::core {
 /// the "initial calibration program" of the paper's §IV-D. The X gates of
 /// the |1...1> preparation carry their own (small) error — the estimate is
 /// what a real calibration would see, not the simulator's ground truth.
-std::vector<noise::ReadoutError> calibrate_readout(Executor& executor,
+std::vector<noise::ReadoutError> calibrate_readout(const Executor& executor,
                                                    const std::vector<std::size_t>& phys_qubits,
                                                    std::size_t shots, Rng& rng);
 

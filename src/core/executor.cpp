@@ -463,7 +463,7 @@ CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
 
 std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
                                                             std::uint64_t pulse_fp,
-                                                            const ProgramTemplate& t) {
+                                                            const ProgramTemplate& t) const {
   if (!op.is_pulse) return compile_gate(op.gate, t);
   // Raw pulse block (the hybrid/pulse-level models' trainable layers): the
   // key is the schedule's canonical content fingerprint, so a parametric
@@ -479,7 +479,7 @@ std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
 }
 
 std::shared_ptr<const CompiledBlock> Executor::compile_gate(const qc::Op& op,
-                                                           const ProgramTemplate& t) {
+                                                           const ProgramTemplate& t) const {
   if (is_virtual_gate(op.kind)) {
     // Virtual blocks are never cached: building the 2x2 diagonal is cheaper
     // than a lookup.
@@ -550,7 +550,7 @@ std::shared_ptr<const CompiledBlock> Executor::compile_gate(const qc::Op& op,
 std::shared_ptr<const CompiledBlock> Executor::lower_schedule_block(
     const std::string& cache_key, const pulse::Schedule& sched,
     const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
-    bool fold_cx_phase_defect) {
+    bool fold_cx_phase_defect) const {
   // A miss means a real compile (pulse-ODE simulation for coherent blocks):
   // span it so the trace separates compile time from cache-hit replay. Hit
   // traffic is counted by the cache's own block_cache.* series.
@@ -586,7 +586,7 @@ std::uint32_t Executor::compile_mode() const {
          (options_.coherent_noise ? 16u : 0u);
 }
 
-std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& reference) {
+std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& reference) const {
   HGP_REQUIRE(!reference.measure_qubits.empty(), "Executor::compile: nothing to measure");
   ExecMetrics& em = ExecMetrics::get();
   obs::Span compile_span("executor.compile", &em.compile_ns);
@@ -611,6 +611,13 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
     for (std::size_t q : (op.is_pulse ? op.qubits : op.gate.qubits)) touch(q);
   for (std::size_t q : reference.measure_qubits) touch(q);
   std::sort(cp.touched.begin(), cp.touched.end());
+  // The noise walks index the device's per-qubit model by physical qubit,
+  // and a repeated measure qubit would read one local bit twice.
+  HGP_REQUIRE(cp.touched.back() < dev_.num_qubits(),
+              "Executor::compile: qubit " + std::to_string(cp.touched.back()) +
+                  " is not on the device");
+  sim::detail::require_qubits(reference.measure_qubits, dev_.num_qubits(),
+                              "Executor::compile: measure_qubits");
   const bool density = options_.noise && options_.engine == Engine::ExactDensity;
   HGP_REQUIRE(cp.touched.size() <= (density ? kMaxDensityQubits : kMaxTrajectoryQubits),
               "Executor::run: too many active qubits to simulate");
@@ -688,7 +695,7 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
   return t;
 }
 
-BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) {
+BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) const {
   HGP_REQUIRE(t.dev == &dev_ && t.mode == compile_mode(),
               "Executor: template was compiled for another backend or executor options");
   const CompiledProgram& cp = t.program;
@@ -755,8 +762,6 @@ BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) {
     HGP_REQUIRE(b.blocks[s]->duration_dt == ref_block.duration_dt,
                 "Executor: program changes a block's duration; compile a new template");
   }
-  report_ = ExecutionReport{cp.makespan_dt, dev_.readout_duration_dt(), steps,
-                            options_.noise ? steps : t.fusion.timeline.size()};
   if (options_.noise) return b;
 
   // Fused groups: a clean group uses the template's composition in place; a
@@ -784,7 +789,7 @@ BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) {
   return b;
 }
 
-sim::Statevector Executor::evolve_noiseless(const BoundProgram& b) {
+sim::Statevector Executor::evolve_noiseless(const BoundProgram& b) const {
   const std::vector<Scheduled>& groups = b.t->fusion.timeline;
   sim::Statevector sv(b.t->program.touched.size());
   for (std::size_t g = 0; g < groups.size(); ++g) sv.apply_matrix(*b.fused[g], groups[g].local);
@@ -980,6 +985,53 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
   return ws;
 }
 
+/// The noiseless evaluation of B bound candidates: one lane-batched evolve
+/// over the fused timeline, then the exact lane reduction of `spec` over the
+/// tables `t`. A fused slot whose bound unitary is the template's on every
+/// lane applies once broadcast; the others take the per-lane kernels. A lone
+/// candidate runs the scalar body on its lane instead, which skips the lane
+/// loop's per-block overhead. All three give identical bits, so the choice
+/// only affects speed.
+std::vector<double> evaluate_noiseless(const BoundProgram* lanes, std::size_t B,
+                                       const OutcomeTables& t, const ObjectiveSpec& spec) {
+  const ProgramTemplate& tmpl = *lanes[0].t;
+  const std::vector<Scheduled>& groups = tmpl.fusion.timeline;
+  sim::BatchedStatevector bsv(tmpl.program.touched.size(), B);
+  std::vector<const CMat*> us(B);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (B == 1) {
+      bsv.apply_matrix_one_lane(*lanes[0].fused[g], groups[g].local, 0);
+      continue;
+    }
+    bool per_lane = false;
+    for (std::size_t l = 0; l < B && !per_lane; ++l)
+      per_lane = lanes[l].fused[g] != &groups[g].block.unitary;
+    if (!per_lane) {
+      bsv.apply_matrix(*lanes[0].fused[g], groups[g].local);
+      continue;
+    }
+    for (std::size_t l = 0; l < B; ++l) us[l] = lanes[l].fused[g];
+    bsv.apply_matrix_per_lane(us, groups[g].local);
+  }
+
+  const std::size_t mdim = t.value.size();
+  std::vector<double> out(B);
+  if (spec.kind == ObjectiveKind::Expectation) {
+    std::vector<double> num(B), den(B);
+    bsv.weighted_masses(t.local_value.data(), num.data(), den.data());
+    for (std::size_t l = 0; l < B; ++l) out[l] = num[l] / den[l];
+  } else {
+    std::vector<double> mass(mdim * B, 0.0);
+    bsv.accumulate_mapped(t.local_outcome.data(), mass.data());
+    std::vector<double> p(mdim);
+    for (std::size_t l = 0; l < B; ++l) {
+      for (std::size_t j = 0; j < mdim; ++j) p[j] = mass[j * B + l];
+      out[l] = mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void Executor::run_lane_group(const BoundProgram& b, sim::BatchedStatevector& bsv,
@@ -1093,12 +1145,12 @@ std::vector<double> Executor::density_distribution(const BoundProgram& b) const 
   return p;
 }
 
-sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) {
+sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) const {
   return run(*compile(program), program, shots, rng);
 }
 
 sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std::size_t shots,
-                         Rng& rng) {
+                         Rng& rng) const {
   if (options_.cancel) options_.cancel->check();
   ExecMetrics& em = ExecMetrics::get();
   obs::Span run_span("executor.run", &em.run_ns);
@@ -1118,12 +1170,12 @@ sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std:
 }
 
 double Executor::run_expectation(const Program& program, std::size_t shots, Rng& rng,
-                                 const ObjectiveSpec& spec) {
+                                 const ObjectiveSpec& spec) const {
   return run_expectation(*compile(program), program, shots, rng, spec);
 }
 
 double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& program,
-                                 std::size_t shots, Rng& rng, const ObjectiveSpec& spec) {
+                                 std::size_t shots, Rng& rng, const ObjectiveSpec& spec) const {
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation: Sample objectives go through run()");
   HGP_REQUIRE(static_cast<bool>(spec.value),
@@ -1163,23 +1215,9 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
       return num / den;
     }
   } else if (!noisy) {
-    // One deterministic evolve, one exact reduction — shots and rng are
-    // untouched, and there is no sampling noise at all.
-    const sim::Statevector sv = evolve_noiseless(b);
-    if (expectation) {
-      double num = 0.0, den = 0.0;
-      sv.weighted_mass(t.local_value.data(), num, den);
-      return num / den;
-    }
-    // Exact (unnormalized) outcome masses in ascending basis order — the
-    // same additions accumulate_mapped performs per lane, so the batched
-    // candidate path is bit-identical to this one.
-    p.assign(mdim, 0.0);
-    const la::CVec& amp = sv.data();
-    for (std::uint64_t i = 0; i < amp.size(); ++i) {
-      const double ar = amp[i].real(), ai = amp[i].imag();
-      p[t.local_outcome[i]] += ar * ar + ai * ai;
-    }
+    // A lone candidate is a one-lane batch: run_expectation_batch's evolve
+    // and reduction, with shots and rng untouched.
+    return evaluate_noiseless(&b, 1, t, spec).front();
   } else {
     // Trajectory noise: run()'s shot grid, but each shot contributes its
     // exact terminal distribution instead of one sample, so the only
@@ -1232,14 +1270,14 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
 }
 
 std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& programs,
-                                                    const ObjectiveSpec& spec) {
+                                                    const ObjectiveSpec& spec) const {
   HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
   return run_expectation_batch(*compile(programs.front()), programs, spec);
 }
 
 std::vector<double> Executor::run_expectation_batch(const ProgramTemplate& tmpl,
                                                     const std::vector<Program>& programs,
-                                                    const ObjectiveSpec& spec) {
+                                                    const ObjectiveSpec& spec) const {
   HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation_batch: Sample objectives go through run()");
@@ -1259,45 +1297,7 @@ std::vector<double> Executor::run_expectation_batch(const ProgramTemplate& tmpl,
   for (std::size_t l = 0; l < B; ++l)
     lanes.push_back(bind(tmpl, programs[l]));
   compile_span.finish();
-  const CompiledProgram& cp = tmpl.program;
-  const std::vector<Scheduled>& groups = tmpl.fusion.timeline;
-
-  // One lane-batched evolve for all candidates. A fused slot whose bound
-  // unitary is the same on every lane — clean on all of them, or B = 1 —
-  // applies once broadcast; the others take the per-lane kernels.
-  // Broadcast and per-lane kernels give identical bits, so this choice only
-  // affects speed.
-  sim::BatchedStatevector bsv(cp.touched.size(), B);
-  std::vector<const CMat*> us(B);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    bool per_lane = false;
-    for (std::size_t l = 0; l < B && B > 1 && !per_lane; ++l)
-      per_lane = lanes[l].fused[g] != &groups[g].block.unitary;
-    if (!per_lane) {
-      bsv.apply_matrix(*lanes.front().fused[g], groups[g].local);
-      continue;
-    }
-    for (std::size_t l = 0; l < B; ++l) us[l] = lanes[l].fused[g];
-    bsv.apply_matrix_per_lane(us, groups[g].local);
-  }
-
-  const OutcomeTables t = tabulate(cp, spec, nullptr);
-  const std::size_t mdim = t.value.size();
-  std::vector<double> out(B);
-  if (spec.kind == ObjectiveKind::Expectation) {
-    std::vector<double> num(B), den(B);
-    bsv.weighted_masses(t.local_value.data(), num.data(), den.data());
-    for (std::size_t l = 0; l < B; ++l) out[l] = num[l] / den[l];
-  } else {
-    std::vector<double> mass(mdim * B, 0.0);
-    bsv.accumulate_mapped(t.local_outcome.data(), mass.data());
-    std::vector<double> p(mdim);
-    for (std::size_t l = 0; l < B; ++l) {
-      for (std::size_t j = 0; j < mdim; ++j) p[j] = mass[j * B + l];
-      out[l] = mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
-    }
-  }
-  return out;
+  return evaluate_noiseless(lanes.data(), B, tabulate(tmpl.program, spec, nullptr), spec);
 }
 
 }  // namespace hgp::core

@@ -127,16 +127,6 @@ struct ExecutorOptions {
   std::shared_ptr<const CancelToken> cancel;
 };
 
-/// Timing/duration report of one executed program.
-struct ExecutionReport {
-  int makespan_dt = 0;
-  int readout_dt = 0;
-  std::size_t block_count = 0;
-  /// Timeline length the engines actually walked after fusion (equal to
-  /// block_count when the pass was disabled or did not apply).
-  std::size_t fused_block_count = 0;
-};
-
 /// A program compiled once for a run: everything its evaluations share when
 /// only parameter values change between them. In the paper's hybrid model
 /// the problem layer is fixed gate-level code and only the γ phase gates
@@ -180,7 +170,8 @@ struct BoundProgram;
 /// device's coherent miscalibration), then realizes noise either as sampled
 /// quantum trajectories (per-block depolarizing charges, per-qubit thermal
 /// relaxation over the ASAP timeline, readout confusion) or as one exact
-/// density-matrix pass over the same timeline.
+/// density-matrix pass over the same timeline. It keeps no per-call state,
+/// so one executor may evaluate from many threads at once.
 class Executor {
  public:
   Executor(const backend::FakeBackend& dev, ExecutorOptions options = {});
@@ -190,7 +181,9 @@ class Executor {
   /// (noiseless executors), and the cache-key prefix. Every evaluation of a
   /// program with the same structure then binds to it (the overloads below
   /// taking a ProgramTemplate).
-  std::shared_ptr<const ProgramTemplate> compile(const Program& reference);
+  /// Throws hgp::Error when the program touches a qubit the device does not
+  /// have or measures a qubit twice.
+  std::shared_ptr<const ProgramTemplate> compile(const Program& reference) const;
 
   /// Run the program and return counts keyed in the order of
   /// program.measure_qubits (bit i = measure_qubits[i]).
@@ -205,12 +198,13 @@ class Executor {
   /// results are bit-identical to the Program overload on `program`, which
   /// is compile(program) followed by the bound call.
   sim::Counts run(const ProgramTemplate& tmpl, const Program& program, std::size_t shots,
-                  Rng& rng);
-  sim::Counts run(const Program& program, std::size_t shots, Rng& rng);
+                  Rng& rng) const;
+  sim::Counts run(const Program& program, std::size_t shots, Rng& rng) const;
 
   /// Evaluate a diagonal objective without terminal sampling. Noiseless:
-  /// one deterministic evolve, exact expectation/CVaR (shots and rng are
-  /// untouched). Trajectory noise: the same fixed batch grid and per-shot
+  /// the program evaluates as a one-lane candidate batch — the evolve and
+  /// exact expectation/CVaR of run_expectation_batch — and shots and rng
+  /// are untouched. Trajectory noise: the same fixed batch grid and per-shot
   /// child streams as run() (rng advances by exactly one draw), but each
   /// shot contributes its exact outcome distribution instead of one sample —
   /// Expectation averages per-shot normalized expectations, CVaR takes the
@@ -219,9 +213,9 @@ class Executor {
   /// exact objective over the folded distribution, no stochastic element at
   /// all. Deterministic for every thread and lane count.
   double run_expectation(const ProgramTemplate& tmpl, const Program& program,
-                         std::size_t shots, Rng& rng, const ObjectiveSpec& spec);
+                         std::size_t shots, Rng& rng, const ObjectiveSpec& spec) const;
   double run_expectation(const Program& program, std::size_t shots, Rng& rng,
-                         const ObjectiveSpec& spec);
+                         const ObjectiveSpec& spec) const;
 
   /// Candidate-lane batching: evaluate B structurally identical programs
   /// (same gates and layout, different parameter values — SPSA pairs,
@@ -229,15 +223,13 @@ class Executor {
   /// evolve. A fused slot whose bound unitary is the template's on every
   /// lane (or B = 1) applies once broadcast; the others take the per-lane
   /// kernels. Noiseless only — result l is bit-identical to
-  /// run_expectation(programs[l], ...) on a scalar statevector. The
-  /// Program-only overload compiles programs.front() as the template.
+  /// run_expectation(programs[l], ...), a one-lane batch. The Program-only
+  /// overload compiles programs.front() as the template.
   std::vector<double> run_expectation_batch(const ProgramTemplate& tmpl,
                                             const std::vector<Program>& programs,
-                                            const ObjectiveSpec& spec);
+                                            const ObjectiveSpec& spec) const;
   std::vector<double> run_expectation_batch(const std::vector<Program>& programs,
-                                            const ObjectiveSpec& spec);
-
-  const ExecutionReport& last_report() const { return report_; }
+                                            const ObjectiveSpec& spec) const;
 
   /// Hit/miss/evict counters of the compiled-block cache this executor
   /// compiles into (private or injected).
@@ -250,11 +242,12 @@ class Executor {
   /// once under the template's key prefix + its key (a pulse keys on
   /// `pulse_fp`, its schedule's fingerprint) and lowers only on a miss.
   std::shared_ptr<const CompiledBlock> compile_block(const ExecOp& op, std::uint64_t pulse_fp,
-                                                     const ProgramTemplate& t);
+                                                     const ProgramTemplate& t) const;
   /// Gate front-end of compile_block: keys a native gate by name, physical
   /// qubits and exact parameters, and builds its calibrated schedule only on
   /// a miss — a hit builds no schedule.
-  std::shared_ptr<const CompiledBlock> compile_gate(const qc::Op& op, const ProgramTemplate& t);
+  std::shared_ptr<const CompiledBlock> compile_gate(const qc::Op& op,
+                                                    const ProgramTemplate& t) const;
   /// Miss-only lowering tail for every schedule-backed block: simulate (or
   /// take the exact unitary when pulse-accurate compilation is off), fill
   /// the schedule-derived metadata, and insert under `cache_key`.
@@ -263,19 +256,18 @@ class Executor {
   std::shared_ptr<const CompiledBlock> lower_schedule_block(
       const std::string& cache_key, const pulse::Schedule& sched,
       const std::vector<std::size_t>& qubits, const la::CMat* exact_unitary,
-      bool fold_cx_phase_defect);
+      bool fold_cx_phase_defect) const;
   la::CMat simulate_block(const pulse::Schedule& physical_sched,
                           const std::vector<std::size_t>& qubits) const;
 
   /// The executor settings a template depends on (ProgramTemplate::mode).
   std::uint32_t compile_mode() const;
   /// The bind the template overloads share (see run()).
-  BoundProgram bind(const ProgramTemplate& t, const Program& program);
+  BoundProgram bind(const ProgramTemplate& t, const Program& program) const;
 
   /// The noiseless final state: one deterministic statevector evolve over
-  /// the bound fused timeline (recording its length in report_). run()
-  /// samples it; run_expectation() reduces it exactly.
-  sim::Statevector evolve_noiseless(const BoundProgram& b);
+  /// the bound fused timeline, which run() samples.
+  sim::Statevector evolve_noiseless(const BoundProgram& b) const;
   sim::Counts run_trajectories(const BoundProgram& b, std::size_t shots, Rng& rng) const;
   /// bsv.lanes() trajectories in lockstep: deterministic blocks apply once
   /// across all lanes, stochastic branches draw per lane from
@@ -293,7 +285,6 @@ class Executor {
 
   const backend::FakeBackend& dev_;
   ExecutorOptions options_;
-  ExecutionReport report_;
   std::shared_ptr<serve::BlockCache> cache_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "sim/statevector.hpp"
 
 namespace hgp::core {
 
@@ -26,87 +27,32 @@ std::vector<std::size_t> sorted(std::vector<std::size_t> v) {
 
 }  // namespace
 
-CMat embed_on_support(const CMat& u, const std::vector<std::size_t>& local,
-                      const std::vector<std::size_t>& support) {
-  const std::size_t k = local.size();
-  const std::size_t m = support.size();
-  HGP_REQUIRE(u.rows() == (std::size_t{1} << k), "embed_on_support: size mismatch");
-  if (local == support) return u;  // already in the fused basis
-
-  // pos[j] = support position of the constituent's sub-index bit j.
-  std::size_t pos[8];
-  std::uint64_t target_mask = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const auto it = std::lower_bound(support.begin(), support.end(), local[j]);
-    HGP_REQUIRE(it != support.end() && *it == local[j],
-                "embed_on_support: constituent qubit outside the support");
-    pos[j] = static_cast<std::size_t>(it - support.begin());
-    target_mask |= std::uint64_t{1} << pos[j];
-  }
-
-  const std::size_t dim = std::size_t{1} << m;
-  CMat big = CMat::zeros(dim, dim);
-  for (std::uint64_t r = 0; r < dim; ++r) {
-    std::uint64_t tr = 0;
-    for (std::size_t j = 0; j < k; ++j) tr |= ((r >> pos[j]) & 1u) << j;
-    const std::uint64_t rest = r & ~target_mask;
-    for (std::uint64_t ts = 0; ts < (std::uint64_t{1} << k); ++ts) {
-      std::uint64_t s = rest;
-      for (std::size_t j = 0; j < k; ++j) s |= ((ts >> j) & 1u) << pos[j];
-      big(r, s) = u(tr, ts);
-    }
-  }
-  return big;
-}
-
 CMat compose_fused(const FusePartView* parts, std::size_t n,
                    const std::vector<std::size_t>& support) {
   HGP_REQUIRE(n >= 1, "compose_fused: empty run");
-  CMat acc = embed_on_support(*parts[0].u, *parts[0].local, support);
+  // The row-major accumulator as a 2m-qubit state: entry (r, c) is amplitude
+  // (r << m) | c, column bits low and row bits high. Left-multiplying by a
+  // part embedded on the support applies the part to the row bits of every
+  // column at once, so each part runs through the scalar gate kernel on
+  // qubits m + (its support positions).
   const std::size_t m = support.size();
   const std::size_t dim = std::size_t{1} << m;
-  for (std::size_t i = 1; i < n; ++i) {
-    const CMat& u = *parts[i].u;
-    const std::vector<std::size_t>& local = *parts[i].local;
-    const std::size_t k = local.size();
-    if (local == support) {  // full-width part: plain left-multiply
-      acc = u * acc;
-      continue;
-    }
-    // Narrow part: apply it to each column of the accumulator in place —
-    // the left-multiply E(u)·acc without materializing the embedded matrix
-    // (the delta-compile path re-composes per dirty lane, so this runs in
-    // the batch hot loop).
-    std::size_t pos[8];
-    std::uint64_t target_mask = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto it = std::lower_bound(support.begin(), support.end(), local[j]);
-      HGP_REQUIRE(it != support.end() && *it == local[j],
+  sim::Statevector acc(2 * m);
+  for (std::size_t r = 1; r < dim; ++r) acc.data()[(r << m) | r] = 1.0;
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    rows.clear();
+    for (const std::size_t q : *parts[i].local) {
+      const auto it = std::lower_bound(support.begin(), support.end(), q);
+      HGP_REQUIRE(it != support.end() && *it == q,
                   "compose_fused: constituent qubit outside the support");
-      pos[j] = static_cast<std::size_t>(it - support.begin());
-      target_mask |= std::uint64_t{1} << pos[j];
+      rows.push_back(m + static_cast<std::size_t>(it - support.begin()));
     }
-    const std::size_t pdim = std::size_t{1} << k;
-    la::cxd a[8];
-    std::uint64_t idx[8];
-    for (std::uint64_t base = 0; base < dim; ++base) {
-      if ((base & target_mask) != 0) continue;
-      for (std::uint64_t t = 0; t < pdim; ++t) {
-        std::uint64_t r = base;
-        for (std::size_t j = 0; j < k; ++j) r |= ((t >> j) & 1u) << pos[j];
-        idx[t] = r;
-      }
-      for (std::size_t c = 0; c < dim; ++c) {
-        for (std::uint64_t t = 0; t < pdim; ++t) a[t] = acc(idx[t], c);
-        for (std::uint64_t r = 0; r < pdim; ++r) {
-          la::cxd s = u(r, 0) * a[0];
-          for (std::uint64_t t = 1; t < pdim; ++t) s += u(r, t) * a[t];
-          acc(idx[r], c) = s;
-        }
-      }
-    }
+    acc.apply_matrix(*parts[i].u, rows);
   }
-  return acc;
+  CMat out(dim, dim);
+  out.data() = std::move(acc.data());
+  return out;
 }
 
 FusionResult fuse_program(const CompiledProgram& cp, const FusionOptions& opt) {

@@ -43,22 +43,20 @@ struct FusionResult {
   transpile::PassStats stats;
 };
 
-/// Embed a k-qubit operator into the basis of `support` (sorted local qubit
-/// indices): constituent sub-index bit j (qubit local[j]) maps to the support
-/// position holding local[j]; support qubits outside `local` act as identity.
-la::CMat embed_on_support(const la::CMat& u, const std::vector<std::size_t>& local,
-                          const std::vector<std::size_t>& support);
-
 /// A constituent of a fused product, by reference: `u` acts on `local`.
 struct FusePartView {
   const la::CMat* u;
   const std::vector<std::size_t>* local;
 };
 
-/// Compose parts[n-1] * ... * parts[0] on `support` (timeline apply order:
-/// parts[0] acts first). Deterministic — a bind calls this with an
-/// evaluation's own constituent unitaries and must reproduce bitwise what
-/// fusing that evaluation's freshly compiled program would produce.
+/// Compose parts[n-1] * ... * parts[0] on `support` (sorted local qubit
+/// indices; timeline apply order: parts[0] acts first). A part's sub-index
+/// bit j acts on the support position holding local[j]; support qubits
+/// outside a part see the identity. Each part applies through
+/// sim::Statevector's gate kernel to the accumulator held as a 2m-qubit
+/// state. Deterministic — a bind calls this with an evaluation's own
+/// constituent unitaries and must reproduce bitwise what fusing that
+/// evaluation's freshly compiled program would produce.
 la::CMat compose_fused(const FusePartView* parts, std::size_t n,
                        const std::vector<std::size_t>& support);
 

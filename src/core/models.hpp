@@ -32,8 +32,6 @@ struct ModelConfig {
   bool gate_optimization = false;
   /// Fixed virtual→physical placement; empty = default device line.
   std::vector<std::size_t> initial_layout;
-  /// Ablation: lower RZZ through one direct CR echo instead of CX·RZ·CX.
-  bool pulse_efficient_rzz = false;
   /// Step III menu: insert X–X dynamical-decoupling echoes into idle
   /// windows of the compiled problem segments.
   bool dynamical_decoupling = false;

@@ -69,13 +69,6 @@ VqeResult run_vqe(const la::PauliSum& hamiltonian, const qc::Circuit& ansatz,
     o.max_iterations = std::max(1, config.max_evaluations /
                                        (2 * static_cast<int>(nparams) + 1));
     o.cancel = config.cancel;
-    if (config.gradient == "parameter_shift")
-      o.mode = opt::Adam::GradientMode::ParameterShift;
-    else if (config.gradient == "batched_parameter_shift")
-      o.mode = opt::Adam::GradientMode::BatchedParameterShift;
-    else
-      HGP_REQUIRE(config.gradient == "finite_difference",
-                  "run_vqe: unknown gradient '" + config.gradient + "'");
     r = opt::Adam(o).minimize_batch(energy_batch, x0);
   } else {
     HGP_REQUIRE(false, "run_vqe: unknown optimizer '" + config.optimizer + "'");

@@ -16,12 +16,9 @@ namespace hgp::core {
 /// machine-in-loop path.
 struct VqeConfig {
   int max_evaluations = 300;
-  std::string optimizer = "cobyla";  // "cobyla" | "neldermead" | "spsa" | "adam"
-  /// Gradient estimator of the "adam" optimizer: "finite_difference"
-  /// (default), "parameter_shift", or "batched_parameter_shift" — the last
-  /// submits all 2·n shift points of every iteration as one batch, which a
-  /// dispatcher fans out across workers (same numbers, shorter wall clock).
-  std::string gradient = "finite_difference";
+  /// "cobyla" | "neldermead" | "spsa" | "adam" (finite-difference
+  /// gradients, each submitted as one batch a dispatcher fans out).
+  std::string optimizer = "cobyla";
   std::uint64_t seed = 5;
   /// Cooperative cancellation, polled at optimizer iteration boundaries:
   /// a fired token makes the run return its best-so-far energy with

@@ -49,15 +49,15 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   eopt.num_threads = config.executor_threads;
   eopt.shot_batch_lanes = config.shot_batch_lanes;
   eopt.fusion_max_qubits = config.fusion;
-  // Every executor of this run (driver + per-candidate) compiles into one
-  // cache: across optimizer iterations only the parameter-bearing blocks
-  // recompile. A service-injected cache extends the sharing to every
-  // concurrent run of a sweep.
+  // The run's one executor evaluates every candidate, from any dispatcher
+  // worker, into one cache: across optimizer iterations only the
+  // parameter-bearing blocks recompile. A service-injected cache extends
+  // the sharing to every concurrent run of a sweep.
   eopt.block_cache = block_cache
                          ? std::move(block_cache)
                          : std::make_shared<serve::BlockCache>(eopt.block_cache_capacity);
   eopt.cancel = config.cancel;
-  Executor executor(dev, eopt);
+  const Executor executor(dev, eopt);
   Rng rng(config.seed);
 
   const ObjectiveKind okind = objective_from_name(config.objective);
@@ -119,8 +119,7 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
           progs.reserve(count);
           for (std::size_t i = 0; i < count; ++i)
             progs.push_back(model.instantiate(xs[start + i]));
-          Executor ex(dev, eopt);  // shares the block cache; private report
-          const std::vector<double> v = ex.run_expectation_batch(*tmpl, progs, spec);
+          const std::vector<double> v = executor.run_expectation_batch(*tmpl, progs, spec);
           for (std::size_t i = 0; i < count; ++i) vals[start + i] = -v[i];
         });
       }
@@ -137,11 +136,10 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
     const std::uint64_t base = rng.next_u64();
     return opt::parallel_map(dispatcher, xs.size(), [&](std::size_t i) {
       const Program prog = model.instantiate(xs[i]);
-      Executor ex(dev, eopt);  // shares the block cache; private report
       Rng candidate_rng = Rng::child(base, i);
       if (okind != ObjectiveKind::Sample)
-        return -ex.run_expectation(*tmpl, prog, config.shots, candidate_rng, spec);
-      const sim::Counts counts = ex.run(*tmpl, prog, config.shots, candidate_rng);
+        return -executor.run_expectation(*tmpl, prog, config.shots, candidate_rng, spec);
+      const sim::Counts counts = executor.run(*tmpl, prog, config.shots, candidate_rng);
       return -scored_cost(counts, instance.graph, config, m3.get());
     });
   };
@@ -228,7 +226,7 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   out.optimizer = std::move(opt_result);
   out.iterations_to_converge = opt::iterations_to_converge(out.optimizer, 0.02);
   out.mixer_layer_duration_dt = model.mixer_layer_duration_dt();
-  out.makespan_dt = executor.last_report().makespan_dt;
+  out.makespan_dt = tmpl->program.makespan_dt;
   out.swap_count = model.swap_count();
   out.num_parameters = model.num_parameters();
   if (cancelled) {

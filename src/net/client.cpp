@@ -67,8 +67,9 @@ Client::Submitted Client::submit(const serve::JobRequest& request) {
     throw NetError("malformed submit reply");
   Submitted out;
   out.id = id;
-  out.state = static_cast<serve::JobState>(state);
-  out.error.code = static_cast<serve::JobErrorCode>(code);
+  if (!serve::job_state_from_wire(state, out.state) ||
+      !serve::job_error_code_from_wire(code, out.error.code))
+    throw NetError("submit reply names no job state or error code");
   out.error.message = std::move(message);
   return out;
 }
@@ -79,7 +80,9 @@ std::optional<serve::JobState> Client::poll(serve::JobId id) {
   std::uint8_t known = 0, state = 0;
   if (!r.u8(known) || !r.u8(state) || !r.ok()) throw NetError("malformed poll reply");
   if (!known) return std::nullopt;
-  return static_cast<serve::JobState>(state);
+  serve::JobState out = serve::JobState::Queued;
+  if (!serve::job_state_from_wire(state, out)) throw NetError("poll reply names no job state");
+  return out;
 }
 
 bool Client::cancel(serve::JobId id) {
@@ -123,9 +126,11 @@ std::optional<serve::JobOutcome> Client::watch(
       io::Reader r(in.frame.payload);
       std::uint64_t event_id = 0;
       std::uint8_t state = 0;
-      if (!r.u64(event_id) || !r.u8(state) || !r.ok())
+      serve::JobState decoded = serve::JobState::Queued;
+      if (!r.u64(event_id) || !r.u8(state) || !r.ok() ||
+          !serve::job_state_from_wire(state, decoded))
         throw NetError("malformed state event");
-      if (on_state) on_state(static_cast<serve::JobState>(state));
+      if (on_state) on_state(decoded);
       continue;
     }
     if (in.frame.type == FrameType::Outcome) return parse_outcome(in.frame);

@@ -8,21 +8,9 @@
 
 namespace hgp::opt {
 
-std::vector<double> parameter_shift_gradient(const Objective& f, const std::vector<double>& x,
-                                             double shift) {
-  std::vector<double> g(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    std::vector<double> xp = x, xm = x;
-    xp[i] += shift;
-    xm[i] -= shift;
-    g[i] = (f(xp) - f(xm)) / (2.0 * std::sin(shift));
-  }
-  return g;
-}
-
-std::vector<double> parameter_shift_gradient_batch(const BatchObjective& f,
-                                                   const std::vector<double>& x,
-                                                   double shift) {
+std::vector<double> central_difference_gradient(const BatchObjective& f,
+                                                const std::vector<double>& x, double step,
+                                                double denominator) {
   const std::size_t n = x.size();
   // One span per stencil dispatch: the 2n-point batch handed to the
   // evaluator, plus running totals of dispatches and points.
@@ -37,29 +25,16 @@ std::vector<double> parameter_shift_gradient_batch(const BatchObjective& f,
   points.reserve(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> xp = x, xm = x;
-    xp[i] += shift;
-    xm[i] -= shift;
+    xp[i] += step;
+    xm[i] -= step;
     points.push_back(std::move(xp));
     points.push_back(std::move(xm));
   }
   const std::vector<double> vals = f(points);
   HGP_REQUIRE(vals.size() == 2 * n,
-              "parameter_shift_gradient_batch: evaluator returned wrong batch size");
+              "central_difference_gradient: evaluator returned wrong batch size");
   std::vector<double> g(n);
-  for (std::size_t i = 0; i < n; ++i)
-    g[i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * std::sin(shift));
-  return g;
-}
-
-std::vector<double> finite_difference_gradient(const Objective& f, const std::vector<double>& x,
-                                               double eps) {
-  std::vector<double> g(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    std::vector<double> xp = x, xm = x;
-    xp[i] += eps;
-    xm[i] -= eps;
-    g[i] = (f(xp) - f(xm)) / (2.0 * eps);
-  }
+  for (std::size_t i = 0; i < n; ++i) g[i] = (vals[2 * i] - vals[2 * i + 1]) / denominator;
   return g;
 }
 
@@ -75,10 +50,9 @@ OptimizeResult Adam::minimize_batch(const BatchObjective& f, std::vector<double>
   OptimizeResult out;
   bounds.clip(x0);
 
-  // Singleton-batch adapter for the serial gradient modes and the
-  // per-iteration probe: evaluation order matches the legacy scalar path
-  // exactly.
+  // Singleton batches for the initial point and each iterate.
   const Objective scalar = [&f](const std::vector<double>& p) { return f({p})[0]; };
+  constexpr double kHalfPi = 1.5707963267948966;
 
   std::vector<double> x = x0, m(n, 0.0), v(n, 0.0);
   double best_val = scalar(x);
@@ -90,19 +64,12 @@ OptimizeResult Adam::minimize_batch(const BatchObjective& f, std::vector<double>
       out.stopped_early = true;
       break;
     }
-    std::vector<double> g;
-    switch (options_.mode) {
-      case GradientMode::BatchedParameterShift:
-        // All 2·n shift points in one call — the evaluator decides whether
-        // they run as candidate lanes, pooled workers, or serially.
-        g = parameter_shift_gradient_batch(f, x);
-        break;
-      case GradientMode::ParameterShift:
-        g = parameter_shift_gradient(scalar, x);
-        break;
-      default:
-        g = finite_difference_gradient(scalar, x, options_.fd_eps);
-    }
+    // All 2·n stencil points in one call — the evaluator decides whether
+    // they run as candidate lanes, pooled workers, or serially.
+    const std::vector<double> g =
+        options_.mode == GradientMode::ParameterShift
+            ? central_difference_gradient(f, x, kHalfPi, 2.0 * std::sin(kHalfPi))
+            : central_difference_gradient(f, x, options_.fd_eps, 2.0 * options_.fd_eps);
     out.evaluations += static_cast<int>(2 * n);
 
     for (std::size_t j = 0; j < n; ++j) {

@@ -4,39 +4,26 @@
 
 namespace hgp::opt {
 
-/// Gradient estimate by the parameter-shift rule (exact for expectation
-/// values of circuits whose gates are e^{-iθP/2}; with shot noise it is an
-/// unbiased estimator). shift = π/2 reproduces the textbook rule.
-std::vector<double> parameter_shift_gradient(const Objective& f, const std::vector<double>& x,
-                                             double shift = 1.5707963267948966);
+/// Central-difference gradient as one batch: all 2·n points x ± step·e_i,
+/// ordered x+step·e_0, x−step·e_0, x+step·e_1, …, go out in a single
+/// BatchObjective call, so a candidate-lane or worker-pool evaluator
+/// amortizes every shared gate application across the whole gradient, and
+/// g_i = (f(x+step·e_i) − f(x−step·e_i)) / denominator. The parameter-shift
+/// rule is step π/2 over 2·sin(π/2) (exact for expectation values of
+/// circuits whose gates are e^{-iθP/2}); central finite differences, for
+/// pulse parameters where no shift rule applies, are step ε over 2ε.
+std::vector<double> central_difference_gradient(const BatchObjective& f,
+                                                const std::vector<double>& x, double step,
+                                                double denominator);
 
-/// Parameter-shift gradient as one batch: all 2·n shift points (ordered
-/// x+s·e_0, x−s·e_0, x+s·e_1, …, the serial rule's evaluation order) go out
-/// in a single BatchObjective call, so a candidate-lane or worker-pool
-/// evaluator amortizes every shared gate application across the whole
-/// gradient. Element-wise identical to parameter_shift_gradient whenever the
-/// batch evaluator matches the scalar one point-for-point.
-std::vector<double> parameter_shift_gradient_batch(const BatchObjective& f,
-                                                   const std::vector<double>& x,
-                                                   double shift = 1.5707963267948966);
-
-/// Central finite differences (for pulse parameters, where no shift rule
-/// applies).
-std::vector<double> finite_difference_gradient(const Objective& f, const std::vector<double>& x,
-                                               double eps = 1e-3);
-
-/// Adam on top of one of the gradient estimators above — the "enabling
-/// gradient descent for pulse-level VQAs" baseline the paper cites.
+/// Adam on the central-difference stencil above — the "enabling gradient
+/// descent for pulse-level VQAs" baseline the paper cites. Each iteration
+/// submits its gradient's 2·n points as one batch.
 class Adam : public Optimizer {
  public:
   enum class GradientMode {
     ParameterShift,
     FiniteDifference,
-    /// Parameter-shift with all 2·n shift points submitted as one
-    /// BatchObjective call per iteration — the same numbers as
-    /// ParameterShift when the evaluator is point-exact, but a lane-batched
-    /// or pooled evaluator runs the whole gradient concurrently.
-    BatchedParameterShift,
   };
 
   struct Options {
@@ -57,9 +44,8 @@ class Adam : public Optimizer {
 
   OptimizeResult minimize(const Objective& f, std::vector<double> x0,
                           const Bounds& bounds = {}) const override;
-  /// Real batching for BatchedParameterShift (one 2·n-candidate call per
-  /// iteration); the other modes feed singleton batches in the serial
-  /// evaluation order, so traces are unchanged.
+  /// One 2·n-candidate call per gradient, plus a singleton batch for the
+  /// initial point and each iterate.
   OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
                                 const Bounds& bounds = {}) const override;
   std::string name() const override { return "Adam"; }

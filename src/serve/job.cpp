@@ -1,11 +1,22 @@
 #include "serve/job.hpp"
 
+#include <iterator>
+
 namespace hgp::serve {
 
 const std::string& job_state_name(JobState state) {
   static const std::string names[] = {"queued",    "running", "completed", "failed",
                                       "cancelled", "expired", "rejected"};
-  return names[static_cast<int>(state)];
+  static_assert(std::size(names) == static_cast<std::size_t>(JobState::Rejected) + 1);
+  static const std::string unknown = "unknown";
+  const auto i = static_cast<std::size_t>(state);
+  return i < std::size(names) ? names[i] : unknown;
+}
+
+bool job_state_from_wire(std::uint8_t raw, JobState& out) {
+  if (raw > static_cast<std::uint8_t>(JobState::Rejected)) return false;
+  out = static_cast<JobState>(raw);
+  return true;
 }
 
 bool job_state_terminal(JobState state) {
@@ -34,7 +45,16 @@ const std::string& job_error_code_name(JobErrorCode code) {
       "bad_objective", "bad_optimizer",    "bad_lanes",         "bad_cvar_alpha",
       "bad_model",     "incompatible_m3",  "bad_tenant",        "queue_full",
       "deadline_expired", "cancel_requested", "execution_failed"};
-  return names[static_cast<int>(code)];
+  static_assert(std::size(names) == static_cast<std::size_t>(JobErrorCode::ExecutionFailed) + 1);
+  static const std::string unknown = "unknown";
+  const auto i = static_cast<std::size_t>(code);
+  return i < std::size(names) ? names[i] : unknown;
+}
+
+bool job_error_code_from_wire(std::int32_t raw, JobErrorCode& out) {
+  if (raw < 0 || raw > static_cast<std::int32_t>(JobErrorCode::ExecutionFailed)) return false;
+  out = static_cast<JobErrorCode>(raw);
+  return true;
 }
 
 Job::Job(JobId id, JobRequest request)

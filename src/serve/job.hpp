@@ -54,7 +54,12 @@ enum class JobState : int {
   Rejected,
 };
 
+/// "unknown" for a value that names no state.
 const std::string& job_state_name(JobState state);
+/// Checked decode of a state byte from the wire: false (out untouched) when
+/// it names no state. JobOutcome::deserialize and net::Client decode every
+/// state a peer sends through it.
+bool job_state_from_wire(std::uint8_t raw, JobState& out);
 bool job_state_terminal(JobState state);
 /// The edges of the diagram above — anything else is a state-machine bug.
 bool job_transition_allowed(JobState from, JobState to);
@@ -87,7 +92,10 @@ enum class JobErrorCode : int {
   ExecutionFailed,    ///< the run threw; message carries what()
 };
 
+/// "unknown" for a value that names no code.
 const std::string& job_error_code_name(JobErrorCode code);
+/// Checked decode of an error-code i32 from the wire, as job_state_from_wire.
+bool job_error_code_from_wire(std::int32_t raw, JobErrorCode& out);
 
 struct JobError {
   JobErrorCode code = JobErrorCode::None;
@@ -124,7 +132,7 @@ struct JobRequest {
   /// layout change, a renumbered JobErrorCode included; deserialize()
   /// rejects versions it does not speak, so a newer peer degrades to a
   /// structured error instead of misparsing.
-  static constexpr std::uint32_t kSchemaVersion = 2;
+  static constexpr std::uint32_t kSchemaVersion = 3;
 
   void serialize(io::Writer& w) const;
   std::string serialize() const;

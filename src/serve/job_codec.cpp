@@ -83,7 +83,6 @@ void put_model(io::Writer& w, const core::ModelConfig& m) {
   put_bool(w, m.gate_optimization);
   w.u32(static_cast<std::uint32_t>(m.initial_layout.size()));
   for (const std::size_t q : m.initial_layout) w.u32(static_cast<std::uint32_t>(q));
-  put_bool(w, m.pulse_efficient_rzz);
   put_bool(w, m.dynamical_decoupling);
   put_bool(w, m.train_amp);
   put_bool(w, m.train_phase);
@@ -103,9 +102,8 @@ bool get_model(io::Reader& r, core::ModelConfig& m) {
     if (!r.u32(v)) return false;
     q = v;
   }
-  return get_bool(r, m.pulse_efficient_rzz) && get_bool(r, m.dynamical_decoupling) &&
-         get_bool(r, m.train_amp) && get_bool(r, m.train_phase) &&
-         get_bool(r, m.train_freq) && r.u64(m.seed);
+  return get_bool(r, m.dynamical_decoupling) && get_bool(r, m.train_amp) &&
+         get_bool(r, m.train_phase) && get_bool(r, m.train_freq) && r.u64(m.seed);
 }
 
 void put_config(io::Writer& w, const core::RunConfig& c) {
@@ -232,11 +230,8 @@ bool JobOutcome::deserialize(io::Reader& r, JobOutcome& out) {
   if (!r.u8(state) || !r.i32(code) || !r.str(out.error.message) || !r.u64(out.wait_ns) ||
       !r.u64(out.run_ns) || !get_bool(r, out.has_result))
     return false;
-  if (state > static_cast<std::uint8_t>(JobState::Rejected)) return false;
-  if (code < 0 || code > static_cast<std::int32_t>(JobErrorCode::ExecutionFailed))
+  if (!job_state_from_wire(state, out.state) || !job_error_code_from_wire(code, out.error.code))
     return false;
-  out.state = static_cast<JobState>(state);
-  out.error.code = static_cast<JobErrorCode>(code);
   if (!out.has_result) return true;
   core::RunResult& res = out.result;
   std::uint64_t swaps = 0, params = 0;

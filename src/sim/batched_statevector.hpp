@@ -108,8 +108,7 @@ class BatchedStatevector {
   /// values[i] * p and den[l] += p in ascending basis order, with p = re^2 +
   /// im^2 — the sampling-free expectation pass (values indexed by the local
   /// basis index). States may be unnormalized (trajectory lanes carry their
-  /// squared norm); num[l] / den[l] is lane l's normalized expectation. The
-  /// accumulation mirrors Statevector::weighted_mass term-for-term.
+  /// squared norm); num[l] / den[l] is lane l's normalized expectation.
   void weighted_masses(const double* values, double* num, double* den) const;
 
   /// Mapped probability accumulation for the CVaR tail pass: for every basis

@@ -54,17 +54,6 @@ std::vector<double> Statevector::probabilities() const {
   return p;
 }
 
-void Statevector::weighted_mass(const double* values, double& num, double& den) const {
-  num = 0.0;
-  den = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size(); ++i) {
-    const double ar = amp_[i].real(), ai = amp_[i].imag();
-    const double p = ar * ar + ai * ai;
-    num += values[i] * p;
-    den += p;
-  }
-}
-
 double Statevector::expectation(const la::PauliSum& obs) const {
   HGP_REQUIRE(obs.num_qubits() == num_qubits_, "expectation: observable width mismatch");
   return obs.expectation(amp_);

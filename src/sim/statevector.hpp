@@ -32,13 +32,6 @@ class Statevector final : public CircuitState<Statevector> {
   void apply_matrix(const la::CMat& u, const std::vector<std::size_t>& qubits);
 
   std::vector<double> probabilities() const;
-  /// Probability-weighted sum over the basis without materializing a CDF:
-  /// num += values[i] * p_i and den += p_i in ascending basis order, with
-  /// p_i = re^2 + im^2 — term-for-term the same accumulation as
-  /// BatchedStatevector::weighted_masses, so a scalar evaluation is
-  /// bit-identical to any lane of a batched one. The state may be
-  /// unnormalized (den carries the actual squared norm).
-  void weighted_mass(const double* values, double& num, double& den) const;
   /// Expectation of a Pauli-sum observable.
   double expectation(const la::PauliSum& obs) const;
   /// Probability that qubit q reads 1.

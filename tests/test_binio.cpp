@@ -172,8 +172,11 @@ TEST(JobCodec, UnknownSchemaVersionIsRejected) {
   std::string bytes = sample_request().serialize();
   bytes[0] = char(serve::JobRequest::kSchemaVersion + 1);  // version is the leading u32
   EXPECT_FALSE(parse_request(bytes));
-  // The previous version numbered its error codes differently.
-  bytes[0] = char(serve::JobRequest::kSchemaVersion - 1);
+  // Version 2 carried ModelConfig::pulse_efficient_rzz.
+  bytes[0] = char(2);
+  EXPECT_FALSE(parse_request(bytes));
+  // Version 1 numbered its error codes differently.
+  bytes[0] = char(1);
   EXPECT_FALSE(parse_request(bytes));
 }
 

@@ -169,11 +169,10 @@ TEST(Executor, ReportsTimeline) {
   prog.ops.push_back(ExecOp::from_gate(qc::Op{qc::GateKind::SX, {0}, {}}));
   prog.ops.push_back(ExecOp::from_gate(qc::Op{qc::GateKind::SX, {0}, {}}));
   prog.measure_qubits = {0};
-  Executor ex(toronto(), noiseless());
-  Rng rng(5);
-  ex.run(prog, 10, rng);
-  EXPECT_EQ(ex.last_report().makespan_dt, 320);
-  EXPECT_EQ(ex.last_report().block_count, 2u);
+  const Executor ex(toronto(), noiseless());
+  const auto tmpl = ex.compile(prog);
+  EXPECT_EQ(tmpl->program.makespan_dt, 320);
+  EXPECT_EQ(tmpl->program.timeline.size(), 2u);
 }
 
 TEST(Models, GateLevelParameterSpace) {

@@ -56,6 +56,44 @@ double total_shots(const sim::Counts& counts) {
 
 }  // namespace
 
+TEST(ExecutorCompile, RejectsQubitsOffTheDeviceAndRepeatedMeasures) {
+  // The noise walks index the device's per-qubit model by physical qubit, so
+  // a qubit off the device must fail compile on both engines — whether it is
+  // measured, rotated by a virtual gate or idled by a delay. A qubit measured
+  // twice would read one local bit twice, and the engines disagree on it.
+  auto rz = [](std::size_t q) {
+    return ExecOp::from_gate(qc::Op{qc::GateKind::RZ, {q}, {qc::Param::constant(0.3)}});
+  };
+  auto delay = [](std::size_t q) {
+    return ExecOp::from_gate(qc::Op{qc::GateKind::Delay, {q}, {qc::Param::constant(160.0)}});
+  };
+  const ExecOp x0 = ExecOp::from_gate(qc::Op{qc::GateKind::X, {0}, {}});
+  const std::size_t off = toronto().num_qubits() + 13;  // qubit 40 on toronto
+  std::vector<Program> rows(4);
+  rows[0].ops = {x0};
+  rows[0].measure_qubits = {0, off};
+  rows[1].ops = {x0, rz(off)};
+  rows[1].measure_qubits = {0};
+  rows[2].ops = {x0, delay(off)};
+  rows[2].measure_qubits = {0};
+  rows[3].ops = {x0};
+  rows[3].measure_qubits = {0, 0};
+  for (const Engine engine : {Engine::Trajectory, Engine::ExactDensity}) {
+    ExecutorOptions opts;
+    opts.engine = engine;
+    opts.num_threads = 1;
+    const Executor ex(toronto(), opts);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      EXPECT_THROW(ex.compile(rows[r]), Error)
+          << core::engine_name(engine) << " row " << r;
+    // The valid neighbours still compile.
+    Program ok;
+    ok.ops = {x0, rz(1), delay(1)};
+    ok.measure_qubits = {0, 1};
+    EXPECT_NO_THROW(ex.compile(ok)) << core::engine_name(engine);
+  }
+}
+
 TEST(EngineNames, RoundTrip) {
   EXPECT_EQ(core::engine_from_name("trajectory"), Engine::Trajectory);
   EXPECT_EQ(core::engine_from_name("density"), Engine::ExactDensity);
@@ -251,7 +289,9 @@ ExecOp gate(qc::GateKind kind, std::vector<std::size_t> qubits, std::vector<doub
 struct EngineOutcomes {
   std::vector<double> trajectory;
   std::vector<double> exact;
-  core::ExecutionReport report;
+  /// The program's makespan and the device's readout window.
+  int makespan_dt = 0;
+  int readout_dt = 0;
 };
 
 EngineOutcomes run_both_engines(const backend::FakeBackend& dev, const Program& prog,
@@ -277,7 +317,8 @@ EngineOutcomes run_both_engines(const backend::FakeBackend& dev, const Program& 
     Rng unused(0);  // the density objective draws nothing
     out.exact.push_back(exact.run_expectation(prog, 1, unused, indicator));
   }
-  out.report = exact.last_report();
+  out.makespan_dt = exact.compile(prog)->program.makespan_dt;
+  out.readout_dt = dev.readout_duration_dt();
   return out;
 }
 
@@ -310,7 +351,7 @@ TEST(ChannelVsDensity, T1DecayFollowsExpT1) {
 
   const EngineOutcomes o = run_both_engines(dev, prog, false, 101);
   expect_engines_agree(o, "T1");
-  const double t_us = dt_us(o.report.makespan_dt + o.report.readout_dt);
+  const double t_us = dt_us(o.makespan_dt + o.readout_dt);
   EXPECT_NEAR(o.exact[0b01], std::exp(-t_us / 60.0), 1e-9);
   EXPECT_EQ(o.exact[0b10] + o.exact[0b11], 0.0);
   EXPECT_EQ(o.trajectory[0b10] + o.trajectory[0b11], 0.0);
@@ -337,8 +378,8 @@ TEST(ChannelVsDensity, RamseyContrastFollowsExpT2) {
 
   const EngineOutcomes o = run_both_engines(dev, prog, false, 102);
   expect_engines_agree(o, "T2");
-  const int sx_dt = (o.report.makespan_dt - delay_dt) / 2;
-  const double after_us = dt_us(sx_dt + o.report.readout_dt);
+  const int sx_dt = (o.makespan_dt - delay_dt) / 2;
+  const double after_us = dt_us(sx_dt + o.readout_dt);
   const double contrast = 1.0 - 2.0 * o.exact[1] / std::exp(-after_us / t1_us);
   EXPECT_NEAR(contrast, std::exp(-dt_us(sx_dt + delay_dt) / t2_us), 1e-9);
 }
@@ -446,10 +487,8 @@ TEST(VirtualFolding, ReportCountsFoldedBlocksOnce) {
   noiseless.noise = false;
   noiseless.readout_error = false;
   noiseless.coherent_noise = false;
-  Executor ex(toronto(), noiseless);
-  Rng rng(1);
-  ex.run(prog, 10, rng);
-  EXPECT_EQ(ex.last_report().block_count, 2u);  // fused RZ + SX
+  const Executor ex(toronto(), noiseless);
+  EXPECT_EQ(ex.compile(prog)->program.timeline.size(), 2u);  // folded RZ + SX
 }
 
 TEST(RngChild, StreamsAreDeterministicAndDecorrelated) {

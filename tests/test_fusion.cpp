@@ -1,4 +1,4 @@
-// The timeline block-fusion pass: embedding/composition algebra, fused vs
+// The timeline block-fusion pass: composition algebra, fused vs
 // unfused parity on every deterministic-unitary engine path, the noisy
 // engines' knob-is-a-no-op guarantee (bit-identical counts), bit-identity of
 // the bound candidate lanes against scalar fused runs, repeated runs through
@@ -97,11 +97,11 @@ double total_variation(const sim::Counts& a, const sim::Counts& b, std::size_t s
 
 }  // namespace
 
-// ---- embedding / composition algebra ----------------------------------------
+// ---- composition algebra -----------------------------------------------------
 
 TEST(FusionEmbed, EmbeddedOperatorActsLikeOriginal) {
-  // Acting with the embedded matrix on the full support must equal acting
-  // with the original on its own qubits, for every support position.
+  // A lone part composed on the full support must act like the original on
+  // its own qubits, for every support position and qubit order.
   const la::CMat u1 = qc::gate_matrix(qc::GateKind::SX);
   const la::CMat u2 = qc::gate_matrix(qc::GateKind::RZZ, {0.7});
   const std::vector<std::size_t> support = {0, 1, 2};
@@ -118,7 +118,8 @@ TEST(FusionEmbed, EmbeddedOperatorActsLikeOriginal) {
     for (std::size_t q = 0; q < 3; ++q)
       embedded.apply_matrix(qc::gate_matrix(qc::GateKind::SX), {q});
     direct.apply_matrix(*c.u, c.local);
-    embedded.apply_matrix(core::embed_on_support(*c.u, c.local, support), support);
+    const core::FusePartView part{c.u, &c.local};
+    embedded.apply_matrix(core::compose_fused(&part, 1, support), support);
     for (std::size_t i = 0; i < 8; ++i)
       EXPECT_LT(std::abs(direct.data()[i] - embedded.data()[i]), 1e-12);
   }
@@ -200,12 +201,12 @@ TEST(FusionParity, NoiselessExpectationAcrossWidths) {
       Rng r1(5);
       const double got = fused.run_expectation(prog, 64, r1, spec);
       EXPECT_NEAR(got, reference, 1e-9) << "width=" << width;
-      EXPECT_LT(fused.last_report().fused_block_count,
-                fused.last_report().block_count)
+      const auto tmpl = fused.compile(prog);
+      EXPECT_LT(tmpl->fusion.timeline.size(), tmpl->program.timeline.size())
           << "width=" << width;
     }
-    EXPECT_EQ(unfused.last_report().fused_block_count,
-              unfused.last_report().block_count);
+    const auto tmpl = unfused.compile(prog);
+    EXPECT_EQ(tmpl->fusion.timeline.size(), tmpl->program.timeline.size());
   }
 }
 
@@ -236,7 +237,7 @@ TEST(FusionParity, WidthAboveThreeClampsToThree) {
   const sim::Counts a = w3.run(prog, 512, r0);
   const sim::Counts b = w9.run(prog, 512, r1);
   EXPECT_EQ(a, b);  // same pass, bit-identical
-  EXPECT_EQ(w3.last_report().fused_block_count, w9.last_report().fused_block_count);
+  EXPECT_EQ(w3.compile(prog)->fusion.timeline.size(), w9.compile(prog)->fusion.timeline.size());
 }
 
 // ---- noisy engines: the knob is a semantic no-op ----------------------------

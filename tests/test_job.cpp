@@ -287,6 +287,27 @@ TEST(JobStateMachine, TerminalStatesAndNames) {
   EXPECT_EQ(serve::job_state_name(JobState::Expired), "expired");
 }
 
+TEST(JobStateMachine, OutOfRangeValuesAreUnknownAndFailTheWireDecode) {
+  EXPECT_EQ(serve::job_state_name(static_cast<JobState>(250)), "unknown");
+  EXPECT_EQ(serve::job_error_code_name(static_cast<JobErrorCode>(100000)), "unknown");
+  EXPECT_EQ(serve::job_error_code_name(static_cast<JobErrorCode>(-1)), "unknown");
+
+  JobState state = JobState::Queued;
+  EXPECT_TRUE(serve::job_state_from_wire(6, state));
+  EXPECT_EQ(state, JobState::Rejected);
+  EXPECT_FALSE(serve::job_state_from_wire(7, state));
+  EXPECT_FALSE(serve::job_state_from_wire(250, state));
+  EXPECT_EQ(state, JobState::Rejected);  // untouched by a failed decode
+
+  JobErrorCode code = JobErrorCode::None;
+  EXPECT_TRUE(serve::job_error_code_from_wire(18, code));
+  EXPECT_EQ(code, JobErrorCode::ExecutionFailed);
+  EXPECT_FALSE(serve::job_error_code_from_wire(19, code));
+  EXPECT_FALSE(serve::job_error_code_from_wire(-1, code));
+  EXPECT_FALSE(serve::job_error_code_from_wire(100000, code));
+  EXPECT_EQ(code, JobErrorCode::ExecutionFailed);
+}
+
 TEST(JobStateMachine, CasAllowsExactlyOneWinner) {
   Job job(1, JobRequest{good_job("cas")});
   EXPECT_EQ(job.state(), JobState::Queued);

@@ -417,6 +417,76 @@ TEST(NetSession, OversizedLengthPrefixGetsErrorThenClose) {
   EXPECT_EQ(net::read_frame(sock).status, net::WireStatus::Eof);
 }
 
+namespace {
+
+/// A fake HGPN peer for one client: answers Hello correctly, then names no
+/// JobState or JobErrorCode in its Submit, Poll and StateEvent replies.
+void serve_out_of_range_enums(net::Socket& sock) {
+  for (;;) {
+    const net::ReadResult in = net::read_frame(sock);
+    if (in.status != net::WireStatus::Ok) return;
+    std::string out;
+    io::Writer w(out);
+    switch (in.frame.type) {
+      case net::FrameType::Hello:
+        w.u32(serve::JobRequest::kSchemaVersion);
+        w.str("default");
+        net::write_frame(sock, net::FrameType::HelloOk, out);
+        break;
+      case net::FrameType::Submit:
+        w.u64(1);
+        w.u8(200);
+        w.i32(100000);
+        w.str("");
+        net::write_frame(sock, net::FrameType::SubmitReply, out);
+        break;
+      case net::FrameType::Poll:
+        w.u8(1);
+        w.u8(250);
+        net::write_frame(sock, net::FrameType::PollReply, out);
+        break;
+      case net::FrameType::Watch: {
+        w.u64(1);
+        w.u8(250);
+        net::write_frame(sock, net::FrameType::StateEvent, out);
+        // An unknown-job outcome ends a watch that took the event.
+        std::string unknown;
+        io::Writer uw(unknown);
+        uw.u64(1);
+        uw.u8(0);
+        net::write_frame(sock, net::FrameType::Outcome, unknown);
+        break;
+      }
+      default:
+        return;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(NetClient, OutOfRangeStateOrCodeFromAPeerThrows) {
+  // The client must refuse each out-of-range reply instead of casting the
+  // raw value to the enum.
+  net::ListenSocket listener = net::ListenSocket::open("127.0.0.1", 0);
+  std::thread fake([&listener] {
+    net::Socket sock = listener.accept();
+    // The client closes with the watch's Outcome frame unread, which resets
+    // the connection: the fake peer ends on that NetError.
+    try {
+      serve_out_of_range_enums(sock);
+    } catch (const net::NetError&) {
+    }
+  });
+  {
+    net::Client client("127.0.0.1", listener.port());
+    EXPECT_THROW(client.submit(wire_request("bad-enums")), net::NetError);
+    EXPECT_THROW(client.poll(1), net::NetError);
+    EXPECT_THROW(client.watch(1, nullptr), net::NetError);
+  }
+  fake.join();
+}
+
 // ---------------------------------------------------------------------------
 // Authn-lite tenants
 

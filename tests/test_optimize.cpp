@@ -112,47 +112,52 @@ TEST(Adam, FiniteDifferenceOnSphere) {
   EXPECT_LT(r.value, 1e-3);
 }
 
-TEST(Adam, BatchedParameterShiftSubmitsOneBatchPerIteration) {
-  // The batched mode's whole point: 2·n shift points per iteration go out as
-  // ONE BatchObjective call (a candidate-lane evaluator then runs them as
-  // lanes of a single evolve), never as 2·n singleton calls.
-  std::size_t calls = 0;
-  std::vector<std::size_t> batch_sizes;
-  const opt::BatchObjective f = [&](const std::vector<std::vector<double>>& xs) {
-    ++calls;
-    batch_sizes.push_back(xs.size());
-    std::vector<double> out;
-    out.reserve(xs.size());
-    for (const auto& x : xs) out.push_back(sphere(x));
-    return out;
-  };
-  opt::Adam::Options o;
-  o.max_iterations = 5;
-  o.mode = opt::Adam::GradientMode::BatchedParameterShift;
-  const auto r = opt::Adam(o).minimize_batch(f, {0.1, 0.9, -0.4});
-  EXPECT_EQ(r.iterations, 5);
-  for (std::size_t s : batch_sizes) {
-    if (s != 1) {
-      EXPECT_EQ(s, 6u);  // gradient batches: 2 * 3 params
+TEST(Adam, GradientSubmitsOneBatchPerIteration) {
+  // Both gradient modes send their 2·n stencil points per iteration as ONE
+  // BatchObjective call (a candidate-lane evaluator then runs them as lanes
+  // of a single evolve), never as 2·n singleton calls.
+  for (const auto mode :
+       {opt::Adam::GradientMode::ParameterShift, opt::Adam::GradientMode::FiniteDifference}) {
+    std::size_t calls = 0;
+    std::vector<std::size_t> batch_sizes;
+    const opt::BatchObjective f = [&](const std::vector<std::vector<double>>& xs) {
+      ++calls;
+      batch_sizes.push_back(xs.size());
+      std::vector<double> out;
+      out.reserve(xs.size());
+      for (const auto& x : xs) out.push_back(sphere(x));
+      return out;
+    };
+    opt::Adam::Options o;
+    o.max_iterations = 5;
+    o.mode = mode;
+    const auto r = opt::Adam(o).minimize_batch(f, {0.1, 0.9, -0.4});
+    EXPECT_EQ(r.iterations, 5);
+    EXPECT_EQ(r.evaluations, 1 + 5 * (6 + 1));
+    for (std::size_t s : batch_sizes) {
+      if (s != 1) {
+        EXPECT_EQ(s, 6u);  // gradient batches: 2 * 3 params
+      }
     }
+    // 1 initial probe + per iteration (1 gradient batch + 1 value probe).
+    EXPECT_EQ(calls, 11u);
   }
-  // 1 initial probe + per iteration (1 gradient batch + 1 value probe) —
-  // versus the serial modes' 2·n singleton calls per gradient.
-  EXPECT_EQ(calls, 11u);
 }
 
 TEST(Gradient, ParameterShiftExactForSinusoid) {
   // f(x) = cos(x): parameter-shift with s = π/2 gives exactly -sin(x).
   auto f = [](const std::vector<double>& x) { return std::cos(x[0]); };
+  const double kHalfPi = 1.5707963267948966;
   for (double x0 : {-1.0, 0.0, 0.7, 2.2}) {
-    const auto g = opt::parameter_shift_gradient(f, {x0});
+    const auto g = opt::central_difference_gradient(opt::serial_batch(f), {x0}, kHalfPi,
+                                                    2.0 * std::sin(kHalfPi));
     EXPECT_NEAR(g[0], -std::sin(x0), 1e-12) << x0;
   }
 }
 
 TEST(Gradient, FiniteDifferenceAccuracy) {
   auto f = [](const std::vector<double>& x) { return x[0] * x[0] * x[0]; };
-  const auto g = opt::finite_difference_gradient(f, {2.0}, 1e-4);
+  const auto g = opt::central_difference_gradient(opt::serial_batch(f), {2.0}, 1e-4, 2e-4);
   EXPECT_NEAR(g[0], 12.0, 1e-5);
 }
 
