@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -108,13 +107,5 @@ class CancelToken {
   /// Steady-clock deadline in ns since epoch; 0 = none armed.
   mutable std::atomic<std::int64_t> deadline_ns_{0};
 };
-
-/// Null-safe poll for the optional-token convention used by config structs.
-inline bool cancel_requested(const std::shared_ptr<const CancelToken>& token) {
-  return token && token->cancelled();
-}
-inline bool cancel_requested(const CancelToken* token) {
-  return token != nullptr && token->cancelled();
-}
 
 }  // namespace hgp

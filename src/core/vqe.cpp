@@ -1,13 +1,7 @@
 #include "core/vqe.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "linalg/eig.hpp"
-#include "optimize/cobyla.hpp"
-#include "optimize/gradient.hpp"
-#include "optimize/neldermead.hpp"
-#include "optimize/spsa.hpp"
 #include "sim/statevector.hpp"
 
 namespace hgp::core {
@@ -46,33 +40,9 @@ VqeResult run_vqe(const la::PauliSum& hamiltonian, const qc::Circuit& ansatz,
                              [&](std::size_t i) { return energy(xs[i]); });
   };
 
-  std::vector<double> x0(nparams, 0.1);
-  opt::OptimizeResult r;
-  if (config.optimizer == "cobyla") {
-    opt::Cobyla::Options o;
-    o.max_evaluations = config.max_evaluations;
-    o.cancel = config.cancel;
-    r = opt::Cobyla(o).minimize_batch(energy_batch, x0);
-  } else if (config.optimizer == "neldermead") {
-    opt::NelderMead::Options o;
-    o.max_evaluations = config.max_evaluations;
-    o.cancel = config.cancel;
-    r = opt::NelderMead(o).minimize_batch(energy_batch, x0);
-  } else if (config.optimizer == "spsa") {
-    opt::Spsa::Options o;
-    o.max_iterations = config.max_evaluations / 2;
-    o.seed = config.seed;
-    o.cancel = config.cancel;
-    r = opt::Spsa(o).minimize_batch(energy_batch, x0);
-  } else if (config.optimizer == "adam") {
-    opt::Adam::Options o;
-    o.max_iterations = std::max(1, config.max_evaluations /
-                                       (2 * static_cast<int>(nparams) + 1));
-    o.cancel = config.cancel;
-    r = opt::Adam(o).minimize_batch(energy_batch, x0);
-  } else {
-    HGP_REQUIRE(false, "run_vqe: unknown optimizer '" + config.optimizer + "'");
-  }
+  opt::OptimizeResult r =
+      opt::minimize(config.optimizer, energy_batch, std::vector<double>(nparams, 0.1), {},
+                    config.max_evaluations, config.seed, config.cancel.get());
 
   VqeResult out;
   out.energy = r.value;

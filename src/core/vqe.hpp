@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "circuit/circuit.hpp"
@@ -16,12 +17,13 @@ namespace hgp::core {
 /// machine-in-loop path.
 struct VqeConfig {
   int max_evaluations = 300;
-  /// "cobyla" | "neldermead" | "spsa" | "adam" (finite-difference
-  /// gradients, each submitted as one batch a dispatcher fans out).
+  /// One of opt::minimize's names: "cobyla" | "neldermead" | "spsa".
   std::string optimizer = "cobyla";
+  /// SPSA's perturbation stream; the other optimizers draw nothing.
   std::uint64_t seed = 5;
-  /// Cooperative cancellation, polled at optimizer iteration boundaries:
-  /// a fired token makes the run return its best-so-far energy with
+  /// Cooperative cancellation, polled by opt::minimize before every
+  /// optimizer batch: a fired token makes the run return the record of the
+  /// completed batches — the best energy among them — with
   /// optimizer.stopped_early set. Null = never cancelled.
   std::shared_ptr<const CancelToken> cancel;
 };

@@ -5,14 +5,15 @@
 #include "core/qaoa.hpp"
 #include "mitigation/cvar.hpp"
 #include "mitigation/m3.hpp"
-#include "obs/obs.hpp"
-#include "optimize/cobyla.hpp"
-#include "optimize/neldermead.hpp"
-#include "optimize/spsa.hpp"
 
 namespace hgp::core {
 
 namespace {
+
+/// Candidates packed per lane-batched evolve when a noiseless non-sample
+/// run evaluates an optimizer batch. Values are bit-identical for every
+/// lane and worker count, so this sets speed only.
+constexpr std::size_t kCandidateLanes = 16;
 
 /// The configured cost metric: plain expectation / M3 / CVaR, over counts
 /// keyed in virtual qubit order.
@@ -34,11 +35,6 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
                    ModelKind kind, const RunConfig& config,
                    opt::BatchDispatcher* dispatcher,
                    std::shared_ptr<serve::BlockCache> block_cache) {
-  // Sticky by design: telemetry is a process-wide flag, so one instrumented
-  // run in a sweep lights up the shared registry for the rest of the process
-  // (concurrent runs would race an on/off toggle here).
-  if (config.telemetry) obs::set_enabled(true);
-
   ModelConfig mcfg = config.model;
   mcfg.gate_optimization = config.gate_optimization;
   const QaoaModel model = QaoaModel::build(instance.graph, dev, kind, mcfg);
@@ -86,22 +82,7 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
         executor, reference.measure_qubits, config.calibration_shots, cal_rng));
   }
 
-  // Batch-level progress record, updated single-threaded after each batch
-  // returns. When a cancel token fires mid-evaluation the optimizer's own
-  // state unwinds with the CancelledError, so this is what turns a cancelled
-  // run into a partial result instead of a lost one. Pure observation — it
-  // never touches the RNG or the evaluation order, so runs that complete
-  // normally stay bit-identical to a cancel-free build.
-  struct Progress {
-    bool any = false;
-    double best = 0.0;
-    std::vector<double> best_x;
-    int evals = 0;
-    std::vector<double> history;
-  };
-  Progress progress;
-
-  const opt::BatchObjective raw_objective = [&](const std::vector<std::vector<double>>& xs) {
+  const opt::BatchObjective objective = [&](const std::vector<std::vector<double>>& xs) {
     if (okind != ObjectiveKind::Sample && !config.noise) {
       // Lane-native, zero-noise path: the batch's candidates share one
       // circuit structure, so they pack as lanes of one batched evolve —
@@ -109,11 +90,10 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
       // deterministic (no rng draw), and value i is bit-identical to a
       // scalar evaluation of candidate i alone, for any group or worker
       // count.
-      const std::size_t group = std::max<std::size_t>(std::size_t{1}, config.candidate_lanes);
       std::vector<double> vals(xs.size());
       std::vector<std::function<void()>> tasks;
-      for (std::size_t start = 0; start < xs.size(); start += group) {
-        const std::size_t count = std::min(group, xs.size() - start);
+      for (std::size_t start = 0; start < xs.size(); start += kCandidateLanes) {
+        const std::size_t count = std::min(kCandidateLanes, xs.size() - start);
         tasks.push_back([&, start, count] {
           std::vector<Program> progs;
           progs.reserve(count);
@@ -144,58 +124,11 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
     });
   };
 
-  const opt::BatchObjective objective = [&](const std::vector<std::vector<double>>& xs) {
-    const std::vector<double> vals = raw_objective(xs);
-    progress.evals += static_cast<int>(vals.size());
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      if (!progress.any || vals[i] < progress.best) {
-        progress.any = true;
-        progress.best = vals[i];
-        progress.best_x = xs[i];
-      }
-    }
-    progress.history.push_back(progress.best);
-    return vals;
-  };
-
-  bool cancelled = false;
-  opt::OptimizeResult opt_result;
-  try {
-    if (config.optimizer == "cobyla") {
-      opt::Cobyla::Options copt;
-      copt.max_evaluations = config.max_evaluations;
-      copt.cancel = config.cancel;
-      opt_result = opt::Cobyla(copt).minimize_batch(objective, model.initial_parameters(),
-                                                    model.bounds());
-    } else if (config.optimizer == "spsa") {
-      opt::Spsa::Options sopt;
-      sopt.max_iterations = config.max_evaluations / 2;  // 2 evals per iteration
-      sopt.seed = config.seed ^ 0x5B5Aull;
-      sopt.cancel = config.cancel;
-      opt_result = opt::Spsa(sopt).minimize_batch(objective, model.initial_parameters(),
-                                                  model.bounds());
-    } else if (config.optimizer == "neldermead") {
-      opt::NelderMead::Options nopt;
-      nopt.max_evaluations = config.max_evaluations;
-      nopt.cancel = config.cancel;
-      opt_result = opt::NelderMead(nopt).minimize_batch(objective, model.initial_parameters(),
-                                                        model.bounds());
-    } else {
-      HGP_REQUIRE(false, "run_qaoa: unknown optimizer '" + config.optimizer + "'");
-    }
-    cancelled = opt_result.stopped_early;
-  } catch (const CancelledError&) {
-    // The token fired inside an evaluation (executor batch checkpoint).
-    // Reassemble the training record from the batches that did complete.
-    cancelled = true;
-    opt_result = opt::OptimizeResult{};
-    opt_result.x = progress.any ? progress.best_x : model.initial_parameters();
-    opt_result.value = progress.best;
-    opt_result.evaluations = progress.evals;
-    opt_result.iterations = static_cast<int>(progress.history.size());
-    opt_result.history = progress.history;
-    opt_result.stopped_early = true;
-  }
+  opt::OptimizeResult opt_result =
+      opt::minimize(config.optimizer, objective, model.initial_parameters(), model.bounds(),
+                    config.max_evaluations, config.seed ^ 0x5B5Aull,  // SPSA's stream
+                    config.cancel.get());
+  bool cancelled = opt_result.stopped_early;
 
   // Final evaluation at the optimum with a fresh sampling seed, under the
   // same objective mode the training used. A cancelled run skips it — the

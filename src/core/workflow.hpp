@@ -25,8 +25,8 @@ struct RunConfig {
   /// Step III: CVaR aggregation of the cost (paper coefficient 0.3).
   bool cvar = false;
   double cvar_alpha = 0.3;
-  /// Classical optimizer driving the machine-in-loop training:
-  /// "cobyla" (paper default) | "spsa" | "neldermead".
+  /// Classical optimizer driving the machine-in-loop training, one of
+  /// opt::minimize's names: "cobyla" (paper default) | "spsa" | "neldermead".
   std::string optimizer = "cobyla";
   /// Master noise switch of the run's executors. false = ideal simulation
   /// (exact gate matrices, no decoherence or readout error) — the regime
@@ -39,12 +39,6 @@ struct RunConfig {
   /// distribution, α = cvar_alpha). For the non-sample modes the `cvar` and
   /// `m3` booleans do not apply: the mode string is authoritative.
   std::string objective = "sample";
-  /// Candidates packed per lane-batched evolve when a noiseless non-sample
-  /// run evaluates an optimizer batch: parameter candidates become lanes of
-  /// one sim::BatchedStatevector, so every unparameterized block applies
-  /// once for the whole group. Values are bit-identical for every lane and
-  /// worker count.
-  std::size_t candidate_lanes = 16;
   /// Noise engine of the executor: "trajectory" (sampled shots, scales to
   /// ~14 active qubits) or "density" (one exact density-matrix pass per
   /// evaluation, <= 10 active qubits, no trajectory sampling noise).
@@ -65,18 +59,13 @@ struct RunConfig {
   std::size_t fusion = 2;
   /// Shots for the M3 readout-calibration programs.
   std::size_t calibration_shots = 4096;
-  /// Turn on the hgp::obs telemetry layer (process-wide) for this run —
-  /// metrics, spans, and throughput gauges. Equivalent to HGP_OBS=1 in the
-  /// environment; telemetry never changes results (counts are bit-identical
-  /// on vs off). Off by default: disabled instruments are near-no-ops.
-  bool telemetry = false;
-  /// Cooperative cancellation + soft deadline for the whole run. Polled at
-  /// two granularities: optimizer iteration boundaries (graceful — the run
-  /// returns its best-so-far with RunResult::cancelled set) and executor
-  /// shot-batch/lane-group boundaries (prompt — the in-flight evaluation
-  /// unwinds and run_qaoa assembles a partial result from the batches that
-  /// completed). Null = never cancelled. Cancellation never perturbs the
-  /// results of runs that complete normally.
+  /// Cooperative cancellation + soft deadline for the whole run, on one
+  /// path: opt::minimize polls it before every optimizer batch and the
+  /// executor at shot-batch/lane-group boundaries (the in-flight evaluation
+  /// unwinds). Either way the run returns the record of the batches that
+  /// completed, with RunResult::cancelled set. Null = never cancelled.
+  /// Cancellation never perturbs the results of runs that complete
+  /// normally.
   std::shared_ptr<const CancelToken> cancel;
   ModelConfig model;
   std::uint64_t seed = 2023;

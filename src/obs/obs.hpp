@@ -18,8 +18,8 @@ std::atomic<bool>& enabled_flag();
 /// the clock nor any shared cache line.
 inline bool enabled() { return detail::enabled_flag().load(std::memory_order_relaxed); }
 
-/// Flip telemetry at runtime (RunConfig::telemetry and tests go through
-/// here). Counters keep whatever they accumulated; they are not reset.
+/// Flip telemetry at runtime (tests and e2ebench's traced passes go
+/// through here). Counters keep whatever they accumulated; they are not reset.
 void set_enabled(bool on);
 
 /// Monotonic nanoseconds (steady clock) — the time base of every span and

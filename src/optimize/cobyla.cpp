@@ -45,13 +45,8 @@ double dist2(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-OptimizeResult Cobyla::minimize(const Objective& f, std::vector<double> x0,
+OptimizeResult Cobyla::minimize(const BatchObjective& f, std::vector<double> x0,
                                 const Bounds& bounds) const {
-  return minimize_batch(serial_batch(f), std::move(x0), bounds);
-}
-
-OptimizeResult Cobyla::minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                      const Bounds& bounds) const {
   const std::size_t n = x0.size();
   HGP_REQUIRE(n >= 1, "Cobyla: empty parameter vector");
   OptimizeResult out;
@@ -108,10 +103,6 @@ OptimizeResult Cobyla::minimize_batch(const BatchObjective& f, std::vector<doubl
   int since_refresh = 0;
 
   while (evals < options_.max_evaluations && rho > options_.rho_end) {
-    if (cancel_requested(options_.cancel)) {
-      out.stopped_early = true;
-      break;
-    }
     // Noisy objectives: an incumbent whose stored value was a lucky draw
     // anchors the search forever. Refresh it periodically so the model keeps
     // comparing against an honest estimate.

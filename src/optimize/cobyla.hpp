@@ -11,27 +11,21 @@ namespace hgp::opt {
 /// model stops predicting descent. Our VQA problems are bound-constrained
 /// only, so Powell's general nonlinear-constraint machinery is replaced by
 /// bound clipping (documented simplification; see DESIGN.md).
-class Cobyla : public Optimizer {
+class Cobyla {
  public:
   struct Options {
     int max_evaluations = 50;  // the paper caps COBYLA at 50 iterations
     double rho_begin = 0.4;
     double rho_end = 1e-4;
-    /// Checked at each iteration boundary; when fired, the search returns
-    /// its best point so far with stopped_early = true.
-    std::shared_ptr<const CancelToken> cancel;
   };
 
   Cobyla() = default;
   explicit Cobyla(Options options) : options_(options) {}
 
-  OptimizeResult minimize(const Objective& f, std::vector<double> x0,
-                          const Bounds& bounds = {}) const override;
   /// The n+1-point interpolation set builds as one batch; the trust-region
   /// trial points stay sequential (each depends on the refreshed model).
-  OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                const Bounds& bounds = {}) const override;
-  std::string name() const override { return "COBYLA"; }
+  OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
+                          const Bounds& bounds = {}) const;
 
  private:
   Options options_ = {};

@@ -38,13 +38,8 @@ std::vector<double> central_difference_gradient(const BatchObjective& f,
   return g;
 }
 
-OptimizeResult Adam::minimize(const Objective& f, std::vector<double> x0,
+OptimizeResult Adam::minimize(const BatchObjective& f, std::vector<double> x0,
                               const Bounds& bounds) const {
-  return minimize_batch(serial_batch(f), std::move(x0), bounds);
-}
-
-OptimizeResult Adam::minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                    const Bounds& bounds) const {
   const std::size_t n = x0.size();
   HGP_REQUIRE(n >= 1, "Adam: empty parameter vector");
   OptimizeResult out;
@@ -60,10 +55,6 @@ OptimizeResult Adam::minimize_batch(const BatchObjective& f, std::vector<double>
   out.evaluations = 1;
 
   for (int k = 1; k <= options_.max_iterations; ++k) {
-    if (cancel_requested(options_.cancel)) {
-      out.stopped_early = true;
-      break;
-    }
     // All 2·n stencil points in one call — the evaluator decides whether
     // they run as candidate lanes, pooled workers, or serially.
     const std::vector<double> g =
@@ -92,7 +83,7 @@ OptimizeResult Adam::minimize_batch(const BatchObjective& f, std::vector<double>
   }
   out.x = std::move(best_x);
   out.value = best_val;
-  out.converged = !out.stopped_early;
+  out.converged = true;
   return out;
 }
 

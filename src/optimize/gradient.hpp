@@ -19,7 +19,7 @@ std::vector<double> central_difference_gradient(const BatchObjective& f,
 /// Adam on the central-difference stencil above — the "enabling gradient
 /// descent for pulse-level VQAs" baseline the paper cites. Each iteration
 /// submits its gradient's 2·n points as one batch.
-class Adam : public Optimizer {
+class Adam {
  public:
   enum class GradientMode {
     ParameterShift,
@@ -34,21 +34,15 @@ class Adam : public Optimizer {
     double epsilon = 1e-8;
     GradientMode mode = GradientMode::FiniteDifference;
     double fd_eps = 1e-3;
-    /// Checked at each iteration boundary; when fired, the search returns
-    /// its best point so far with stopped_early = true.
-    std::shared_ptr<const CancelToken> cancel;
   };
 
   Adam() = default;
   explicit Adam(Options options) : options_(options) {}
 
-  OptimizeResult minimize(const Objective& f, std::vector<double> x0,
-                          const Bounds& bounds = {}) const override;
   /// One 2·n-candidate call per gradient, plus a singleton batch for the
   /// initial point and each iterate.
-  OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                const Bounds& bounds = {}) const override;
-  std::string name() const override { return "Adam"; }
+  OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
+                          const Bounds& bounds = {}) const;
 
  private:
   Options options_ = {};

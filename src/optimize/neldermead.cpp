@@ -8,13 +8,8 @@
 
 namespace hgp::opt {
 
-OptimizeResult NelderMead::minimize(const Objective& f, std::vector<double> x0,
+OptimizeResult NelderMead::minimize(const BatchObjective& f, std::vector<double> x0,
                                     const Bounds& bounds) const {
-  return minimize_batch(serial_batch(f), std::move(x0), bounds);
-}
-
-OptimizeResult NelderMead::minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                          const Bounds& bounds) const {
   const std::size_t n = x0.size();
   HGP_REQUIRE(n >= 1, "NelderMead: empty parameter vector");
   OptimizeResult out;
@@ -46,10 +41,6 @@ OptimizeResult NelderMead::minimize_batch(const BatchObjective& f, std::vector<d
   };
 
   while (evals < options_.max_evaluations) {
-    if (cancel_requested(options_.cancel)) {
-      out.stopped_early = true;
-      break;
-    }
     sort_simplex();
     out.history.push_back(vals[order[0]]);
     if (std::abs(vals[order[n]] - vals[order[0]]) < options_.f_tol) {

@@ -6,27 +6,21 @@ namespace hgp::opt {
 
 /// Classic Nelder–Mead downhill simplex with the standard
 /// reflect/expand/contract/shrink moves and bound clipping.
-class NelderMead : public Optimizer {
+class NelderMead {
  public:
   struct Options {
     int max_evaluations = 200;
     double initial_step = 0.3;
     double f_tol = 1e-8;
-    /// Checked at each iteration boundary; when fired, the search returns
-    /// its best point so far with stopped_early = true.
-    std::shared_ptr<const CancelToken> cancel;
   };
 
   NelderMead() = default;
   explicit NelderMead(Options options) : options_(options) {}
 
-  OptimizeResult minimize(const Objective& f, std::vector<double> x0,
-                          const Bounds& bounds = {}) const override;
   /// The n+1 initial vertices and the n shrink points are batches; the
   /// reflect/expand/contract probes stay sequential (data-dependent).
-  OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                const Bounds& bounds = {}) const override;
-  std::string name() const override { return "Nelder-Mead"; }
+  OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
+                          const Bounds& bounds = {}) const;
 
  private:
   Options options_ = {};

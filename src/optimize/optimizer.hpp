@@ -1,7 +1,6 @@
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,31 +24,34 @@ struct OptimizeResult {
   int evaluations = 0;
   int iterations = 0;
   bool converged = false;
-  /// True when a cancel token stopped the search at an iteration boundary:
-  /// x/value/history reflect the best point seen so far, not a converged
-  /// optimum.
+  /// True when the cancel token stopped the search: x/value/evaluations are
+  /// the best point and the count of the batches that completed, history
+  /// holds the best value after each of them, and iterations counts them —
+  /// not a converged optimum.
   bool stopped_early = false;
   /// Best objective value after each iteration — convergence curves (the
   /// paper compares pulse-level vs hybrid training speed with these).
   std::vector<double> history;
 };
 
-/// Common interface for the derivative-free optimizers used machine-in-loop.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  virtual OptimizeResult minimize(const Objective& f, std::vector<double> x0,
-                                  const Bounds& bounds = {}) const = 0;
-  /// Batched entry point: independent candidates (perturbation pairs,
-  /// simplex vertices, trial points) arrive as one BatchObjective call, so a
-  /// parallel evaluator can run them concurrently. The default adapter feeds
-  /// singleton batches through minimize(); SPSA, Nelder-Mead, and COBYLA
-  /// override it with real batching whose evaluation sequence matches their
-  /// serial path exactly.
-  virtual OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                        const Bounds& bounds = {}) const;
-  virtual std::string name() const = 0;
-};
+/// Whether `name` is an optimizer minimize() runs.
+bool is_optimizer_name(const std::string& name);
+
+/// The one training entry point of run_qaoa and run_vqe: run the optimizer
+/// `name` — "cobyla" | "spsa" | "neldermead" — on `f` from x0 within
+/// `bounds`. `max_evaluations` is the evaluation budget of COBYLA and
+/// Nelder–Mead; SPSA runs max_evaluations / 2 iterations of two evaluations
+/// each, its perturbations drawn from `seed` (the other two draw nothing).
+/// Unknown names throw hgp::Error before any evaluation.
+///
+/// `cancel` (null = never) is polled before every batch, and a
+/// CancelledError thrown from inside a batch (an executor checkpoint) is
+/// caught too. Either way the result is the record of the completed
+/// batches with stopped_early set. A run the token never stops returns the
+/// optimizer's own record, unchanged.
+OptimizeResult minimize(const std::string& name, const BatchObjective& f,
+                        std::vector<double> x0, const Bounds& bounds, int max_evaluations,
+                        std::uint64_t seed, const CancelToken* cancel);
 
 /// Iterations needed to get within `tol` of the best value in the history —
 /// the "training time to convergence" metric of Fig. 5.

@@ -7,13 +7,8 @@
 
 namespace hgp::opt {
 
-OptimizeResult Spsa::minimize(const Objective& f, std::vector<double> x0,
+OptimizeResult Spsa::minimize(const BatchObjective& f, std::vector<double> x0,
                               const Bounds& bounds) const {
-  return minimize_batch(serial_batch(f), std::move(x0), bounds);
-}
-
-OptimizeResult Spsa::minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                    const Bounds& bounds) const {
   const std::size_t n = x0.size();
   HGP_REQUIRE(n >= 1, "Spsa: empty parameter vector");
   Rng rng(options_.seed);
@@ -26,10 +21,6 @@ OptimizeResult Spsa::minimize_batch(const BatchObjective& f, std::vector<double>
   out.evaluations = 1;
 
   for (int k = 0; k < options_.max_iterations; ++k) {
-    if (cancel_requested(options_.cancel)) {
-      out.stopped_early = true;
-      break;
-    }
     const double ak =
         options_.a / std::pow(k + 1 + options_.stability, options_.alpha);
     const double ck = options_.c / std::pow(k + 1, options_.gamma);
@@ -63,19 +54,16 @@ OptimizeResult Spsa::minimize_batch(const BatchObjective& f, std::vector<double>
     ++out.iterations;
   }
 
-  // Final evaluation at the iterate (often better than the best probe) —
-  // skipped on cancellation, where the goal is to stop spending shots.
-  if (!out.stopped_early) {
-    const double fx = f({x})[0];
-    ++out.evaluations;
-    if (fx < best_val) {
-      best_val = fx;
-      best_x = x;
-    }
+  // Final evaluation at the iterate (often better than the best probe).
+  const double fx = f({x})[0];
+  ++out.evaluations;
+  if (fx < best_val) {
+    best_val = fx;
+    best_x = x;
   }
   out.x = std::move(best_x);
   out.value = best_val;
-  out.converged = !out.stopped_early;
+  out.converged = true;
   return out;
 }
 

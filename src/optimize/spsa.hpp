@@ -9,7 +9,7 @@ namespace hgp::opt {
 /// Simultaneous Perturbation Stochastic Approximation (Spall 1992): two
 /// objective evaluations per iteration regardless of dimension, which is why
 /// it is popular for shot-noisy VQA training.
-class Spsa : public Optimizer {
+class Spsa {
  public:
   struct Options {
     int max_iterations = 100;
@@ -19,20 +19,14 @@ class Spsa : public Optimizer {
     double gamma = 0.101;
     double stability = 10.0;  // the "A" offset in the step schedule
     std::uint64_t seed = 17;
-    /// Checked at each iteration boundary; when fired, the search returns
-    /// its best point so far with stopped_early = true.
-    std::shared_ptr<const CancelToken> cancel;
   };
 
   Spsa() = default;
   explicit Spsa(Options options) : options_(options) {}
 
-  OptimizeResult minimize(const Objective& f, std::vector<double> x0,
-                          const Bounds& bounds = {}) const override;
   /// Each iteration's perturbation pair {x+ckΔ, x-ckΔ} is one batch.
-  OptimizeResult minimize_batch(const BatchObjective& f, std::vector<double> x0,
-                                const Bounds& bounds = {}) const override;
-  std::string name() const override { return "SPSA"; }
+  OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
+                          const Bounds& bounds = {}) const;
 
  private:
   Options options_ = {};

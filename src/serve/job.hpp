@@ -72,16 +72,17 @@ enum class JobErrorCode : int {
   // -- validation (request never queued) --------------------------------
   NullBackend,        ///< SweepJob::dev is null
   BackendTooSmall,    ///< instance needs more qubits than the backend has
-  EmptyInstance,      ///< zero-vertex graph — nothing to optimize
+  EmptyInstance,      ///< no vertices or edges, max_cut not positive and finite,
+                      ///< or a non-finite edge weight
   TooManyQubits,      ///< instance exceeds the engine's register cap
   BadShots,           ///< zero or absurd shot / calibration-shot count
   BadEvaluations,     ///< non-positive or absurd optimizer budget
   BadEngine,          ///< unknown RunConfig::engine string
   BadObjective,       ///< unknown RunConfig::objective string
   BadOptimizer,       ///< unknown RunConfig::optimizer string
-  BadLanes,           ///< absurd shot_batch_lanes / candidate_lanes
+  BadLanes,           ///< absurd shot_batch_lanes / executor_threads
   BadCvarAlpha,       ///< cvar_alpha outside (0, 1]
-  BadModel,           ///< nonsensical model config (p < 1, ...)
+  BadModel,           ///< nonsensical model config (p < 1, non-finite angles, ...)
   IncompatibleM3,     ///< m3 requires the "sample" objective
   BadTenant,          ///< empty tenant tag or non-positive fair-share weight
   // -- admission control ------------------------------------------------
@@ -132,7 +133,7 @@ struct JobRequest {
   /// layout change, a renumbered JobErrorCode included; deserialize()
   /// rejects versions it does not speak, so a newer peer degrades to a
   /// structured error instead of misparsing.
-  static constexpr std::uint32_t kSchemaVersion = 3;
+  static constexpr std::uint32_t kSchemaVersion = 4;
 
   void serialize(io::Writer& w) const;
   std::string serialize() const;

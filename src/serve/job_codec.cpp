@@ -116,29 +116,24 @@ void put_config(io::Writer& w, const core::RunConfig& c) {
   w.str(c.optimizer);
   put_bool(w, c.noise);
   w.str(c.objective);
-  w.u64(c.candidate_lanes);
   w.str(c.engine);
   w.u64(c.executor_threads);
   w.u64(c.shot_batch_lanes);
   w.u64(c.fusion);
   w.u64(c.calibration_shots);
-  put_bool(w, c.telemetry);
   put_model(w, c.model);
   w.u64(c.seed);
 }
 
 bool get_config(io::Reader& r, core::RunConfig& c) {
-  std::uint64_t shots = 0, lanes = 0, threads = 0, shot_lanes = 0, fusion = 0,
-                cal_shots = 0;
+  std::uint64_t shots = 0, threads = 0, shot_lanes = 0, fusion = 0, cal_shots = 0;
   if (!r.u64(shots) || !r.i32(c.max_evaluations) || !get_bool(r, c.gate_optimization) ||
       !get_bool(r, c.m3) || !get_bool(r, c.cvar) || !r.f64(c.cvar_alpha) ||
       !r.str(c.optimizer) || !get_bool(r, c.noise) || !r.str(c.objective) ||
-      !r.u64(lanes) || !r.str(c.engine) || !r.u64(threads) || !r.u64(shot_lanes) ||
-      !r.u64(fusion) || !r.u64(cal_shots) || !get_bool(r, c.telemetry) ||
-      !get_model(r, c.model) || !r.u64(c.seed))
+      !r.str(c.engine) || !r.u64(threads) || !r.u64(shot_lanes) || !r.u64(fusion) ||
+      !r.u64(cal_shots) || !get_model(r, c.model) || !r.u64(c.seed))
     return false;
   c.shots = static_cast<std::size_t>(shots);
-  c.candidate_lanes = static_cast<std::size_t>(lanes);
   c.executor_threads = static_cast<std::size_t>(threads);
   c.shot_batch_lanes = static_cast<std::size_t>(shot_lanes);
   c.fusion = static_cast<std::size_t>(fusion);

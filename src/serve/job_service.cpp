@@ -170,19 +170,11 @@ void JobService::run_job(const std::shared_ptr<Job>& job) {
   const std::uint64_t wait_ns = ns_since(job->submitted_at);
   const CancelToken& token = *job->token();
 
-  // Dequeue-time deadline check, independent of the token poll below: a job
-  // whose deadline expired while it sat in the queue — even between
-  // expire_overdue() sweeps — must never construct an executor. The explicit
-  // clock comparison keeps that guarantee even if the token's deadline arm
-  // and this dequeue race on the same tick.
-  const std::chrono::milliseconds deadline = job->request().deadline;
-  if (deadline.count() > 0 &&
-      std::chrono::steady_clock::now() >= job->submitted_at + deadline)
-    token.cancel(CancelReason::DeadlineExpired);
-
   // Pre-run checkpoint: a job whose deadline passed (or that was cancelled)
-  // while it waited in the queue terminates here — no executor, no model, no
-  // shot is ever constructed for it.
+  // while it waited in the queue — even between expire_overdue() sweeps —
+  // terminates here: no executor, no model, no shot is ever constructed for
+  // it. Job's constructor armed the token's deadline before submit() posted
+  // this task, so cancelled() compares the clock against it.
   if (token.cancelled()) {
     JobOutcome outcome;
     outcome.wait_ns = wait_ns;

@@ -38,6 +38,15 @@ JobError validate_job(const SweepJob& job) {
     return fail(JobErrorCode::EmptyInstance, label + ": zero-vertex instance");
   if (job.instance.graph.num_edges() == 0)
     return fail(JobErrorCode::EmptyInstance, label + ": instance has no edges");
+  // The approximation ratio divides by max_cut, and every cut value sums
+  // the edge weights: a bad value fails, or turns into NaNs, only after the
+  // whole training run.
+  if (!(job.instance.max_cut > 0.0) || !std::isfinite(job.instance.max_cut))
+    return fail(JobErrorCode::EmptyInstance,
+                label + ": max_cut must be positive and finite");
+  for (const graph::Edge& e : job.instance.graph.edges())
+    if (!std::isfinite(e.weight))
+      return fail(JobErrorCode::EmptyInstance, label + ": non-finite edge weight");
 
   // Engine and objective names go through the parsers the run itself uses,
   // so the validator accepts exactly the names run_qaoa accepts. The engine
@@ -71,7 +80,7 @@ JobError validate_job(const SweepJob& job) {
                 label + ": M3 mitigation operates on sampled counts — use the 'sample' "
                         "objective");
 
-  if (cfg.optimizer != "cobyla" && cfg.optimizer != "spsa" && cfg.optimizer != "neldermead")
+  if (!opt::is_optimizer_name(cfg.optimizer))
     return fail(JobErrorCode::BadOptimizer,
                 label + ": unknown optimizer '" + cfg.optimizer + "'");
 
@@ -89,7 +98,7 @@ JobError validate_job(const SweepJob& job) {
                 label + ": optimizer budget " + std::to_string(cfg.max_evaluations) +
                     " outside [1, " + std::to_string(kMaxEvaluations) + "]");
 
-  if (cfg.shot_batch_lanes > kMaxLanes || cfg.candidate_lanes > kMaxLanes)
+  if (cfg.shot_batch_lanes > kMaxLanes)
     return fail(JobErrorCode::BadLanes,
                 label + ": lane width exceeds " + std::to_string(kMaxLanes));
   if (cfg.executor_threads > kMaxLanes)
@@ -110,6 +119,8 @@ JobError validate_job(const SweepJob& job) {
     return fail(JobErrorCode::BadModel,
                 label + ": mixer pulse duration " + std::to_string(cfg.model.mixer_duration_dt) +
                     " dt outside [1, " + std::to_string(kMaxMixerDurationDt) + "]");
+  if (!std::isfinite(cfg.model.init_gamma) || !std::isfinite(cfg.model.init_beta))
+    return fail(JobErrorCode::BadModel, label + ": initial angles must be finite");
   // The layout goes through the check QaoaModel::build itself runs, so the
   // validator accepts exactly the layouts a model can be built on.
   try {

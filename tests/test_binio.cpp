@@ -172,6 +172,9 @@ TEST(JobCodec, UnknownSchemaVersionIsRejected) {
   std::string bytes = sample_request().serialize();
   bytes[0] = char(serve::JobRequest::kSchemaVersion + 1);  // version is the leading u32
   EXPECT_FALSE(parse_request(bytes));
+  // Version 3 carried RunConfig::candidate_lanes and RunConfig::telemetry.
+  bytes[0] = char(3);
+  EXPECT_FALSE(parse_request(bytes));
   // Version 2 carried ModelConfig::pulse_efficient_rzz.
   bytes[0] = char(2);
   EXPECT_FALSE(parse_request(bytes));

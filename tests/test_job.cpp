@@ -148,6 +148,20 @@ TEST(JobValidation, RejectsEachMalformation) {
   j.instance.graph = graph::Graph(4);  // vertices but no edges
   EXPECT_EQ(code_of(j), JobErrorCode::EmptyInstance);
 
+  // The run divides by max_cut and sums edge weights into every cut value.
+  for (const double max_cut : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    j = good_job("bad");
+    j.instance.max_cut = max_cut;
+    EXPECT_EQ(code_of(j), JobErrorCode::EmptyInstance) << max_cut;
+  }
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::infinity()}) {
+    j = good_job("bad");
+    j.instance.graph.add_edge(0, 1, weight);  // 0 and 1 share a side of K3,3
+    EXPECT_EQ(code_of(j), JobErrorCode::EmptyInstance) << weight;
+  }
+
   j = good_job("bad");
   j.config.engine = "teleport";
   EXPECT_EQ(code_of(j), JobErrorCode::BadEngine);
@@ -215,6 +229,18 @@ TEST(JobValidation, RejectsEachMalformation) {
   }
   j.config.model.mixer_duration_dt = serve::kMaxMixerDurationDt;
   EXPECT_EQ(code_of(j), JobErrorCode::None);
+
+  // Initial angles seed every model's parameters, so a NaN trains to AR 0.
+  for (const double angle : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    j = good_job("bad");
+    j.kind = core::ModelKind::Hybrid;
+    j.config.model.init_gamma = angle;
+    EXPECT_EQ(code_of(j), JobErrorCode::BadModel) << angle;
+    j = good_job("bad");
+    j.config.model.init_beta = angle;
+    EXPECT_EQ(code_of(j), JobErrorCode::BadModel) << angle;
+  }
 
   // Initial layouts for the 6-vertex task on 27-qubit toronto: a physical
   // qubit off the device, two virtual qubits on one physical qubit, and too

@@ -334,34 +334,26 @@ TEST(CandidateLanes, BatchRequiresStructuralIdentity) {
 
 // ---- workflow objective modes -----------------------------------------------
 
-TEST(CandidateLanes, WorkflowTraceUnchangedByLaneAndWorkerCount) {
+TEST(CandidateLanes, WorkflowTraceUnchangedByWorkerCount) {
   const auto inst = graph::paper_task1();
   const auto dev = toronto();
 
-  auto run = [&](std::size_t candidate_lanes, opt::BatchDispatcher* dispatcher,
-                 std::shared_ptr<serve::BlockCache> cache) {
+  auto run = [&](opt::BatchDispatcher* dispatcher, std::shared_ptr<serve::BlockCache> cache) {
     core::RunConfig cfg = tiny();
     cfg.noise = false;
     cfg.objective = "expectation";
     cfg.optimizer = "neldermead";
     cfg.max_evaluations = 12;
-    cfg.candidate_lanes = candidate_lanes;
     return core::run_qaoa(inst, dev, core::ModelKind::GateLevel, cfg, dispatcher,
                           std::move(cache));
   };
 
-  const auto reference = run(1, nullptr, nullptr);
-  for (std::size_t lanes : {4u, 32u}) {
-    const auto r = run(lanes, nullptr, nullptr);
-    EXPECT_EQ(r.optimizer.x, reference.optimizer.x) << "lanes=" << lanes;
-    EXPECT_EQ(r.optimizer.history, reference.optimizer.history) << "lanes=" << lanes;
-    EXPECT_EQ(r.final_cost, reference.final_cost) << "lanes=" << lanes;
-  }
+  const auto reference = run(nullptr, nullptr);
   for (std::size_t workers : {2u, 4u}) {
     serve::EvalService::Options sopt;
     sopt.num_workers = workers;
     serve::EvalService svc(sopt);
-    const auto r = run(4, &svc, svc.block_cache());
+    const auto r = run(&svc, svc.block_cache());
     EXPECT_EQ(r.optimizer.x, reference.optimizer.x) << "workers=" << workers;
     EXPECT_EQ(r.optimizer.history, reference.optimizer.history) << "workers=" << workers;
     EXPECT_EQ(r.final_cost, reference.final_cost) << "workers=" << workers;
@@ -447,7 +439,7 @@ TEST(GradientBatch, AdamParameterShiftConvergesOnTrigonometricBowl) {
   opt::Adam::Options o;
   o.max_iterations = 60;
   o.mode = opt::Adam::GradientMode::ParameterShift;
-  const auto r = opt::Adam(o).minimize(bowl, {0.9, -0.7, 0.3});
+  const auto r = opt::Adam(o).minimize(opt::serial_batch(bowl), {0.9, -0.7, 0.3});
   EXPECT_EQ(r.evaluations, 1 + 60 * (6 + 1));
   EXPECT_LT(r.value, 1e-2);
 }
@@ -486,9 +478,9 @@ TEST(GradientBatch, AdamBatchedGradientOnLaneBatchedObjective) {
   aopt.max_iterations = 10;
   aopt.mode = opt::Adam::GradientMode::ParameterShift;
   const auto lane_run =
-      opt::Adam(aopt).minimize_batch(lane_objective, model.initial_parameters());
+      opt::Adam(aopt).minimize(lane_objective, model.initial_parameters());
   const auto scalar_run =
-      opt::Adam(aopt).minimize(scalar_objective, model.initial_parameters());
+      opt::Adam(aopt).minimize(opt::serial_batch(scalar_objective), model.initial_parameters());
   EXPECT_EQ(lane_run.x, scalar_run.x);
   EXPECT_EQ(lane_run.history, scalar_run.history);
   EXPECT_LT(lane_run.value, 0.0);  // found a positive expected cut

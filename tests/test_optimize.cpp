@@ -39,7 +39,7 @@ TEST(Cobyla, MinimizesSphere) {
   opt::Cobyla::Options o;
   o.max_evaluations = 200;
   const opt::Cobyla c(o);
-  const auto r = c.minimize(sphere, {0.0, 0.0, 0.0});
+  const auto r = c.minimize(opt::serial_batch(sphere), {0.0, 0.0, 0.0});
   EXPECT_LT(r.value, 1e-3);
   for (double v : r.x) EXPECT_NEAR(v, 0.5, 0.05);
   EXPECT_LE(r.evaluations, 200);
@@ -52,7 +52,7 @@ TEST(Cobyla, RespectsBounds) {
   Bounds b;
   b.lo = {0.7, -1.0};
   b.hi = {2.0, 1.0};
-  const auto r = c.minimize(sphere, {1.0, 0.0}, b);
+  const auto r = c.minimize(opt::serial_batch(sphere), {1.0, 0.0}, b);
   // Optimum (0.5) is outside: should end at the boundary x0 = 0.7.
   EXPECT_NEAR(r.x[0], 0.7, 0.02);
   EXPECT_NEAR(r.x[1], 0.5, 0.05);
@@ -60,7 +60,7 @@ TEST(Cobyla, RespectsBounds) {
 
 TEST(Cobyla, HistoryIsMonotone) {
   const opt::Cobyla c;
-  const auto r = c.minimize(sphere, {0.0, 0.0});
+  const auto r = c.minimize(opt::serial_batch(sphere), {0.0, 0.0});
   ASSERT_FALSE(r.history.empty());
   for (std::size_t i = 1; i < r.history.size(); ++i)
     EXPECT_LE(r.history[i], r.history[i - 1] + 1e-12);
@@ -72,7 +72,7 @@ TEST(Cobyla, SurvivesNoisyObjective) {
   opt::Cobyla::Options o;
   o.max_evaluations = 60;
   const opt::Cobyla c(o);
-  const auto r = c.minimize(noisy, {0.0});
+  const auto r = c.minimize(opt::serial_batch(noisy), {0.0});
   EXPECT_NEAR(r.x[0], 1.0, 0.35);
 }
 
@@ -80,7 +80,7 @@ TEST(NelderMead, MinimizesRosenbrock2d) {
   opt::NelderMead::Options o;
   o.max_evaluations = 2000;
   const opt::NelderMead nm(o);
-  const auto r = nm.minimize(rosenbrock, {-1.0, 1.0});
+  const auto r = nm.minimize(opt::serial_batch(rosenbrock), {-1.0, 1.0});
   EXPECT_LT(r.value, 1e-4);
   EXPECT_NEAR(r.x[0], 1.0, 0.05);
   EXPECT_NEAR(r.x[1], 1.0, 0.05);
@@ -88,7 +88,8 @@ TEST(NelderMead, MinimizesRosenbrock2d) {
 
 TEST(NelderMead, ConvergenceFlagOnFlatFunction) {
   const opt::NelderMead nm;
-  const auto r = nm.minimize([](const std::vector<double>&) { return 1.0; }, {0.0, 0.0});
+  const auto r = nm.minimize(opt::serial_batch([](const std::vector<double>&) { return 1.0; }),
+                             {0.0, 0.0});
   EXPECT_TRUE(r.converged);
   EXPECT_DOUBLE_EQ(r.value, 1.0);
 }
@@ -100,7 +101,7 @@ TEST(Spsa, MinimizesSphereUnderNoise) {
   o.max_iterations = 400;
   o.a = 0.3;
   const opt::Spsa s(o);
-  const auto r = s.minimize(noisy, {0.0, 0.0, 0.0, 0.0});
+  const auto r = s.minimize(opt::serial_batch(noisy), {0.0, 0.0, 0.0, 0.0});
   for (double v : r.x) EXPECT_NEAR(v, 0.5, 0.15);
 }
 
@@ -108,7 +109,7 @@ TEST(Adam, FiniteDifferenceOnSphere) {
   opt::Adam::Options o;
   o.max_iterations = 150;
   const opt::Adam a(o);
-  const auto r = a.minimize(sphere, {0.0, 0.0});
+  const auto r = a.minimize(opt::serial_batch(sphere), {0.0, 0.0});
   EXPECT_LT(r.value, 1e-3);
 }
 
@@ -131,7 +132,7 @@ TEST(Adam, GradientSubmitsOneBatchPerIteration) {
     opt::Adam::Options o;
     o.max_iterations = 5;
     o.mode = mode;
-    const auto r = opt::Adam(o).minimize_batch(f, {0.1, 0.9, -0.4});
+    const auto r = opt::Adam(o).minimize(f, {0.1, 0.9, -0.4});
     EXPECT_EQ(r.iterations, 5);
     EXPECT_EQ(r.evaluations, 1 + 5 * (6 + 1));
     for (std::size_t s : batch_sizes) {

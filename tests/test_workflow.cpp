@@ -5,8 +5,11 @@
 #include <cmath>
 
 #include "backend/presets.hpp"
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "core/calibration_run.hpp"
+#include "core/qaoa.hpp"
+#include "core/vqe.hpp"
 #include "core/workflow.hpp"
 #include "graph/instances.hpp"
 
@@ -18,6 +21,34 @@ core::RunConfig tiny() {
   cfg.shots = 128;
   cfg.max_evaluations = 5;
   return cfg;
+}
+
+/// Runs each batch inline, then fires the token: the cancel lands between
+/// the optimizer's first and second batches.
+class CancelAfterFirstBatch : public opt::BatchDispatcher {
+ public:
+  void run(std::vector<std::function<void()>>& tasks) override {
+    opt::BatchDispatcher::run(tasks);
+    ++batches;
+    tasks_run += static_cast<int>(tasks.size());
+    token->cancel();
+  }
+
+  std::shared_ptr<CancelToken> token = std::make_shared<CancelToken>();
+  int batches = 0;
+  int tasks_run = 0;  // one task per candidate on the drivers' sampled paths
+};
+
+/// The record opt::minimize returns for a run stopped after one batch.
+void expect_first_batch_record(const opt::OptimizeResult& r,
+                               const CancelAfterFirstBatch& dispatcher) {
+  EXPECT_EQ(dispatcher.batches, 1);
+  EXPECT_TRUE(r.stopped_early);
+  EXPECT_EQ(r.evaluations, dispatcher.tasks_run);
+  // ASSERT: a record without history would make back() read past the end.
+  ASSERT_EQ(r.history.size(), 1u);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_EQ(r.history.back(), r.value);
 }
 }  // namespace
 
@@ -127,4 +158,38 @@ TEST(Workflow, OptimizerSelection) {
   }
   cfg.optimizer = "bogus";
   EXPECT_THROW(core::run_qaoa(inst, dev, core::ModelKind::GateLevel, cfg), Error);
+}
+
+// ---- one cancellation path: opt::minimize ------------------------------------
+
+TEST(OptimizerCancellation, RunQaoaCancelledBetweenBatchesReturnsCompletedBatches) {
+  const auto inst = graph::paper_task1();
+  const auto dev = backend::make_toronto();
+  for (const char* name : {"cobyla", "spsa", "neldermead"}) {
+    SCOPED_TRACE(name);
+    CancelAfterFirstBatch dispatcher;
+    core::RunConfig cfg = tiny();
+    cfg.optimizer = name;
+    cfg.cancel = dispatcher.token;
+    const auto res = core::run_qaoa(inst, dev, core::ModelKind::GateLevel, cfg, &dispatcher);
+    EXPECT_TRUE(res.cancelled);
+    EXPECT_EQ(res.cancel_reason, "cancelled");
+    EXPECT_EQ(res.final_cost, -res.optimizer.value);  // no final evaluation
+    expect_first_batch_record(res.optimizer, dispatcher);
+  }
+}
+
+TEST(OptimizerCancellation, RunVqeCancelledBetweenBatchesReturnsCompletedBatches) {
+  const la::PauliSum h = core::tfim_hamiltonian(3, 1.0, 0.6);
+  const qc::Circuit ansatz = core::hardware_efficient_pqc(3, 1, "linear");
+  for (const char* name : {"cobyla", "spsa", "neldermead"}) {
+    SCOPED_TRACE(name);
+    CancelAfterFirstBatch dispatcher;
+    core::VqeConfig cfg;
+    cfg.optimizer = name;
+    cfg.cancel = dispatcher.token;
+    const core::VqeResult res = core::run_vqe(h, ansatz, cfg, &dispatcher);
+    EXPECT_EQ(res.energy, res.optimizer.value);
+    expect_first_batch_record(res.optimizer, dispatcher);
+  }
 }
