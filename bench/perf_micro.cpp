@@ -348,8 +348,10 @@ static void BM_ExecutorTrajectory(benchmark::State& state) {
   // Args: qubits, threads (0 = hardware concurrency), lanes per group. The
   // 12q one-thread pair at lanes 1 and 16 is the lockstep engine's speedup
   // over one-lane groups; the counts are bit-identical at every width. The
-  // 6q and 8q one-thread rows pair with BM_ExecutorExactDensity/6 and /8 on
-  // the same program: where the exact engine stops beating 1024 shots.
+  // 6q, 7q and 8q one-thread rows pair with BM_ExecutorExactDensity/6, /7
+  // and /8 on the same program: where the exact engine stops beating 1024
+  // shots. The /7 pair backs core::kAutoDensityQubits, Engine::Auto's
+  // crossover.
   const backend::FakeBackend dev = backend::make_toronto();
   core::ExecutorOptions opts;
   opts.num_threads = static_cast<std::size_t>(state.range(1));
@@ -367,6 +369,7 @@ static void BM_ExecutorTrajectory(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorTrajectory)
     ->Args({6, 1, 16})
+    ->Args({7, 1, 16})
     ->Args({8, 1, 16})
     ->Args({12, 1, 1})
     ->Args({12, 1, 16})
@@ -387,7 +390,12 @@ static void BM_ExecutorExactDensity(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(0)) + "q exact");
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_ExecutorExactDensity)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExecutorExactDensity)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(7)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 static void BM_ExecutorWarmRun6q(benchmark::State& state) {
   // A noiseless 1-shot run of the task-1 gate-level program on a warm

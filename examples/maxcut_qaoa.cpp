@@ -4,7 +4,8 @@
 //
 //   build/example_maxcut_qaoa [backend] [task] [engine]
 //
-// `engine` selects the executor noise engine: "trajectory" | "density".
+// `engine` selects the executor noise engine: "auto" (default) | "trajectory" |
+// "density".
 #include <cstdio>
 #include <string>
 
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
 
   const std::string backend_name = argc > 1 ? argv[1] : "ibmq_toronto";
   const int task = argc > 2 ? std::stoi(argv[2]) : 1;
-  const std::string engine = argc > 3 ? argv[3] : "trajectory";
+  const std::string engine = argc > 3 ? argv[3] : "auto";
 
   const graph::Instance instance = task == 1   ? graph::paper_task1()
                                    : task == 2 ? graph::paper_task2()

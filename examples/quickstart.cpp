@@ -3,7 +3,8 @@
 //
 //   build/example_quickstart [engine] [threads]
 //
-// `engine` picks the executor's noise engine by name: "trajectory" (sampled
+// `engine` picks the executor's noise engine by name: "auto" (the default:
+// density at <= 7 active qubits, trajectories above), "trajectory" (sampled
 // shots, multi-threaded) or "density" (one exact density-matrix pass per
 // evaluation, no shot loop).
 #include <cstdio>
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   config.shots = 1024;
   config.max_evaluations = 50;  // COBYLA budget, as in the paper
   config.gate_optimization = true;
-  config.engine = argc > 1 ? argv[1] : "trajectory";
+  config.engine = argc > 1 ? argv[1] : "auto";
   config.executor_threads = argc > 2 ? std::stoul(argv[2]) : 0;
 
   const core::RunResult result =

@@ -103,6 +103,12 @@ struct ExecMetrics {
 /// many workers run or how the OS schedules them.
 constexpr std::size_t kShotsPerBatch = 256;
 
+/// ProgramTemplate::mode bit: the template's noisy evaluations run on the
+/// exact density engine (ExactDensity, or Auto resolved at compile).
+constexpr std::uint32_t kModeDensity = 8u;
+
+bool on_density(const ProgramTemplate& t) { return (t.mode & kModeDensity) != 0; }
+
 /// Virtual gates are the single-qubit diagonals — realized as Z-frame
 /// updates, zero duration, no pulse. Same diagonal vocabulary as the
 /// transpiler's commutation scans (qc::gate_is_diagonal); the 2q diagonals
@@ -394,14 +400,14 @@ bool same_gate_params(const qc::Op& a, const qc::Op& b) {
 Engine engine_from_name(const std::string& name) {
   if (name == "trajectory") return Engine::Trajectory;
   if (name == "density" || name == "exact_density") return Engine::ExactDensity;
+  if (name == "auto") return Engine::Auto;
   throw Error("engine_from_name: unknown engine '" + name +
-              "' (expected 'trajectory' or 'density')");
+              "' (expected 'trajectory', 'density' or 'auto')");
 }
 
 const std::string& engine_name(Engine engine) {
-  static const std::string traj = "trajectory";
-  static const std::string dens = "density";
-  return engine == Engine::Trajectory ? traj : dens;
+  static const std::string names[] = {"trajectory", "density", "auto"};
+  return names[static_cast<int>(engine)];
 }
 
 ObjectiveKind objective_from_name(const std::string& name) {
@@ -576,14 +582,16 @@ std::shared_ptr<const CompiledBlock> Executor::lower_schedule_block(
   return cache_->insert(cache_key, std::move(block));
 }
 
-std::uint32_t Executor::compile_mode() const {
+std::uint32_t Executor::compile_mode(std::size_t active_qubits) const {
   // What a template's contents depend on besides the backend: how blocks
-  // lower (pulse-accurate or exact matrices), the register cap, and whether
-  // and how wide the timeline is fused (widths 0 and 1 both disable it).
+  // lower (pulse-accurate or exact matrices), the engine its evaluations run
+  // on and with it the register cap, and whether and how wide the timeline
+  // is fused (widths 0 and 1 both disable it).
   const std::size_t width = std::min<std::size_t>(options_.fusion_max_qubits, 3);
   if (!options_.noise) return width < 2 ? 0u : static_cast<std::uint32_t>(width);
-  return 4u | (options_.engine == Engine::ExactDensity ? 8u : 0u) |
-         (options_.coherent_noise ? 16u : 0u);
+  const bool density = options_.engine == Engine::ExactDensity ||
+                       (options_.engine == Engine::Auto && active_qubits <= kAutoDensityQubits);
+  return 4u | (density ? kModeDensity : 0u) | (options_.coherent_noise ? 16u : 0u);
 }
 
 std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& reference) const {
@@ -594,7 +602,6 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
   auto t = std::make_shared<ProgramTemplate>();
   t->reference = reference;
   t->dev = &dev_;
-  t->mode = compile_mode();
   std::ostringstream prefix;
   prefix << dev_.name() << '#' << std::hex << dev_.fingerprint() << std::dec
          << (options_.noise && options_.coherent_noise ? "#coh;" : "#exact;");
@@ -618,8 +625,8 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
                   " is not on the device");
   sim::detail::require_qubits(reference.measure_qubits, dev_.num_qubits(),
                               "Executor::compile: measure_qubits");
-  const bool density = options_.noise && options_.engine == Engine::ExactDensity;
-  HGP_REQUIRE(cp.touched.size() <= (density ? kMaxDensityQubits : kMaxTrajectoryQubits),
+  t->mode = compile_mode(cp.touched.size());
+  HGP_REQUIRE(cp.touched.size() <= (on_density(*t) ? kMaxDensityQubits : kMaxTrajectoryQubits),
               "Executor::run: too many active qubits to simulate");
   std::map<std::size_t, std::size_t> local_of;
   for (std::size_t i = 0; i < cp.touched.size(); ++i) local_of[cp.touched[i]] = i;
@@ -696,7 +703,7 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
 }
 
 BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) const {
-  HGP_REQUIRE(t.dev == &dev_ && t.mode == compile_mode(),
+  HGP_REQUIRE(t.dev == &dev_ && t.mode == compile_mode(t.program.touched.size()),
               "Executor: template was compiled for another backend or executor options");
   const CompiledProgram& cp = t.program;
   const Program& ref = t.reference;
@@ -1158,7 +1165,7 @@ sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std:
   const BoundProgram b = bind(t, program);
   compile_span.finish();
 
-  if (options_.noise && options_.engine == Engine::ExactDensity)
+  if (on_density(t))
     // The only stochastic element: multinomial shot noise on the exact
     // distribution.
     return sim::sample_from_probabilities(density_distribution(b), shots, rng);
@@ -1186,7 +1193,7 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
   // Objective aggregation (evolve + exact per-shot reduction) as one span.
   obs::Span objective_span("executor.objective", &em.aggregate_ns);
   const bool noisy = options_.noise;
-  const bool density = noisy && options_.engine == Engine::ExactDensity;
+  const bool density = on_density(tmpl);
   obs::Span compile_span("executor.compile", &em.compile_ns);
   const BoundProgram b = bind(tmpl, program);
   compile_span.finish();

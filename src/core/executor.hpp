@@ -30,9 +30,12 @@ enum class Engine {
   /// One exact density-matrix pass with exact channels — no shot loop at
   /// all. Exact statistics for small registers (<= 10 active qubits).
   ExactDensity,
+  /// Resolved by Executor::compile from each template's active-qubit count:
+  /// ExactDensity at <= kAutoDensityQubits, Trajectory above.
+  Auto,
 };
 
-/// Parse "trajectory" | "density" (throws on anything else).
+/// Parse "trajectory" | "density" | "auto" (throws on anything else).
 Engine engine_from_name(const std::string& name);
 const std::string& engine_name(Engine engine);
 
@@ -79,6 +82,13 @@ inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 inline constexpr std::size_t kMaxTrajectoryQubits = 14;
 inline constexpr std::size_t kMaxDensityQubits = sim::DensityMatrix::kMaxQubits;
 
+/// Engine::Auto's crossover: the widest register on which the exact density
+/// engine beats 1024 trajectory shots on one thread. perf_micro's pair on
+/// one 7-qubit program, BM_ExecutorExactDensity/7 against
+/// BM_ExecutorTrajectory/7/1/16, read 4.5-5.8 ms against 6.0-6.2 ms on a
+/// shared 4-core VM; at 8 qubits trajectories win ~2.3x (30.8 vs 13.2 ms).
+inline constexpr std::size_t kAutoDensityQubits = 7;
+
 struct ExecutorOptions {
   /// Master switch: false = ideal (noiseless, exact gate matrices).
   bool noise = true;
@@ -88,7 +98,9 @@ struct ExecutorOptions {
   /// miscalibration included). When false, gates use exact matrices but
   /// incoherent noise still applies.
   bool coherent_noise = true;
-  /// Noise engine: sampled trajectories or a single exact density pass.
+  /// Noise engine: sampled trajectories, a single exact density pass, or
+  /// Auto, which compile resolves per template by its active qubits (the
+  /// register cap is then the trajectory engine's). Noiseless runs ignore it.
   Engine engine = Engine::Trajectory;
   /// Worker threads for the trajectory shot loop (0 = hardware concurrency).
   /// Counts are identical for every value — threads only change wall clock.
@@ -138,7 +150,8 @@ struct ExecutorOptions {
 /// the calibration at compile time, so a backend recalibrated afterwards is
 /// not seen by binds of this template (the Program overloads compile per
 /// call and always see the current calibration). Binding it on an executor
-/// of another backend object or other noise, engine or fusion settings throws.
+/// of another backend object or other noise, resolved engine or fusion
+/// settings throws.
 /// Immutable once built: many threads may bind one template at once.
 struct ProgramTemplate {
   /// The program compiled; a bind diffs a candidate against its ops.
@@ -156,7 +169,8 @@ struct ProgramTemplate {
   /// Backend name + fingerprint + lowering mode: the prefix of every cache
   /// key, with the backend fingerprint hashed once.
   std::string key_prefix;
-  /// The backend and executor settings it was compiled under (see above).
+  /// The backend and executor settings it was compiled under (see above);
+  /// `mode` holds the engine Auto resolved to, which its evaluations run on.
   const backend::FakeBackend* dev = nullptr;
   std::uint32_t mode = 0;
 };
@@ -260,8 +274,9 @@ class Executor {
   la::CMat simulate_block(const pulse::Schedule& physical_sched,
                           const std::vector<std::size_t>& qubits) const;
 
-  /// The executor settings a template depends on (ProgramTemplate::mode).
-  std::uint32_t compile_mode() const;
+  /// The executor settings a template of `active_qubits` touched qubits
+  /// depends on, its resolved engine included (ProgramTemplate::mode).
+  std::uint32_t compile_mode(std::size_t active_qubits) const;
   /// The bind the template overloads share (see run()).
   BoundProgram bind(const ProgramTemplate& t, const Program& program) const;
 

@@ -40,9 +40,12 @@ struct RunConfig {
   /// `m3` booleans do not apply: the mode string is authoritative.
   std::string objective = "sample";
   /// Noise engine of the executor: "trajectory" (sampled shots, scales to
-  /// ~14 active qubits) or "density" (one exact density-matrix pass per
-  /// evaluation, <= 10 active qubits, no trajectory sampling noise).
-  std::string engine = "trajectory";
+  /// ~14 active qubits), "density" (one exact density-matrix pass per
+  /// evaluation, <= 10 active qubits, no trajectory sampling noise) or
+  /// "auto" (the default: density at <= kAutoDensityQubits active qubits,
+  /// where it is the faster engine, trajectories above). Noiseless runs
+  /// ignore it.
+  std::string engine = "auto";
   /// Worker threads of the trajectory shot loop (0 = hardware concurrency).
   /// Counts are bit-identical for every value. serve::JobService ignores it
   /// and runs every job's shot loop on the worker thread.

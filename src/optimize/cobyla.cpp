@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -63,9 +64,10 @@ OptimizeResult Cobyla::minimize(const BatchObjective& f, std::vector<double> x0,
   // iteration costs exactly one evaluation (Powell's budget discipline; the
   // paper runs COBYLA with a 50-evaluation cap on 19+ parameters). The set
   // is mutually independent — one batch, capped at the evaluation budget
-  // (points beyond it keep the default value, as in the serial path).
+  // (points beyond it keep +inf, so none is reported as the best; no
+  // iteration follows them).
   std::vector<std::vector<double>> pts(n + 1, x0);
-  std::vector<double> vals(n + 1);
+  std::vector<double> vals(n + 1, std::numeric_limits<double>::infinity());
   {
     const std::size_t budget = static_cast<std::size_t>(
         std::max(0, options_.max_evaluations));

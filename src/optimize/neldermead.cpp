@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -23,15 +24,18 @@ OptimizeResult NelderMead::minimize(const BatchObjective& f, std::vector<double>
   };
 
   // Initial simplex: x0 plus one step along each axis, all independent —
-  // one batch of n+1 candidates.
+  // one batch of n+1 candidates, capped at the budget (x0 at least). The
+  // vertices beyond it keep +inf and sort last; no step follows them.
   std::vector<std::vector<double>> pts(n + 1, x0);
-  std::vector<double> vals(n + 1);
+  std::vector<double> vals(n + 1, std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < n; ++i) {
     pts[i + 1][i] += options_.initial_step;
     bounds.clip(pts[i + 1]);
   }
-  vals = f(pts);
-  evals += static_cast<int>(n) + 1;
+  const int initial = std::clamp(options_.max_evaluations, 1, static_cast<int>(n) + 1);
+  const std::vector<double> first = f({pts.begin(), pts.begin() + initial});
+  std::copy(first.begin(), first.end(), vals.begin());
+  evals += initial;
 
   std::vector<std::size_t> order(n + 1);
   auto sort_simplex = [&] {
@@ -65,6 +69,16 @@ OptimizeResult NelderMead::minimize(const BatchObjective& f, std::vector<double>
     };
 
     auto [fr, xr] = eval(along(-1.0));  // reflection
+    if (evals >= options_.max_evaluations) {
+      // No budget for an expansion or contraction: keep the reflection
+      // where it beats the worst vertex.
+      if (fr < vals[worst]) {
+        pts[worst] = xr;
+        vals[worst] = fr;
+      }
+      ++out.iterations;
+      break;
+    }
     if (fr < vals[order[0]]) {
       auto [fe, xe] = eval(along(-2.0));  // expansion
       if (fe < fr) {

@@ -18,7 +18,8 @@ class NelderMead {
   explicit NelderMead(Options options) : options_(options) {}
 
   /// The n+1 initial vertices and the n shrink points are batches; the
-  /// reflect/expand/contract probes stay sequential (data-dependent).
+  /// reflect/expand/contract probes stay sequential (data-dependent). Spends
+  /// at most max_evaluations evaluations (at least one).
   OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
                           const Bounds& bounds = {}) const;
 

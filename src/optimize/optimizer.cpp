@@ -68,7 +68,8 @@ OptimizeResult minimize(const std::string& name, const BatchObjective& f,
     }
     if (method == Method::Spsa) {
       Spsa::Options o;
-      o.max_iterations = max_evaluations / 2;  // two evaluations per iteration
+      // Two evaluations per iteration, between the initial and final ones.
+      o.max_iterations = std::max(0, (max_evaluations - 2) / 2);
       o.seed = seed;
       return Spsa(o).minimize(recorded, std::move(x0), bounds);
     }

@@ -39,10 +39,11 @@ bool is_optimizer_name(const std::string& name);
 
 /// The one training entry point of run_qaoa and run_vqe: run the optimizer
 /// `name` — "cobyla" | "spsa" | "neldermead" — on `f` from x0 within
-/// `bounds`. `max_evaluations` is the evaluation budget of COBYLA and
-/// Nelder–Mead; SPSA runs max_evaluations / 2 iterations of two evaluations
-/// each, its perturbations drawn from `seed` (the other two draw nothing).
-/// Unknown names throw hgp::Error before any evaluation.
+/// `bounds`. Every method spends at most `max_evaluations` evaluations (at
+/// least one): SPSA runs (max_evaluations - 2) / 2 iterations of two
+/// evaluations each between its initial and final evaluation, its
+/// perturbations drawn from `seed` (the other two draw nothing). Unknown
+/// names throw hgp::Error before any evaluation.
 ///
 /// `cancel` (null = never) is polled before every batch, and a
 /// CancelledError thrown from inside a batch (an executor checkpoint) is

@@ -55,11 +55,14 @@ OptimizeResult Spsa::minimize(const BatchObjective& f, std::vector<double> x0,
   }
 
   // Final evaluation at the iterate (often better than the best probe).
-  const double fx = f({x})[0];
-  ++out.evaluations;
-  if (fx < best_val) {
-    best_val = fx;
-    best_x = x;
+  // Without an iteration the iterate is x0, already evaluated.
+  if (out.iterations > 0) {
+    const double fx = f({x})[0];
+    ++out.evaluations;
+    if (fx < best_val) {
+      best_val = fx;
+      best_x = x;
+    }
   }
   out.x = std::move(best_x);
   out.value = best_val;

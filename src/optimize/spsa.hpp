@@ -24,7 +24,8 @@ class Spsa {
   Spsa() = default;
   explicit Spsa(Options options) : options_(options) {}
 
-  /// Each iteration's perturbation pair {x+ckΔ, x-ckΔ} is one batch.
+  /// Each iteration's perturbation pair {x+ckΔ, x-ckΔ} is one batch. Spends
+  /// 2 * max_iterations + 2 evaluations, or 1 when max_iterations is 0.
   OptimizeResult minimize(const BatchObjective& f, std::vector<double> x0,
                           const Bounds& bounds = {}) const;
 

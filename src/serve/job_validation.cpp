@@ -50,7 +50,8 @@ JobError validate_job(const SweepJob& job) {
 
   // Engine and objective names go through the parsers the run itself uses,
   // so the validator accepts exactly the names run_qaoa accepts. The engine
-  // comes before the engine-dependent register cap.
+  // comes before the engine-dependent register cap; "auto" has the
+  // trajectory cap, as it runs trajectories above kAutoDensityQubits.
   core::Engine engine = core::Engine::Trajectory;
   try {
     engine = core::engine_from_name(cfg.engine);

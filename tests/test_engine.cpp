@@ -97,8 +97,54 @@ TEST(ExecutorCompile, RejectsQubitsOffTheDeviceAndRepeatedMeasures) {
 TEST(EngineNames, RoundTrip) {
   EXPECT_EQ(core::engine_from_name("trajectory"), Engine::Trajectory);
   EXPECT_EQ(core::engine_from_name("density"), Engine::ExactDensity);
+  EXPECT_EQ(core::engine_from_name("auto"), Engine::Auto);
   EXPECT_THROW(core::engine_from_name("mps"), Error);
   EXPECT_EQ(core::engine_name(Engine::ExactDensity), "density");
+  EXPECT_EQ(core::engine_name(Engine::Auto), "auto");
+}
+
+TEST(ExecutorAuto, ResolvesByActiveQubits) {
+  // Auto resolves per template by its active qubits: the exact density
+  // engine up to kAutoDensityQubits, trajectories above — bit for bit the
+  // engine it resolves to, in counts, objectives and the caller's stream.
+  // Past the density cap it still compiles, under the trajectory cap.
+  const std::vector<std::size_t> chain = {6, 7, 4, 1, 2, 3, 5, 8, 11, 14, 13, 12};
+  auto ladder = [&](std::size_t n) {
+    Program prog;
+    for (std::size_t i = 0; i < n; ++i) push_h(prog, chain[i]);
+    for (std::size_t i = 0; i + 1 < n; ++i)
+      prog.ops.push_back(ExecOp::from_gate(qc::Op{qc::GateKind::CX, {chain[i], chain[i + 1]}, {}}));
+    prog.measure_qubits.assign(chain.begin(), chain.begin() + static_cast<long>(n));
+    return prog;
+  };
+  auto executor = [](Engine engine) {
+    ExecutorOptions opts;
+    opts.engine = engine;
+    opts.num_threads = 1;
+    return Executor(toronto(), opts);
+  };
+  core::ObjectiveSpec spec;
+  spec.value = [](std::uint64_t bits) { return static_cast<double>(bits % 5); };
+  const Executor autox = executor(Engine::Auto);
+  const std::pair<std::size_t, Engine> rows[] = {{6, Engine::ExactDensity},
+                                                 {core::kAutoDensityQubits, Engine::ExactDensity},
+                                                 {core::kAutoDensityQubits + 1, Engine::Trajectory}};
+  for (const auto& [n, resolved] : rows) {
+    SCOPED_TRACE(std::to_string(n) + " qubits");
+    const Program prog = ladder(n);
+    const Executor ref = executor(resolved);
+    Rng a(31), b(31);
+    EXPECT_EQ(autox.run(prog, 64, a), ref.run(prog, 64, b));
+    for (const ObjectiveKind kind : {ObjectiveKind::Expectation, ObjectiveKind::CVaR}) {
+      spec.kind = kind;
+      EXPECT_EQ(autox.run_expectation(prog, 64, a, spec), ref.run_expectation(prog, 64, b, spec))
+          << core::objective_name(kind);
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  const Program wide = ladder(12);
+  EXPECT_NO_THROW(autox.compile(wide));
+  EXPECT_THROW(executor(Engine::ExactDensity).compile(wide), Error);
 }
 
 TEST(ThreadedTrajectories, BitIdenticalAcrossThreadCounts) {

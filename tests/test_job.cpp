@@ -166,10 +166,14 @@ TEST(JobValidation, RejectsEachMalformation) {
   j.config.engine = "teleport";
   EXPECT_EQ(code_of(j), JobErrorCode::BadEngine);
 
-  // 12 vertices: fine for trajectories (cap 14), over the density cap (10)
-  // under either of the density engine's names.
-  j = big_job("bad");
-  EXPECT_EQ(code_of(j), JobErrorCode::None);
+  // 12 vertices: fine for trajectories (cap 14) and for "auto", which runs
+  // a 12-qubit program on trajectories, over the density cap (10) under
+  // either of the density engine's names.
+  for (const char* engine : {"trajectory", "auto"}) {
+    j = big_job("bad");
+    j.config.engine = engine;
+    EXPECT_EQ(code_of(j), JobErrorCode::None) << engine;
+  }
   for (const char* density : {"density", "exact_density"}) {
     j = big_job("bad");
     j.config.engine = density;
@@ -544,11 +548,14 @@ TEST(JobService, ShotLoopRunsOnTheWorkerThread) {
   // The pool is the parallelism: a job asking for 4 shot-loop threads must
   // still evolve every lane group on its worker, inside the executor.run
   // span open there. A spawned shot thread has no open span, so its
-  // lane-group spans would record as roots.
+  // lane-group spans would record as roots. The 6-qubit job names the
+  // trajectory engine: under "auto" it runs on the density engine, which
+  // has no shot loop.
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   obs::Tracer::global().clear();
   SweepJob job = good_job("threads");
+  job.config.engine = "trajectory";
   job.config.shots = 1024;  // 4 shot batches: enough for 4 threads
   job.config.executor_threads = 4;
   JobService svc(JobService::Options{1, 1024});

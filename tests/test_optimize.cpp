@@ -105,6 +105,28 @@ TEST(Spsa, MinimizesSphereUnderNoise) {
   for (double v : r.x) EXPECT_NEAR(v, 0.5, 0.15);
 }
 
+TEST(OptimizerBudget, EveryMethodKeepsToItsBudget) {
+  // One budget rule for every method opt::minimize runs, counted where the
+  // evaluations land: at most max_evaluations reach the objective, at every
+  // budget — one below an initial simplex, or at the edge of a two-probe
+  // Nelder–Mead step — and the result reports exactly the calls made, and
+  // a value the objective returned at its point.
+  for (const char* name : {"cobyla", "spsa", "neldermead"})
+    for (const std::size_t n : {std::size_t{2}, std::size_t{6}})
+      for (const int budget : {1, 2, 4, 10, 50}) {
+        int calls = 0;
+        const opt::OptimizeResult r = opt::minimize(
+            name, opt::serial_batch([&](const std::vector<double>& x) {
+              ++calls;
+              return sphere(x);
+            }),
+            std::vector<double>(n, 0.0), {}, budget, 7, nullptr);
+        EXPECT_LE(calls, budget) << name << " n=" << n << " budget=" << budget;
+        EXPECT_EQ(r.evaluations, calls) << name << " n=" << n << " budget=" << budget;
+        EXPECT_EQ(r.value, sphere(r.x)) << name << " n=" << n << " budget=" << budget;
+      }
+}
+
 TEST(Adam, FiniteDifferenceOnSphere) {
   opt::Adam::Options o;
   o.max_iterations = 150;

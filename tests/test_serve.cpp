@@ -328,8 +328,12 @@ TEST(BlockCachePulse, HybridQaoaRunHitsAcrossOptimizerIterations) {
   // The acceptance criterion of the unified pipeline: a hybrid QAOA run's
   // trainable pulse mixers are served from the cache when the optimizer
   // revisits candidate angles (at minimum the final best-point evaluation).
+  // On trajectories: under "auto" this 6-qubit run takes the density
+  // engine, whose 6-evaluation run ends on x0, and x0's final evaluation
+  // dirties no pulse slot, so no pulse block is probed.
   const graph::Instance inst = graph::paper_task1();
-  const core::RunConfig cfg = tiny_config("cobyla");
+  core::RunConfig cfg = tiny_config("cobyla");
+  cfg.engine = "trajectory";
   auto cache = std::make_shared<serve::BlockCache>(4096);
   core::run_qaoa(inst, toronto(), core::ModelKind::Hybrid, cfg, nullptr, cache);
   const serve::BlockCache::Stats s = cache->stats();

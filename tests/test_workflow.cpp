@@ -160,6 +160,22 @@ TEST(Workflow, OptimizerSelection) {
   EXPECT_THROW(core::run_qaoa(inst, dev, core::ModelKind::GateLevel, cfg), Error);
 }
 
+TEST(RunQaoa, DefaultEngineIsAuto) {
+  // Table II's 6-qubit programs train on the exact density engine unless a
+  // run names another: the default run is, bit for bit, the density run.
+  EXPECT_EQ(core::RunConfig{}.engine, "auto");
+  const auto inst = graph::paper_task1();
+  const auto dev = backend::make_toronto();
+  core::RunConfig density = tiny();
+  density.engine = "density";
+  const auto a = core::run_qaoa(inst, dev, core::ModelKind::Hybrid, tiny());
+  const auto b = core::run_qaoa(inst, dev, core::ModelKind::Hybrid, density);
+  EXPECT_EQ(a.optimizer.x, b.optimizer.x);
+  EXPECT_EQ(a.optimizer.history, b.optimizer.history);
+  EXPECT_EQ(a.final_cost, b.final_cost);
+  EXPECT_EQ(a.ar, b.ar);
+}
+
 // ---- one cancellation path: opt::minimize ------------------------------------
 
 TEST(OptimizerCancellation, RunQaoaCancelledBetweenBatchesReturnsCompletedBatches) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "backend/presets.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/models.hpp"
@@ -78,10 +79,10 @@ core::ObjectiveSpec spec_of(core::ObjectiveKind kind) {
 
 struct Config {
   bool noise;
-  core::Engine engine;
+  std::string engine;  // by name, so a library without the engine still builds
   std::size_t lanes, threads, fusion;
   std::string name() const {
-    return std::string("noise=") + (noise ? "1" : "0") + " engine=" + core::engine_name(engine) +
+    return std::string("noise=") + (noise ? "1" : "0") + " engine=" + engine +
            " lanes=" + std::to_string(lanes) + " threads=" + std::to_string(threads) +
            " fusion=" + std::to_string(fusion);
   }
@@ -90,15 +91,20 @@ struct Config {
 /// Executor outputs of one program under one configuration.
 void digest_program(const std::string& tag, const core::QaoaModel& model,
                     const std::vector<double>& theta, const Config& c) {
+  const std::string head = tag + " " + c.name();
   core::ExecutorOptions opts;
   opts.noise = c.noise;
-  opts.engine = c.engine;
+  try {
+    opts.engine = core::engine_from_name(c.engine);
+  } catch (const Error& e) {  // a library that predates the engine
+    std::printf("%s %s\n", head.c_str(), e.what());
+    return;
+  }
   opts.shot_batch_lanes = c.lanes;
   opts.num_threads = c.threads;
   opts.fusion_max_qubits = c.fusion;
   core::Executor ex(toronto(), opts);
   const core::Program prog = model.instantiate(theta);
-  const std::string head = tag + " " + c.name();
   const std::size_t shots = c.noise ? 256 : 1024;
 
   Rng rng(17);
@@ -151,15 +157,17 @@ int main() {
                                    core::ModelKind::PulseLevel};
 
   // Executor outputs: every model at x0 and at a moved θ, over the engine
-  // grid. The density engine ignores lanes and threads, so it runs them at 1.
+  // grid. The density engine ignores lanes and threads, so it runs them at 1,
+  // and so does auto, which the task-1 programs resolve to density.
   std::vector<Config> grid;
   for (const bool noise : {false, true})
     for (const std::size_t lanes : {std::size_t{1}, std::size_t{7}, std::size_t{16}})
       for (const std::size_t threads : {std::size_t{1}, std::size_t{3}})
         for (const std::size_t fusion : {std::size_t{0}, std::size_t{2}, std::size_t{3}})
-          grid.push_back({noise, core::Engine::Trajectory, lanes, threads, fusion});
-  for (const std::size_t fusion : {std::size_t{0}, std::size_t{2}, std::size_t{3}})
-    grid.push_back({true, core::Engine::ExactDensity, 1, 1, fusion});
+          grid.push_back({noise, "trajectory", lanes, threads, fusion});
+  for (const char* engine : {"density", "auto"})
+    for (const std::size_t fusion : {std::size_t{0}, std::size_t{2}, std::size_t{3}})
+      grid.push_back({true, engine, 1, 1, fusion});
 
   for (const core::ModelKind kind : kinds) {
     const core::QaoaModel model =
@@ -171,13 +179,19 @@ int main() {
     }
   }
 
-  // Short training runs: the optimizer trace per model x objective x noise.
+  // Short training runs: the optimizer trace per model x objective x noise,
+  // on the default engine, and noisy on trajectories by name.
   for (const core::ModelKind kind : kinds)
-    for (const char* objective : {"sample", "expectation", "cvar"})
+    for (const char* objective : {"sample", "expectation", "cvar"}) {
+      const std::string tag = "run_qaoa " + core::model_name(kind) + " objective=" + objective;
       for (const bool noise : {false, true})
-        digest_run("run_qaoa " + core::model_name(kind) + " objective=" + objective +
-                       " noise=" + (noise ? "1" : "0"),
+        digest_run(tag + " noise=" + (noise ? "1" : "0"),
                    core::run_qaoa(task1(), toronto(), kind, short_run(objective, noise)));
+      core::RunConfig trajectory = short_run(objective, true);
+      trajectory.engine = "trajectory";
+      digest_run(tag + " noise=1 engine=trajectory",
+                 core::run_qaoa(task1(), toronto(), kind, trajectory));
+    }
 
   // One JobService twin of noiseless gate and hybrid jobs on two workers.
   serve::JobService::Options so;
