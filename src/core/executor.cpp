@@ -64,6 +64,9 @@ struct ExecMetrics {
   obs::Histogram& lane_evolve_ns;
   obs::Histogram& sample_ns;
   obs::Histogram& aggregate_ns;
+  /// One exact density evaluation: the noisy walk over rho, its
+  /// marginalization and readout fold.
+  obs::Histogram& density_ns;
   /// Lengths of the merged runs (constituents per fused slot, >= 2 only);
   /// explicit bounds because run lengths live far below the default
   /// log-spaced nanosecond buckets.
@@ -90,6 +93,7 @@ struct ExecMetrics {
                          reg.histogram("executor.lane_evolve_ns"),
                          reg.histogram("executor.sample_ns"),
                          reg.histogram("executor.aggregate_ns"),
+                         reg.histogram("executor.density_ns"),
                          reg.histogram("executor.fusion.run_len",
                                        {1, 2, 3, 4, 6, 8, 12, 16})};
     }();
@@ -1113,6 +1117,7 @@ sim::Counts Executor::run_trajectories(const BoundProgram& b, std::size_t shots,
 }
 
 std::vector<double> Executor::density_distribution(const BoundProgram& b) const {
+  obs::Span density_span("executor.density", &ExecMetrics::get().density_ns);
   const CompiledProgram& cp = b.t->program;
   const noise::NoiseModel& nm = dev_.noise_model();
   sim::DensityMatrix dm(cp.touched.size());

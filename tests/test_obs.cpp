@@ -411,6 +411,37 @@ TEST(ObsExecutor, CountsBitIdenticalTelemetryOnVsOff) {
   EXPECT_GE(obs::Registry::global().counter("executor.shots").value(), 256u);
 }
 
+TEST(ObsExecutor, ExactDensityEvaluationRecordsOneDensitySample) {
+  // Every exact evaluation opens one executor.density span: a run() and a
+  // run_expectation() on the density engine each add one sample to
+  // executor.density_ns, and telemetry leaves both results bit-identical.
+  const backend::FakeBackend dev = backend::make_toronto();
+  core::Program prog;
+  prog.ops.push_back(core::ExecOp::from_gate(qc::Op{qc::GateKind::SX, {0}, {}}));
+  prog.ops.push_back(core::ExecOp::from_gate(qc::Op{qc::GateKind::CX, {0, 1}, {}}));
+  prog.measure_qubits = {0, 1};
+  core::ExecutorOptions opts;
+  opts.engine = core::Engine::ExactDensity;
+  core::ObjectiveSpec spec;
+  spec.value = [](std::uint64_t bits) { return static_cast<double>(bits); };
+
+  obs::Histogram& density = obs::Registry::global().histogram("executor.density_ns");
+  sim::Counts counts[2];
+  double values[2];
+  for (const bool on : {false, true}) {
+    const EnabledGuard guard(on);
+    core::Executor ex(dev, opts);
+    Rng rng(17);
+    const std::uint64_t before = density.count();
+    counts[on] = ex.run(prog, 256, rng);
+    EXPECT_EQ(density.count() - before, on ? 1u : 0u);
+    values[on] = ex.run_expectation(prog, 256, rng, spec);
+    EXPECT_EQ(density.count() - before, on ? 2u : 0u);
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(values[0], values[1]);
+}
+
 TEST(ObsExecutor, LaneGroupSeriesCountTheGroupsWalked) {
   // 600 shots on the fixed 256-shot batch grid are batches of 256, 256 and
   // 88 shots, and each batch walks ceil(batch / lanes) lane groups: 600 at
