@@ -397,6 +397,32 @@ BENCHMARK(BM_ExecutorExactDensity)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+static void BM_ExecutorExactDensityTask1(benchmark::State& state) {
+  // One exact evaluation of a real Table II program: run_expectation of the
+  // toronto task-1 gate-level (/0) or hybrid (/1) program, GO off, bound to
+  // its template at x0 on one thread. Both have 6 active qubits like the
+  // /6 ladder row above, but several times its slots and channels.
+  const backend::FakeBackend dev = backend::make_toronto();
+  const graph::Instance inst = graph::paper_task1();
+  const core::ModelKind kind =
+      state.range(0) == 0 ? core::ModelKind::GateLevel : core::ModelKind::Hybrid;
+  const core::QaoaModel model =
+      core::QaoaModel::build(inst.graph, dev, kind, core::ModelConfig{});
+  const core::Program prog = model.instantiate(model.initial_parameters());
+  core::ExecutorOptions opts;
+  opts.engine = core::Engine::ExactDensity;
+  opts.num_threads = 1;
+  core::Executor ex(dev, opts);
+  const auto tmpl = ex.compile(prog);
+  core::ObjectiveSpec spec;
+  spec.value = [&g = inst.graph](std::uint64_t bits) { return g.cut_value(bits); };
+  Rng rng(31);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ex.run_expectation(*tmpl, prog, 1024, rng, spec));
+  state.SetLabel(core::model_name(kind) + ", " + std::to_string(prog.ops.size()) + " ops");
+}
+BENCHMARK(BM_ExecutorExactDensityTask1)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 static void BM_ExecutorWarmRun6q(benchmark::State& state) {
   // A noiseless 1-shot run of the task-1 gate-level program on a warm
   // shared cache, through the Program overload: every block hits, so this

@@ -2,69 +2,9 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
 #include "linalg/eig.hpp"
-#include "linalg/solve.hpp"
 
 namespace hgp::la {
-
-namespace {
-double one_norm(const CMat& a) {
-  double best = 0.0;
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) s += std::abs(a(i, j));
-    best = std::max(best, s);
-  }
-  return best;
-}
-}  // namespace
-
-CMat expm(const CMat& a) {
-  HGP_REQUIRE(a.rows() == a.cols(), "expm: not square");
-  const std::size_t n = a.rows();
-
-  // Scale so that ||A/2^s|| <= 0.5, apply Padé(6,6), square back.
-  int s = 0;
-  double nrm = one_norm(a);
-  while (nrm > 0.5 && s < 60) {
-    nrm /= 2.0;
-    ++s;
-  }
-  CMat x = a * cxd{std::ldexp(1.0, -s), 0.0};
-
-  // Padé(6,6) coefficients.
-  static const double b[] = {64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                             1187353796428800.0,  129060195264000.0,   10559470521600.0,
-                             670442572800.0,      33522128640.0,       1323241920.0,
-                             40840800.0,          960960.0,            16380.0,
-                             182.0,               1.0};
-  // Only the first 7 coefficients are needed for (6,6); use the classic form
-  // U = X * (b7 X6 + b5 X4 + b3 X2 + b1 I), V = b6 X6 + b4 X4 + b2 X2 + b0 I
-  // with the (6,6) subset of the (13,13) coefficient table above.
-  const CMat x2 = x * x;
-  const CMat x4 = x2 * x2;
-  const CMat x6 = x4 * x2;
-  const CMat eye = CMat::identity(n);
-
-  CMat u = x6 * cxd{b[7], 0} + x4 * cxd{b[5], 0} + x2 * cxd{b[3], 0} + eye * cxd{b[1], 0};
-  u = x * u;
-  CMat v = x6 * cxd{b[6], 0} + x4 * cxd{b[4], 0} + x2 * cxd{b[2], 0} + eye * cxd{b[0], 0};
-
-  // Solve (V - U) E = (V + U).
-  CMat num = v + u;
-  CMat den = v - u;
-  CMat e(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    CVec col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = num(i, j);
-    CVec sol = lu_solve(den, col);
-    for (std::size_t i = 0; i < n; ++i) e(i, j) = sol[i];
-  }
-
-  for (int k = 0; k < s; ++k) e = e * e;
-  return e;
-}
 
 CMat expm_ih(const CMat& h, double t) {
   const EigResult eg = eigh(h);

@@ -4,11 +4,6 @@
 
 namespace hgp::la {
 
-/// Matrix exponential e^A via scaling-and-squaring with a (6,6) Padé
-/// approximant. Intended for the small operators used in tests and
-/// calibration checks (dimension up to a few hundred).
-CMat expm(const CMat& a);
-
 /// exp(-i t H) for Hermitian H, computed from the eigendecomposition — exact
 /// up to the eigensolver tolerance and unconditionally unitary.
 CMat expm_ih(const CMat& h, double t);

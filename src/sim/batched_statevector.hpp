@@ -43,6 +43,10 @@ class BatchedStatevector {
 
   la::cxd amplitude(std::uint64_t i, std::size_t lane) const;
   void set_amplitude(std::uint64_t i, std::size_t lane, la::cxd a);
+  /// The planes themselves (row i of lane l at [i * lanes() + l]), for the
+  /// density-matrix sweeps that pair a basis bit with a lane bit.
+  double* re_plane() { return re_.data(); }
+  double* im_plane() { return im_.data(); }
 
   // ---- broadcast operations (same operator, every lane) ----
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sim/density.hpp"
 #include "sim/statevector.hpp"
 
 namespace hgp::sim {
@@ -88,6 +87,5 @@ Counts CircuitState<State>::sample(std::size_t shots, Rng& rng) const {
 }
 
 template class CircuitState<Statevector>;
-template class CircuitState<DensityMatrix>;
 
 }  // namespace hgp::sim

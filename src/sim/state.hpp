@@ -22,9 +22,9 @@ std::string bits_to_string(std::uint64_t bits, std::size_t num_qubits);
 /// sampler every state and the executor's exact-density engine share.
 Counts sample_from_probabilities(const std::vector<double>& p, std::size_t shots, Rng& rng);
 
-/// The circuit front end `Statevector` and `DensityMatrix` share, written
-/// once over the derived state's `apply_matrix`, `num_qubits` and
-/// `probabilities` (instantiated for those two states in state.cpp).
+/// The circuit front end of `Statevector`, written over the derived state's
+/// `apply_matrix`, `num_qubits` and `probabilities` (instantiated in
+/// state.cpp).
 template <typename State>
 class CircuitState {
  public:

@@ -118,32 +118,43 @@ TEST(Eigh, DegenerateSpectrum) {
   EXPECT_TRUE(eg.vectors.is_unitary(1e-8));
 }
 
-TEST(Expm, MatchesEigenExponentialForHermitian) {
-  Rng rng(7);
-  const CMat h = random_hermitian(5, rng);
-  // expm(-iHt) vs expm_ih(H, t)
-  const double t = 0.37;
-  const CMat a = h * cxd{0.0, -t};
-  const CMat e1 = la::expm(a);
-  const CMat e2 = la::expm_ih(h, t);
-  EXPECT_LT(e1.max_abs_diff(e2), 1e-9);
-  EXPECT_TRUE(e1.is_unitary(1e-9));
+// exp(-i t H) in closed form: a one-qubit Pauli sum H = v · σ squares to
+// |v|² I, so exp(-i t H) = cos(t|v|) I - i sin(t|v|) H / |v|; commuting
+// two-qubit Paulis exponentiate factor by factor.
+TEST(Expm, OneQubitPauliSumMatchesClosedForm) {
+  const double a = 0.3, b = -0.8, c = 0.5, t = 0.37;
+  const CMat h = la::pauli_matrix(la::Pauli::X) * cxd{a, 0.0} +
+                 la::pauli_matrix(la::Pauli::Y) * cxd{b, 0.0} +
+                 la::pauli_matrix(la::Pauli::Z) * cxd{c, 0.0};
+  const double v = std::sqrt(a * a + b * b + c * c);
+  const CMat expected = CMat::identity(2) * cxd{std::cos(t * v), 0.0} +
+                        h * cxd{0.0, -std::sin(t * v) / v};
+  const CMat e = la::expm_ih(h, t);
+  EXPECT_LT(e.max_abs_diff(expected), 1e-13);
+  EXPECT_TRUE(e.is_unitary(1e-13));
 }
 
-TEST(Expm, NilpotentExactly) {
-  CMat n{{0, 1}, {0, 0}};
-  const CMat e = la::expm(n);
-  EXPECT_NEAR(std::abs(e(0, 0) - cxd(1, 0)), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(e(0, 1) - cxd(1, 0)), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(e(1, 1) - cxd(1, 0)), 0.0, 1e-12);
+TEST(Expm, CommutingTwoQubitPauliSumMatchesClosedForm) {
+  const CMat zz = la::kron(la::pauli_matrix(la::Pauli::Z), la::pauli_matrix(la::Pauli::Z));
+  const CMat xx = la::kron(la::pauli_matrix(la::Pauli::X), la::pauli_matrix(la::Pauli::X));
+  const double a = 0.7, b = -1.3, t = 0.9;
+  const CMat h = zz * cxd{a, 0.0} + xx * cxd{b, 0.0};
+  const CMat eye = CMat::identity(4);
+  const CMat expected = (eye * cxd{std::cos(t * a), 0.0} + zz * cxd{0.0, -std::sin(t * a)}) *
+                        (eye * cxd{std::cos(t * b), 0.0} + xx * cxd{0.0, -std::sin(t * b)});
+  const CMat e = la::expm_ih(h, t);
+  EXPECT_LT(e.max_abs_diff(expected), 1e-13);
+  EXPECT_TRUE(e.is_unitary(1e-13));
 }
 
 TEST(Expm, LargeNormScaling) {
   // exp(-i * 50 * X) should still be unitary and match the closed form.
   const CMat x = la::pauli_matrix(la::Pauli::X);
-  const CMat e = la::expm(x * cxd{0.0, -50.0});
-  EXPECT_TRUE(e.is_unitary(1e-8));
-  EXPECT_NEAR(e(0, 0).real(), std::cos(50.0), 1e-7);
+  const CMat expected =
+      CMat::identity(2) * cxd{std::cos(50.0), 0.0} + x * cxd{0.0, -std::sin(50.0)};
+  const CMat e = la::expm_ih(x, 50.0);
+  EXPECT_LT(e.max_abs_diff(expected), 1e-13);
+  EXPECT_TRUE(e.is_unitary(1e-13));
 }
 
 TEST(LuSolve, RecoversSolution) {

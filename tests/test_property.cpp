@@ -9,7 +9,6 @@
 #include "core/qaoa.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
-#include "linalg/expm.hpp"
 #include "linalg/vec.hpp"
 #include "pulse/calibration.hpp"
 #include "pulsesim/simulator.hpp"

@@ -1,6 +1,5 @@
-// The two states behind one circuit front end (sim::CircuitState): parity
-// between the statevector and the density matrix on the same circuit, the
-// shared sampler, and the statevector's gate-kernel paths.
+// The shared sampler and the statevector's gate-kernel paths. Parity
+// between the statevector and the density matrix lives in test_density.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,85 +9,11 @@
 #include "common/rng.hpp"
 #include "linalg/pauli.hpp"
 #include "linalg/vec.hpp"
-#include "sim/density.hpp"
 #include "sim/state.hpp"
 #include "sim/statevector.hpp"
 
 using namespace hgp;
-using sim::DensityMatrix;
 using sim::Statevector;
-
-namespace {
-
-qc::Circuit mixed_gate_circuit() {
-  qc::Circuit c(4);
-  c.h(0).cx(0, 1).ry(2, 0.8).rzz(1, 2, -0.6).sx(3).rz(3, 0.9).cz(2, 3).swap(0, 3).t(1);
-  return c;
-}
-
-}  // namespace
-
-TEST(BackendParity, NoiselessProbabilitiesAgree) {
-  const qc::Circuit c = mixed_gate_circuit();
-  Statevector sv(4);
-  DensityMatrix dm(4);
-  sv.run(c);
-  dm.run(c);
-  const auto pv = sv.probabilities();
-  const auto pd = dm.probabilities();
-  ASSERT_EQ(pv.size(), pd.size());
-  for (std::size_t i = 0; i < pv.size(); ++i) EXPECT_NEAR(pv[i], pd[i], 1e-9) << i;
-  for (std::size_t q = 0; q < 4; ++q)
-    EXPECT_NEAR(sv.prob_one(q), dm.prob_one(q), 1e-9) << q;
-}
-
-TEST(BackendParity, NoiselessPauliExpectationsAgree) {
-  const qc::Circuit c = mixed_gate_circuit();
-  Statevector sv(4);
-  DensityMatrix dm(4);
-  sv.run(c);
-  dm.run(c);
-  la::PauliSum obs(4);
-  obs.add(1.0, "ZZII");
-  obs.add(0.7, "XIXI");
-  obs.add(-0.4, "IYZX");
-  obs.add(0.2, "ZXYZ");
-  EXPECT_NEAR(sv.expectation(obs), dm.expectation(obs), 1e-9);
-}
-
-TEST(BackendParity, SamplingAgreesUnderSharedSeed) {
-  // Same probabilities + same inverse-CDF sampler + same seed = identical
-  // counts across the two states.
-  qc::Circuit c(3);
-  c.h(0).cx(0, 1).ry(2, 1.1);
-  Statevector sv(3);
-  DensityMatrix dm(3);
-  sv.run(c);
-  dm.run(c);
-  Rng r1(12), r2(12);
-  EXPECT_EQ(sv.sample(2000, r1), dm.sample(2000, r2));
-}
-
-TEST(CircuitState, BothStatesRejectMeasureAndWidthMismatch) {
-  const qc::Op measure{qc::GateKind::Measure, {0}, {}};
-  Statevector sv(2);
-  DensityMatrix dm(2);
-  EXPECT_THROW(sv.apply_op(measure), Error);
-  EXPECT_THROW(dm.apply_op(measure), Error);
-  EXPECT_THROW(sv.run(qc::Circuit(3)), Error);
-  EXPECT_THROW(dm.run(qc::Circuit(3)), Error);
-}
-
-TEST(Density, SampleMatchesProbabilities) {
-  DensityMatrix dm(2);
-  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {0});
-  dm.apply_matrix(qc::gate_matrix(qc::GateKind::H), {1});
-  dm.apply_depolarizing({0}, 0.2);  // mixing must not break sampling
-  Rng rng(77);
-  const sim::Counts counts = dm.sample(40000, rng);
-  for (const auto& [bits, n] : counts)
-    EXPECT_NEAR(static_cast<double>(n) / 40000.0, 0.25, 0.02) << bits;
-}
 
 TEST(SampleFromProbabilities, SortedPassMatchesLowerBoundReference) {
   // The sampler must map every draw to the first index whose running sum
