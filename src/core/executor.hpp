@@ -82,11 +82,13 @@ inline constexpr std::size_t kDefaultShotBatchLanes = 16;
 inline constexpr std::size_t kMaxTrajectoryQubits = 14;
 inline constexpr std::size_t kMaxDensityQubits = sim::DensityMatrix::kMaxQubits;
 
-/// Engine::Auto's crossover: the widest register on which the exact density
-/// engine beats 1024 trajectory shots on one thread. perf_micro's pair on
-/// one 7-qubit program, BM_ExecutorExactDensity/7 against
-/// BM_ExecutorTrajectory/7/1/16, read 4.5-5.8 ms against 6.0-6.2 ms on a
-/// shared 4-core VM; at 8 qubits trajectories win ~2.3x (30.8 vs 13.2 ms).
+/// Engine::Auto's crossover, against 1024 trajectory shots on one thread.
+/// perf_micro's ladder pairs, BM_ExecutorExactDensity/n against
+/// BM_ExecutorTrajectory/n/1/16, read 0.39 vs 4.9 ms at 6 qubits, 1.6 vs
+/// 8.0 ms at 7 and 7.3 vs 16 ms at 8 (medians, shared 4-core VM). On split
+/// planes the exact engine also wins the real 8-qubit programs, task 3 with
+/// GO (41-66 vs 69-126 ms), but raising this moves task 3's results, so the
+/// crossover stays where it was first measured (8 qubits was 31 vs 13 ms).
 inline constexpr std::size_t kAutoDensityQubits = 7;
 
 struct ExecutorOptions {

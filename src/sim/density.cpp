@@ -111,15 +111,6 @@ void dense2_run(double* __restrict__ r0, double* __restrict__ r1, double* __rest
   }
 }
 
-void dense2_pass(double* re, double* im, std::uint64_t size, std::uint64_t o1, std::uint64_t o2,
-                 const Split<4>& s) {
-  const std::uint64_t o3 = o1 + o2;
-  for_each_quad_run(size, o1, o2, [&](std::uint64_t i, auto len) {
-    dense2_run(re + i, re + i + o1, re + i + o2, re + i + o3, im + i, im + i + o1, im + i + o2,
-               im + i + o3, len, s);
-  });
-}
-
 /// One plane's run of amplitude damping (Damp) then dephasing (Dephase)
 /// over the 2 x 2 blocks x00 = (r, c), x10 = (r + b, c), x01 = (r, c + b),
 /// x11 = (r + b, c + b) of one qubit.
@@ -233,7 +224,12 @@ void DensityMatrix::apply_dense(const CMat& u, const std::vector<std::size_t>& q
     });
     return;
   }
-  dense2_pass(re, im, size, unit << qubits[0], unit << qubits[1], Split<4>(u));
+  const Split<4> s(u);
+  const std::uint64_t o1 = unit << qubits[0], o2 = unit << qubits[1], o3 = o1 + o2;
+  for_each_quad_run(size, o1, o2, [&](std::uint64_t i, auto len) {
+    dense2_run(re + i, re + i + o1, re + i + o2, re + i + o3, im + i, im + i + o1, im + i + o2,
+               im + i + o3, len, s);
+  });
 }
 
 void DensityMatrix::apply_diagonal(const CMat& u, const std::vector<std::size_t>& qubits) {

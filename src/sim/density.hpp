@@ -16,8 +16,8 @@ namespace hgp::sim {
 /// rho of n qubits is held as a BatchedStatevector of n qubits x 2^n lanes:
 /// the basis index is the column and the lane is the row, so entry (r, c)
 /// sits at flat index r | c << n of the split re/im planes. A unitary U
-/// applies as U on the rows (the lane-vectorized kernel after a square
-/// transpose of the planes), then conj(U) on the columns; a diagonal
+/// applies as U on the rows, then conj(U) on the columns, a dense 1q/2q U
+/// as vectorized sweeps along runs of flat index pairs (quads); a diagonal
 /// unitary, each channel and each depolarizing charge is one sweep. Every
 /// entry gets the same products and sums, in the same order, as the
 /// 2n-qubit statevector walk (row pass, then column pass), and
