@@ -399,27 +399,29 @@ BENCHMARK(BM_ExecutorExactDensity)
 
 static void BM_ExecutorExactDensityTask1(benchmark::State& state) {
   // One exact evaluation of a real Table II program: run_expectation of the
-  // toronto task-1 gate-level (/0) or hybrid (/1) program, GO off, bound to
-  // its template at x0 on one thread. Both have 6 active qubits like the
-  // /6 ladder row above, but several times its slots and channels.
+  // toronto task-1 gate-level (/0) or hybrid (/1) model, GO off, bound at
+  // x0 to its template at x0 on one thread (no slot is dirty). Both have 6
+  // active qubits like the /6 ladder row above, but several times its slots
+  // and channels.
   const backend::FakeBackend dev = backend::make_toronto();
   const graph::Instance inst = graph::paper_task1();
   const core::ModelKind kind =
       state.range(0) == 0 ? core::ModelKind::GateLevel : core::ModelKind::Hybrid;
   const core::QaoaModel model =
       core::QaoaModel::build(inst.graph, dev, kind, core::ModelConfig{});
-  const core::Program prog = model.instantiate(model.initial_parameters());
+  const std::vector<double> x0 = model.initial_parameters();
   core::ExecutorOptions opts;
   opts.engine = core::Engine::ExactDensity;
   opts.num_threads = 1;
   core::Executor ex(dev, opts);
-  const auto tmpl = ex.compile(prog);
+  const auto tmpl = ex.compile(model, x0);
   core::ObjectiveSpec spec;
   spec.value = [&g = inst.graph](std::uint64_t bits) { return g.cut_value(bits); };
   Rng rng(31);
   for (auto _ : state)
-    benchmark::DoNotOptimize(ex.run_expectation(*tmpl, prog, 1024, rng, spec));
-  state.SetLabel(core::model_name(kind) + ", " + std::to_string(prog.ops.size()) + " ops");
+    benchmark::DoNotOptimize(ex.run_expectation(*tmpl, x0, 1024, rng, spec));
+  state.SetLabel(core::model_name(kind) + ", " +
+                 std::to_string(model.instantiate(x0).ops.size()) + " ops");
 }
 BENCHMARK(BM_ExecutorExactDensityTask1)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -446,29 +448,30 @@ BENCHMARK(BM_ExecutorWarmRun6q)->Unit(benchmark::kMicrosecond);
 
 static void BM_ExecutorBoundRun6q(benchmark::State& state) {
   // The optimizer-loop form of the run above: one template of the task-1
-  // gate-level program, bound each iteration to one of 8 moved-θ programs
-  // and run noiseless with 1 shot. A bind recomputes only the γ/β phase
-  // folds and the fused groups holding them, then evolves and samples.
+  // gate-level model, bound each iteration to one of 8 moved θs and run
+  // noiseless with 1 shot. A bind instantiates the model at θ, recomputes
+  // only the γ/β phase folds and the fused groups holding them, then
+  // evolves and samples.
   const backend::FakeBackend dev = backend::make_toronto();
   const graph::Instance inst = graph::paper_task1();
   const core::QaoaModel model = core::QaoaModel::build(
       inst.graph, dev, core::ModelKind::GateLevel, core::ModelConfig{});
   const std::vector<double> x0 = model.initial_parameters();
-  std::vector<core::Program> moved;
+  std::vector<std::vector<double>> moved;
   for (std::size_t k = 0; k < 8; ++k) {
     std::vector<double> x = x0;
     for (std::size_t j = 0; j < x.size(); ++j) x[j] += 0.01 * static_cast<double>(k + j + 1);
-    moved.push_back(model.instantiate(x));
+    moved.push_back(x);
   }
   core::ExecutorOptions opts;
   opts.noise = false;
   opts.block_cache = std::make_shared<serve::BlockCache>();
   core::Executor ex(dev, opts);
-  const auto tmpl = ex.compile(model.instantiate(x0));
+  const auto tmpl = ex.compile(model, x0);
   Rng rng(29);
   std::size_t k = 0;
   for (auto _ : state) benchmark::DoNotOptimize(ex.run(*tmpl, moved[k++ % moved.size()], 1, rng));
-  state.SetLabel(std::to_string(moved.front().ops.size()) + " ops");
+  state.SetLabel(std::to_string(model.instantiate(x0).ops.size()) + " ops");
 }
 BENCHMARK(BM_ExecutorBoundRun6q)->Unit(benchmark::kMicrosecond);
 
@@ -476,9 +479,10 @@ BENCHMARK(BM_ExecutorBoundRun6q)->Unit(benchmark::kMicrosecond);
 //
 // K moved-θ candidates of a 12-node weighted path at p = 2, placed along
 // kTorontoChain, bound to the template of the initial point and evaluated
-// noiseless on one thread. The scalar row runs K run_expectation calls, the
-// lanes row one run_expectation_batch that evolves the K candidates as lanes
-// of one batched statevector; both return the same values bit for bit.
+// noiseless on one thread; each bind instantiates the model at its θ. The
+// scalar row runs K run_expectation calls, the lanes row one
+// run_expectation_batch that evolves the K candidates as lanes of one
+// batched statevector; both return the same values bit for bit.
 
 namespace {
 
@@ -497,12 +501,12 @@ void candidates_bench(benchmark::State& state, Evaluate evaluate) {
   const core::QaoaModel model =
       core::QaoaModel::build(g, dev, core::ModelKind::GateLevel, mcfg);
   const std::vector<double> x0 = model.initial_parameters();
-  std::vector<core::Program> candidates;
+  std::vector<std::vector<double>> candidates;
   for (std::size_t c = 0; c < k; ++c) {
     std::vector<double> x = x0;
     for (std::size_t j = 0; j < x.size(); ++j)
       x[j] += 0.01 * static_cast<double>(c) - 0.005 * static_cast<double>(j);
-    candidates.push_back(model.instantiate(x));
+    candidates.push_back(x);
   }
   core::ObjectiveSpec spec;
   spec.value = [&g](std::uint64_t bits) { return g.cut_value(bits); };
@@ -510,7 +514,7 @@ void candidates_bench(benchmark::State& state, Evaluate evaluate) {
   opts.noise = false;
   opts.num_threads = 1;
   core::Executor ex(dev, opts);
-  const auto tmpl = ex.compile(model.instantiate(x0));
+  const auto tmpl = ex.compile(model, x0);
   evaluate(ex, *tmpl, candidates, spec);  // warm the block cache outside the timed region
   for (auto _ : state) evaluate(ex, *tmpl, candidates, spec);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
@@ -521,18 +525,18 @@ void candidates_bench(benchmark::State& state, Evaluate evaluate) {
 
 static void BM_CandidatesScalar(benchmark::State& state) {
   candidates_bench(state, [](core::Executor& ex, const core::ProgramTemplate& tmpl,
-                             const std::vector<core::Program>& candidates,
+                             const std::vector<std::vector<double>>& candidates,
                              const core::ObjectiveSpec& spec) {
     Rng rng(31);  // untouched by noiseless run_expectation
-    for (const core::Program& p : candidates)
-      benchmark::DoNotOptimize(ex.run_expectation(tmpl, p, 1, rng, spec));
+    for (const std::vector<double>& x : candidates)
+      benchmark::DoNotOptimize(ex.run_expectation(tmpl, x, 1, rng, spec));
   });
 }
 BENCHMARK(BM_CandidatesScalar)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 static void BM_CandidatesLanes(benchmark::State& state) {
   candidates_bench(state, [](core::Executor& ex, const core::ProgramTemplate& tmpl,
-                             const std::vector<core::Program>& candidates,
+                             const std::vector<std::vector<double>>& candidates,
                              const core::ObjectiveSpec& spec) {
     benchmark::DoNotOptimize(ex.run_expectation_batch(tmpl, candidates, spec));
   });

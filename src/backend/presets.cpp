@@ -64,8 +64,4 @@ FakeBackend make_backend(const std::string& name) {
   throw Error("make_backend: unknown backend '" + name + "'");
 }
 
-std::vector<std::string> paper_backend_names() {
-  return {"ibm_auckland", "ibmq_toronto", "ibmq_guadalupe", "ibmq_montreal"};
-}
-
 }  // namespace hgp::backend

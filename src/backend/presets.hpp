@@ -19,7 +19,4 @@ FakeBackend make_guadalupe();
 /// Lookup by name ("auckland", "ibmq_toronto", ...).
 FakeBackend make_backend(const std::string& name);
 
-/// All Table I backends in paper order.
-std::vector<std::string> paper_backend_names();
-
 }  // namespace hgp::backend

@@ -16,11 +16,6 @@ struct Op {
   std::vector<std::size_t> qubits;
   std::vector<Param> params;
 
-  bool is_parameterized() const {
-    for (const Param& p : params)
-      if (!p.is_constant()) return true;
-    return false;
-  }
   /// Bound parameter values; all params must be constant.
   std::vector<double> constant_params() const;
 };

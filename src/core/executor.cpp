@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "core/models.hpp"
 #include "mitigation/cvar.hpp"
 #include "noise/channels.hpp"
 #include "obs/trace.hpp"
@@ -24,8 +25,8 @@ namespace hgp::core {
 using la::CMat;
 
 /// One evaluation's view of a template: the template's blocks and fused
-/// compositions used in place, except where the evaluation's changed ops
-/// dirtied a slot or a fused group — those point at this binding's own.
+/// compositions used in place, except where the evaluation's θ dirtied a
+/// slot or a fused group — those point at this binding's own.
 struct BoundProgram {
   const ProgramTemplate* t = nullptr;
   /// Per unfused timeline slot: the block the engines apply.
@@ -369,34 +370,12 @@ std::size_t for_each_lane_group(const ExecutorOptions& options, std::size_t num_
   return shots / kShotsPerBatch * groups_of(kShotsPerBatch) + groups_of(shots % kShotsPerBatch);
 }
 
-/// Bind equality: two ops share a timeline structure when they agree on
-/// everything except parameter values (and pulse schedule contents).
-bool same_op_structure(const ExecOp& a, const ExecOp& b) {
-  if (a.is_pulse != b.is_pulse) return false;
-  if (a.is_pulse) return a.qubits == b.qubits;
-  return a.gate.kind == b.gate.kind && a.gate.qubits == b.gate.qubits &&
-         a.gate.params.size() == b.gate.params.size();
-}
-
 /// Bitwise double equality: -0.0 and 0.0 key (and compile) differently.
 bool same_bits(double a, double b) {
   std::uint64_t ua = 0, ub = 0;
   std::memcpy(&ua, &a, sizeof a);
   std::memcpy(&ub, &b, sizeof b);
   return ua == ub;
-}
-
-/// Two structurally equal gate ops share a block unitary when their
-/// parameters agree bit for bit.
-bool same_gate_params(const qc::Op& a, const qc::Op& b) {
-  for (std::size_t i = 0; i < a.params.size(); ++i) {
-    const qc::Param& pa = a.params[i];
-    const qc::Param& pb = b.params[i];
-    if (pa.index() != pb.index() || !same_bits(pa.scale(), pb.scale()) ||
-        !same_bits(pa.offset(), pb.offset()))
-      return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -472,7 +451,6 @@ CMat Executor::simulate_block(const pulse::Schedule& physical_sched,
 }
 
 std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
-                                                            std::uint64_t pulse_fp,
                                                             const ProgramTemplate& t) const {
   if (!op.is_pulse) return compile_gate(op.gate, t);
   // Raw pulse block (the hybrid/pulse-level models' trainable layers): the
@@ -482,7 +460,8 @@ std::shared_ptr<const CompiledBlock> Executor::compile_block(const ExecOp& op,
   std::ostringstream key;
   key << t.key_prefix << "pulse";
   for (std::size_t q : op.qubits) key << "," << q;
-  key << ",fp=" << std::hex << pulse_fp << std::dec << ",dur=" << op.schedule.duration();
+  key << ",fp=" << std::hex << op.schedule.fingerprint() << std::dec
+      << ",dur=" << op.schedule.duration();
   const std::string cache_key = key.str();
   if (auto cached = cache_->find(cache_key, serve::BlockKind::Pulse)) return cached;
   return lower_schedule_block(cache_key, op.schedule, op.qubits, nullptr, false);
@@ -598,13 +577,39 @@ std::uint32_t Executor::compile_mode(std::size_t active_qubits) const {
   return 4u | (density ? kModeDensity : 0u) | (options_.coherent_noise ? 16u : 0u);
 }
 
-std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& reference) const {
+std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& program) const {
+  obs::Span compile_span("executor.compile", &ExecMetrics::get().compile_ns);
+  return compile_program(program);
+}
+
+std::shared_ptr<const ProgramTemplate> Executor::compile(const QaoaModel& model,
+                                                         std::vector<double> theta0) const {
+  obs::Span compile_span("executor.compile", &ExecMetrics::get().compile_ns);
+  const Program program = model.instantiate(theta0);
+  const std::shared_ptr<ProgramTemplate> t = compile_program(program);
+  // θ[j] reaches the slots of the ops that read it (barriers have none).
+  std::vector<std::size_t> slot_of(program.ops.size(), SIZE_MAX);
+  for (std::size_t s = 0; s < t->slot_ops.size(); ++s)
+    for (std::size_t i : t->slot_ops[s]) slot_of[i] = s;
+  const std::vector<std::vector<std::size_t>> ops_of = model.parameter_ops();
+  t->param_slots.resize(ops_of.size());
+  for (std::size_t j = 0; j < ops_of.size(); ++j) {
+    std::vector<std::size_t>& slots = t->param_slots[j];
+    for (std::size_t i : ops_of[j])
+      if (slot_of[i] != SIZE_MAX) slots.push_back(slot_of[i]);
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  }
+  t->model = &model;
+  t->theta0 = std::move(theta0);
+  return t;
+}
+
+std::shared_ptr<ProgramTemplate> Executor::compile_program(const Program& reference) const {
   HGP_REQUIRE(!reference.measure_qubits.empty(), "Executor::compile: nothing to measure");
   ExecMetrics& em = ExecMetrics::get();
-  obs::Span compile_span("executor.compile", &em.compile_ns);
 
   auto t = std::make_shared<ProgramTemplate>();
-  t->reference = reference;
   t->dev = &dev_;
   std::ostringstream prefix;
   prefix << dev_.name() << '#' << std::hex << dev_.fingerprint() << std::dec
@@ -643,7 +648,6 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
   // and a fold halves the per-shot apply count of RZ-heavy programs. A bind
   // recomputes a dirty slot in this same order.
   cp.clock.assign(cp.touched.size(), 0);
-  t->pulse_fp.assign(ops.size(), 0);
   std::vector<long> pending_virtual(cp.touched.size(), -1);
 
   for (std::size_t oi = 0; oi < ops.size(); ++oi) {
@@ -654,9 +658,8 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
       continue;
     }
     if (!op.is_pulse && op.gate.kind == qc::GateKind::Measure) continue;
-    if (op.is_pulse) t->pulse_fp[oi] = op.schedule.fingerprint();
     Scheduled s;
-    s.block = *compile_block(op, t->pulse_fp[oi], *t);
+    s.block = *compile_block(op, *t);
     for (std::size_t q : s.block.qubits) s.local.push_back(local_of.at(q));
 
     if (s.block.virtual_only && s.local.size() == 1) {
@@ -706,54 +709,37 @@ std::shared_ptr<const ProgramTemplate> Executor::compile(const Program& referenc
   return t;
 }
 
-BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) const {
+BoundProgram Executor::bind(const ProgramTemplate& t, const std::vector<double>& theta) const {
   HGP_REQUIRE(t.dev == &dev_ && t.mode == compile_mode(t.program.touched.size()),
               "Executor: template was compiled for another backend or executor options");
+  HGP_REQUIRE(theta.size() == t.theta0.size(),
+              "Executor: theta has " + std::to_string(theta.size()) +
+                  " entries but the template's model has " + std::to_string(t.theta0.size()));
   const CompiledProgram& cp = t.program;
-  const Program& ref = t.reference;
-  HGP_REQUIRE(program.ops.size() == ref.ops.size() &&
-                  program.measure_qubits == ref.measure_qubits,
-              "Executor: program does not match the template's structure (op count or "
-              "measure map)");
   const std::size_t steps = cp.timeline.size();
   BoundProgram b;
   b.t = &t;
   b.blocks.resize(steps);
   for (std::size_t s = 0; s < steps; ++s) b.blocks[s] = &cp.timeline[s].block;
 
-  // Diff the candidate op by op: its structure must be the template's, and
-  // a slot is dirty when any of its ops changed a parameter value or its
-  // pulse schedule. Each candidate pulse fingerprint is hashed once and
-  // serves both the check and the cache key.
+  // A slot is dirty when an entry of θ that one of its ops reads moved.
   std::vector<std::uint8_t> dirty(steps, 0);
-  std::vector<std::uint64_t> fp(ref.ops.size(), 0);
+  for (std::size_t j = 0; j < theta.size(); ++j)
+    if (!same_bits(theta[j], t.theta0[j]))
+      for (std::size_t s : t.param_slots[j]) dirty[s] = 1;
   std::size_t n_dirty = 0, n_folds = 0;
-  for (std::size_t i = 0; i < ref.ops.size(); ++i)
-    HGP_REQUIRE(same_op_structure(program.ops[i], ref.ops[i]),
-                "Executor: program op " + std::to_string(i) +
-                    " does not match the template's structure");
   for (std::size_t s = 0; s < steps; ++s) {
-    for (std::size_t i : t.slot_ops[s]) {
-      const ExecOp& op = program.ops[i];
-      if (op.is_pulse) {
-        fp[i] = op.schedule.fingerprint();
-        if (fp[i] == t.pulse_fp[i] && op.schedule.duration() == ref.ops[i].schedule.duration())
-          continue;
-      } else if (same_gate_params(op.gate, ref.ops[i].gate)) {
-        continue;
-      }
-      dirty[s] = 1;
-      ++n_dirty;
-      n_folds += cp.timeline[s].block.virtual_only ? 1 : 0;
-      break;
-    }
+    n_dirty += dirty[s];
+    n_folds += dirty[s] && cp.timeline[s].block.virtual_only ? 1 : 0;
   }
+  const Program program = n_dirty > 0 ? t.model->instantiate(theta) : Program{};
 
-  // Recompute each dirty slot in compile's fold order: the first op's block,
-  // then u_k * acc for the folded virtual ops after it.
+  // Recompute each dirty slot from the model's program at θ, in compile's
+  // fold order: the first op's block, then u_k * acc for the folded virtual
+  // ops after it.
   b.probed.reserve(n_dirty - n_folds);
   b.folds.reserve(n_folds);
-  for (std::size_t s = 0; s < steps && n_dirty > 0; ++s) {
+  for (std::size_t s = 0; s < steps; ++s) {
     if (!dirty[s]) continue;
     const CompiledBlock& ref_block = cp.timeline[s].block;
     const std::vector<std::size_t>& ops = t.slot_ops[s];
@@ -768,10 +754,10 @@ BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) co
       b.blocks[s] = &b.folds.back();
       continue;
     }
-    b.probed.push_back(compile_block(program.ops[ops.front()], fp[ops.front()], t));
+    b.probed.push_back(compile_block(program.ops[ops.front()], t));
     b.blocks[s] = b.probed.back().get();
     HGP_REQUIRE(b.blocks[s]->duration_dt == ref_block.duration_dt,
-                "Executor: program changes a block's duration; compile a new template");
+                "Executor: theta changes a block's duration; compile a new template");
   }
   if (options_.noise) return b;
 
@@ -798,13 +784,6 @@ BoundProgram Executor::bind(const ProgramTemplate& t, const Program& program) co
     b.fused[g] = &b.composed.back();
   }
   return b;
-}
-
-sim::Statevector Executor::evolve_noiseless(const BoundProgram& b) const {
-  const std::vector<Scheduled>& groups = b.t->fusion.timeline;
-  sim::Statevector sv(b.t->program.touched.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) sv.apply_matrix(*b.fused[g], groups[g].local);
-  return sv;
 }
 
 namespace {
@@ -996,15 +975,13 @@ LaneWorkspace& evolve_lanes(const backend::FakeBackend& dev, const ExecutorOptio
   return ws;
 }
 
-/// The noiseless evaluation of B bound candidates: one lane-batched evolve
-/// over the fused timeline, then the exact lane reduction of `spec` over the
-/// tables `t`. A fused slot whose bound unitary is the template's on every
-/// lane applies once broadcast; the others take the per-lane kernels. A lone
-/// candidate runs the scalar body on its lane instead, which skips the lane
-/// loop's per-block overhead. All three give identical bits, so the choice
-/// only affects speed.
-std::vector<double> evaluate_noiseless(const BoundProgram* lanes, std::size_t B,
-                                       const OutcomeTables& t, const ObjectiveSpec& spec) {
+/// The noiseless evolve of B bound candidates: one lane-batched evolve over
+/// the fused timeline. A fused slot whose bound unitary is the template's on
+/// every lane applies once broadcast; the others take the per-lane kernels.
+/// A lone candidate runs the scalar body on its lane instead, which skips
+/// the lane loop's per-block overhead. All three give identical bits, so the
+/// choice only affects speed.
+sim::BatchedStatevector evolve_noiseless(const BoundProgram* lanes, std::size_t B) {
   const ProgramTemplate& tmpl = *lanes[0].t;
   const std::vector<Scheduled>& groups = tmpl.fusion.timeline;
   sim::BatchedStatevector bsv(tmpl.program.touched.size(), B);
@@ -1024,7 +1001,14 @@ std::vector<double> evaluate_noiseless(const BoundProgram* lanes, std::size_t B,
     for (std::size_t l = 0; l < B; ++l) us[l] = lanes[l].fused[g];
     bsv.apply_matrix_per_lane(us, groups[g].local);
   }
+  return bsv;
+}
 
+/// The noiseless evaluation of B bound candidates: evolve_noiseless, then
+/// the exact lane reduction of `spec` over the tables `t`.
+std::vector<double> evaluate_noiseless(const BoundProgram* lanes, std::size_t B,
+                                       const OutcomeTables& t, const ObjectiveSpec& spec) {
+  const sim::BatchedStatevector bsv = evolve_noiseless(lanes, B);
   const std::size_t mdim = t.value.size();
   std::vector<double> out(B);
   if (spec.kind == ObjectiveKind::Expectation) {
@@ -1037,7 +1021,7 @@ std::vector<double> evaluate_noiseless(const BoundProgram* lanes, std::size_t B,
     std::vector<double> p(mdim);
     for (std::size_t l = 0; l < B; ++l) {
       for (std::size_t j = 0; j < mdim; ++j) p[j] = mass[j * B + l];
-      out[l] = mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
+      out[l] = mit::cvar_from_distribution(p, t.value, spec.cvar_alpha);
     }
   }
   return out;
@@ -1158,16 +1142,16 @@ std::vector<double> Executor::density_distribution(const BoundProgram& b) const 
 }
 
 sim::Counts Executor::run(const Program& program, std::size_t shots, Rng& rng) const {
-  return run(*compile(program), program, shots, rng);
+  return run(*compile(program), {}, shots, rng);
 }
 
-sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std::size_t shots,
-                         Rng& rng) const {
+sim::Counts Executor::run(const ProgramTemplate& t, const std::vector<double>& theta,
+                          std::size_t shots, Rng& rng) const {
   if (options_.cancel) options_.cancel->check();
   ExecMetrics& em = ExecMetrics::get();
   obs::Span run_span("executor.run", &em.run_ns);
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const BoundProgram b = bind(t, program);
+  const BoundProgram b = bind(t, theta);
   compile_span.finish();
 
   if (on_density(t))
@@ -1175,18 +1159,22 @@ sim::Counts Executor::run(const ProgramTemplate& t, const Program& program, std:
     // distribution.
     return sim::sample_from_probabilities(density_distribution(b), shots, rng);
   if (options_.noise) return run_trajectories(b, shots, rng);
+  // Noiseless: sample the one-lane evolve's |amp|^2 over the full register.
+  const sim::BatchedStatevector bsv = evolve_noiseless(&b, 1);
+  std::vector<double> p(bsv.dim());
+  for (std::uint64_t i = 0; i < p.size(); ++i) p[i] = std::norm(bsv.amplitude(i, 0));
   sim::Counts out;
-  for (const auto& [bits, n] : evolve_noiseless(b).sample(shots, rng))
+  for (const auto& [bits, n] : sim::sample_from_probabilities(p, shots, rng))
     out[map_bits(bits, t.program)] += n;
   return out;
 }
 
 double Executor::run_expectation(const Program& program, std::size_t shots, Rng& rng,
                                  const ObjectiveSpec& spec) const {
-  return run_expectation(*compile(program), program, shots, rng, spec);
+  return run_expectation(*compile(program), {}, shots, rng, spec);
 }
 
-double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& program,
+double Executor::run_expectation(const ProgramTemplate& tmpl, const std::vector<double>& theta,
                                  std::size_t shots, Rng& rng, const ObjectiveSpec& spec) const {
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation: Sample objectives go through run()");
@@ -1200,7 +1188,7 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
   const bool noisy = options_.noise;
   const bool density = on_density(tmpl);
   obs::Span compile_span("executor.compile", &em.compile_ns);
-  const BoundProgram b = bind(tmpl, program);
+  const BoundProgram b = bind(tmpl, theta);
   compile_span.finish();
   const CompiledProgram& cp = tmpl.program;
 
@@ -1278,19 +1266,13 @@ double Executor::run_expectation(const ProgramTemplate& tmpl, const Program& pro
     for (std::size_t j = 0; j < mdim; ++j) p[j] /= static_cast<double>(shots);
     if (options_.readout_error) fold_readout(p, cp, nm, /*transpose=*/false);
   }
-  return mit::cvar_from_distribution(p, t.value, spec.cvar_alpha, spec.cvar_maximize);
+  return mit::cvar_from_distribution(p, t.value, spec.cvar_alpha);
 }
 
-std::vector<double> Executor::run_expectation_batch(const std::vector<Program>& programs,
-                                                    const ObjectiveSpec& spec) const {
-  HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
-  return run_expectation_batch(*compile(programs.front()), programs, spec);
-}
-
-std::vector<double> Executor::run_expectation_batch(const ProgramTemplate& tmpl,
-                                                    const std::vector<Program>& programs,
-                                                    const ObjectiveSpec& spec) const {
-  HGP_REQUIRE(!programs.empty(), "Executor::run_expectation_batch: no candidates");
+std::vector<double> Executor::run_expectation_batch(
+    const ProgramTemplate& tmpl, const std::vector<std::vector<double>>& thetas,
+    const ObjectiveSpec& spec) const {
+  HGP_REQUIRE(!thetas.empty(), "Executor::run_expectation_batch: no candidates");
   HGP_REQUIRE(spec.kind != ObjectiveKind::Sample,
               "Executor::run_expectation_batch: Sample objectives go through run()");
   HGP_REQUIRE(static_cast<bool>(spec.value),
@@ -1302,12 +1284,12 @@ std::vector<double> Executor::run_expectation_batch(const ProgramTemplate& tmpl,
   ExecMetrics& em = ExecMetrics::get();
   obs::Span batch_span("executor.candidate_batch");
   em.expectation_batches.inc();
-  const std::size_t B = programs.size();
+  const std::size_t B = thetas.size();
   obs::Span compile_span("executor.compile", &em.compile_ns);
   std::vector<BoundProgram> lanes;
   lanes.reserve(B);
   for (std::size_t l = 0; l < B; ++l)
-    lanes.push_back(bind(tmpl, programs[l]));
+    lanes.push_back(bind(tmpl, thetas[l]));
   compile_span.finish();
   return evaluate_noiseless(lanes.data(), B, tabulate(tmpl.program, spec, nullptr), spec);
 }

@@ -16,7 +16,6 @@
 #include "sim/batched_statevector.hpp"
 #include "sim/density.hpp"
 #include "sim/state.hpp"
-#include "sim/statevector.hpp"
 
 namespace hgp::core {
 
@@ -63,11 +62,9 @@ const std::string& objective_name(ObjectiveKind kind);
 struct ObjectiveSpec {
   ObjectiveKind kind = ObjectiveKind::Expectation;
   std::function<double(std::uint64_t)> value;
-  /// CVaR tail fraction (ignored for Expectation).
+  /// CVaR tail fraction (ignored for Expectation). The tail averaged is the
+  /// highest-value one — what Max-Cut training wants for cut values.
   double cvar_alpha = 0.3;
-  /// CVaR tail direction: true averages the best (highest-value) tail —
-  /// what Max-Cut training wants for cut values.
-  bool cvar_maximize = true;
 };
 
 /// Default lockstep width of the batched trajectory engine — the sweet spot
@@ -141,11 +138,14 @@ struct ExecutorOptions {
   std::shared_ptr<const CancelToken> cancel;
 };
 
+class QaoaModel;
+
 /// A program compiled once for a run: everything its evaluations share when
-/// only parameter values change between them. In the paper's hybrid model
-/// the problem layer is fixed gate-level code and only the γ phase gates
-/// and the mixer pulses train, so the optimizer's candidates all bind to the
-/// template of the run's initial point.
+/// only θ changes between them. In the paper's hybrid model the problem
+/// layer is fixed gate-level code and only the γ phase gates and the mixer
+/// pulses train, so the optimizer's candidates all bind to the template of
+/// the run's initial point, and the model names which slots each entry of θ
+/// reaches.
 ///
 /// Validity: a template is valid for the backend state and the executor
 /// options it was compiled under. Its blocks and cache-key prefix capture
@@ -153,13 +153,17 @@ struct ExecutorOptions {
 /// not seen by binds of this template (the Program overloads compile per
 /// call and always see the current calibration). Binding it on an executor
 /// of another backend object or other noise, resolved engine or fusion
-/// settings throws.
+/// settings throws. A template compiled from a model points at it, so the
+/// model must outlive the template.
 /// Immutable once built: many threads may bind one template at once.
 struct ProgramTemplate {
-  /// The program compiled; a bind diffs a candidate against its ops.
-  Program reference;
-  /// Per reference op: its pulse schedule's fingerprint (0 for gate ops).
-  std::vector<std::uint64_t> pulse_fp;
+  /// The model and the θ it was compiled at; null and empty for a template
+  /// compiled from a Program, which binds only the empty θ.
+  const QaoaModel* model = nullptr;
+  std::vector<double> theta0;
+  /// Parameter -> slot map: the timeline slots holding an op that reads
+  /// θ[j] (QaoaModel::parameter_ops), ascending.
+  std::vector<std::vector<std::size_t>> param_slots;
   /// The unfused timeline, the touched and measure maps and the clock.
   CompiledProgram program;
   /// The ops of each timeline slot, in program order: consecutive virtual
@@ -186,35 +190,42 @@ struct BoundProgram;
 /// device's coherent miscalibration), then realizes noise either as sampled
 /// quantum trajectories (per-block depolarizing charges, per-qubit thermal
 /// relaxation over the ASAP timeline, readout confusion) or as one exact
-/// density-matrix pass over the same timeline. It keeps no per-call state,
-/// so one executor may evaluate from many threads at once.
+/// density-matrix pass over the same timeline. A training run compiles its
+/// model once and evaluates θs against that template; the model says which
+/// slots each θ entry reaches, so a bind recomputes only those. It keeps no
+/// per-call state, so one executor may evaluate from many threads at once.
 class Executor {
  public:
   Executor(const backend::FakeBackend& dev, ExecutorOptions options = {});
 
-  /// Compile `reference` into a template: the block timeline (one cache
-  /// probe per gate or pulse op), the fusion grouping and its compositions
-  /// (noiseless executors), and the cache-key prefix. Every evaluation of a
-  /// program with the same structure then binds to it (the overloads below
-  /// taking a ProgramTemplate).
+  /// Compile `model.instantiate(theta0)` into a template: the block
+  /// timeline (one cache probe per gate or pulse op), the fusion grouping and
+  /// its compositions (noiseless executors), the cache-key prefix, and the
+  /// parameter -> slot map from model.parameter_ops(). Every evaluation of
+  /// the model then binds its θ to it (the overloads below taking a
+  /// ProgramTemplate). The Program overload compiles a template with no
+  /// parameters, which binds only the empty θ.
   /// Throws hgp::Error when the program touches a qubit the device does not
   /// have or measures a qubit twice.
-  std::shared_ptr<const ProgramTemplate> compile(const Program& reference) const;
+  std::shared_ptr<const ProgramTemplate> compile(const QaoaModel& model,
+                                                 std::vector<double> theta0) const;
+  std::shared_ptr<const ProgramTemplate> compile(const Program& program) const;
 
   /// Run the program and return counts keyed in the order of
   /// program.measure_qubits (bit i = measure_qubits[i]).
   ///
-  /// The template overloads bind `program` to `tmpl` first: the op count,
-  /// the measure map and every op's kind, qubits and parameter count must
-  /// match the template's reference (a mismatch throws hgp::Error, never
-  /// recompiles). Only the timeline slots whose ops' parameter values or
-  /// pulse schedules changed are recomputed — one cache probe per changed
-  /// gate or pulse block — and only the fused groups holding them
-  /// re-composed; everything else is used in place. A bind draws no RNG, so
-  /// results are bit-identical to the Program overload on `program`, which
-  /// is compile(program) followed by the bound call.
-  sim::Counts run(const ProgramTemplate& tmpl, const Program& program, std::size_t shots,
-                  Rng& rng) const;
+  /// The template overloads bind θ to `tmpl` first: θ must have as many
+  /// entries as the template's θ0 (a mismatch throws hgp::Error, never
+  /// recompiles). A timeline slot is dirty when an entry of θ that one of
+  /// its ops reads differs from θ0 bit for bit; when any is, the model
+  /// instantiates θ once and only the dirty slots are recomputed from it —
+  /// one cache probe per dirty gate or pulse block — and only the fused
+  /// groups holding them re-composed; everything else is used in place. A
+  /// bind draws no RNG, so results are bit-identical to the Program
+  /// overload on model.instantiate(θ). The Program overloads, for one-shot
+  /// callers, are compile(program) followed by the bound call at θ = {}.
+  sim::Counts run(const ProgramTemplate& tmpl, const std::vector<double>& theta,
+                  std::size_t shots, Rng& rng) const;
   sim::Counts run(const Program& program, std::size_t shots, Rng& rng) const;
 
   /// Evaluate a diagonal objective without terminal sampling. Noiseless:
@@ -228,23 +239,19 @@ class Executor {
   /// the value table / the averaged distribution respectively). Density:
   /// exact objective over the folded distribution, no stochastic element at
   /// all. Deterministic for every thread and lane count.
-  double run_expectation(const ProgramTemplate& tmpl, const Program& program,
+  double run_expectation(const ProgramTemplate& tmpl, const std::vector<double>& theta,
                          std::size_t shots, Rng& rng, const ObjectiveSpec& spec) const;
   double run_expectation(const Program& program, std::size_t shots, Rng& rng,
                          const ObjectiveSpec& spec) const;
 
-  /// Candidate-lane batching: evaluate B structurally identical programs
-  /// (same gates and layout, different parameter values — SPSA pairs,
-  /// simplex vertices, parameter-shift points) as B lanes of one lane-batched
-  /// evolve. A fused slot whose bound unitary is the template's on every
-  /// lane (or B = 1) applies once broadcast; the others take the per-lane
-  /// kernels. Noiseless only — result l is bit-identical to
-  /// run_expectation(programs[l], ...), a one-lane batch. The Program-only
-  /// overload compiles programs.front() as the template.
+  /// Candidate-lane batching: evaluate B parameter vectors of one template
+  /// (SPSA pairs, simplex vertices, parameter-shift points) as B lanes of
+  /// one lane-batched evolve. A fused slot whose bound unitary is the
+  /// template's on every lane (or B = 1) applies once broadcast; the others
+  /// take the per-lane kernels. Noiseless only — result l is bit-identical
+  /// to run_expectation(tmpl, thetas[l], ...), a one-lane batch.
   std::vector<double> run_expectation_batch(const ProgramTemplate& tmpl,
-                                            const std::vector<Program>& programs,
-                                            const ObjectiveSpec& spec) const;
-  std::vector<double> run_expectation_batch(const std::vector<Program>& programs,
+                                            const std::vector<std::vector<double>>& thetas,
                                             const ObjectiveSpec& spec) const;
 
   /// Hit/miss/evict counters of the compiled-block cache this executor
@@ -255,9 +262,9 @@ class Executor {
   /// The single block-lowering entry point for gate and pulse steps.
   /// Virtual (free diagonal) gates and explicit delays compile to exact
   /// matrices without touching the cache; everything else probes the cache
-  /// once under the template's key prefix + its key (a pulse keys on
-  /// `pulse_fp`, its schedule's fingerprint) and lowers only on a miss.
-  std::shared_ptr<const CompiledBlock> compile_block(const ExecOp& op, std::uint64_t pulse_fp,
+  /// once under the template's key prefix + its key (a pulse keys on its
+  /// schedule's fingerprint) and lowers only on a miss.
+  std::shared_ptr<const CompiledBlock> compile_block(const ExecOp& op,
                                                      const ProgramTemplate& t) const;
   /// Gate front-end of compile_block: keys a native gate by name, physical
   /// qubits and exact parameters, and builds its calibrated schedule only on
@@ -279,12 +286,11 @@ class Executor {
   /// The executor settings a template of `active_qubits` touched qubits
   /// depends on, its resolved engine included (ProgramTemplate::mode).
   std::uint32_t compile_mode(std::size_t active_qubits) const;
+  /// The timeline, fusion and key prefix of both compile overloads, under
+  /// the caller's executor.compile span.
+  std::shared_ptr<ProgramTemplate> compile_program(const Program& program) const;
   /// The bind the template overloads share (see run()).
-  BoundProgram bind(const ProgramTemplate& t, const Program& program) const;
-
-  /// The noiseless final state: one deterministic statevector evolve over
-  /// the bound fused timeline, which run() samples.
-  sim::Statevector evolve_noiseless(const BoundProgram& b) const;
+  BoundProgram bind(const ProgramTemplate& t, const std::vector<double>& theta) const;
   sim::Counts run_trajectories(const BoundProgram& b, std::size_t shots, Rng& rng) const;
   /// bsv.lanes() trajectories in lockstep: deterministic blocks apply once
   /// across all lanes, stochastic branches draw per lane from

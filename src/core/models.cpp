@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "core/qaoa.hpp"
 #include "linalg/types.hpp"
 #include "transpile/scheduling.hpp"
 #include "transpile/transpiler.hpp"
@@ -33,9 +33,6 @@ std::vector<std::size_t> default_line_layout(std::size_t n) {
   HGP_REQUIRE(n <= line.size(), "default layout supports up to 8 qubits");
   return {line.begin(), line.begin() + static_cast<long>(n)};
 }
-
-int gamma_slot(int layer) { return 2 * layer; }
-int beta_slot(int layer) { return 2 * layer + 1; }
 
 }  // namespace
 
@@ -85,7 +82,6 @@ QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend
                            ModelKind kind, const ModelConfig& config) {
   QaoaModel m;
   m.dev_ = &dev;
-  m.graph_ = &graph;
   m.kind_ = kind;
   m.config_ = config;
 
@@ -94,17 +90,30 @@ QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend
   std::vector<std::size_t> layout =
       config.initial_layout.empty() ? default_line_layout(n) : config.initial_layout;
 
-  // Transpile one problem segment per QAOA layer, threading the layout.
+  // All trainable parameters are normalized to [-1, 1]: angle-like knobs
+  // are ×π, frequency shifts ×0.1 GHz. A single COBYLA trust radius then
+  // explores every dimension at a comparable rate.
+  const double pi = la::kPi;
+  auto add_param = [&](const std::string& name, double init) {
+    m.params_.push_back(ParamSpec{name, init, -1.0, 1.0});
+    return static_cast<int>(m.params_.size()) - 1;
+  };
+  auto add_op = [&](OpSource::Kind k, qc::Op op, std::array<int, 3> knobs) {
+    m.ops_.push_back(OpSource{k, std::move(op), knobs});
+  };
+
+  // One transpiled problem segment per QAOA layer, threading the layout,
+  // then its parameters and ops in program order.
   for (int l = 0; l < config.p; ++l) {
     qc::Circuit c(n);
     if (l == 0)
       for (std::size_t q = 0; q < n; ++q) c.h(q);
     c.barrier();
     for (const graph::Edge& e : graph.edges())
-      c.rzz(e.u, e.v, Param::symbol(gamma_slot(l), -e.weight));
+      c.rzz(e.u, e.v, Param::symbol(gamma_index(l), -e.weight));
     c.barrier();
     if (kind == ModelKind::GateLevel)
-      for (std::size_t q = 0; q < n; ++q) c.rx(q, Param::symbol(beta_slot(l), 2.0));
+      for (std::size_t q = 0; q < n; ++q) c.rx(q, Param::symbol(beta_index(l), 2.0));
 
     transpile::TranspileOptions topt;
     topt.initial_layout = layout;
@@ -122,72 +131,55 @@ QaoaModel QaoaModel::build(const graph::Graph& graph, const backend::FakeBackend
       }
     }
     m.swap_count_ += best.swap_count;
+    const qc::Circuit seg = config.dynamical_decoupling ? transpile::insert_dd(best.circuit, dev)
+                                                        : std::move(best.circuit);
+    layout.assign(best.final_layout.begin(), best.final_layout.begin() + n);
 
-    GateSegment seg;
-    seg.circuit = config.dynamical_decoupling ? transpile::insert_dd(best.circuit, dev)
-                                              : std::move(best.circuit);
-    seg.layout_after.assign(best.final_layout.begin(), best.final_layout.begin() + n);
-    layout = seg.layout_after;
-    m.segments_.push_back(std::move(seg));
-  }
-
-  // ----- parameter space -----
-  auto add_param = [&](const std::string& name, double init, double lo, double hi) {
-    m.params_.push_back(ParamSpec{name, init, lo, hi});
-    return static_cast<int>(m.params_.size()) - 1;
-  };
-
-  // All trainable parameters are normalized to [-1, 1]: angle-like knobs
-  // are ×π, frequency shifts ×0.1 GHz. A single COBYLA trust radius then
-  // explores every dimension at a comparable rate.
-  const double pi = la::kPi;
-  if (kind == ModelKind::GateLevel) {
-    for (int l = 0; l < config.p; ++l) {
-      add_param("gamma_" + std::to_string(l), config.init_gamma / pi, -1.0, 1.0);
-      add_param("beta_" + std::to_string(l), config.init_beta / pi, -1.0, 1.0);
+    const std::string ls = std::to_string(l);
+    int gamma = -1, beta = -1;
+    if (kind != ModelKind::PulseLevel) gamma = add_param("gamma_" + ls, config.init_gamma / pi);
+    if (kind == ModelKind::GateLevel) beta = add_param("beta_" + ls, config.init_beta / pi);
+    for (std::size_t i = 0; i < seg.ops().size(); ++i) {
+      qc::Op op = seg.ops()[i];
+      const bool pulse_op = op.kind == GateKind::CX || op.kind == GateKind::SX ||
+                            op.kind == GateKind::X;
+      if (kind == ModelKind::PulseLevel && pulse_op) {
+        // Every physical pulse of the routed circuit is free.
+        const std::string tag = "_s" + ls + "_op" + std::to_string(i);
+        const std::string pre = op.kind == GateKind::CX ? "cr_" : "d_";
+        const int angle = add_param(pre + "theta" + tag, op.kind == GateKind::X ? 1.0 : 0.5);
+        add_op(OpSource::Kind::FreePulse, std::move(op),
+               {angle, add_param(pre + "phase" + tag, 0.0), add_param(pre + "freq" + tag, 0.0)});
+        continue;
+      }
+      // γ_l and β_l read their θ entries; the pulse-level problem layer
+      // keeps γ at init_gamma.
+      for (Param& prm : op.params) {
+        if (prm.is_constant()) continue;
+        prm = kind == ModelKind::PulseLevel
+                  ? Param::constant(prm.offset() + prm.scale() * config.init_gamma)
+                  : Param::symbol(prm.index() == gamma_index(l) ? gamma : beta, prm.scale(),
+                                  prm.offset());
+      }
+      add_op(OpSource::Kind::Gate, std::move(op), {-1, -1, -1});
     }
-  } else if (kind == ModelKind::Hybrid) {
-    for (int l = 0; l < config.p; ++l) {
-      add_param("gamma_" + std::to_string(l), config.init_gamma / pi, -1.0, 1.0);
-      for (std::size_t q = 0; q < n; ++q) {
-        const std::string tag = "_" + std::to_string(l) + "_q" + std::to_string(q);
-        if (config.train_amp)
-          add_param("theta" + tag, 2.0 * config.init_beta / pi, -1.0, 1.0);
-        if (config.train_phase) add_param("phase" + tag, 0.0, -1.0, 1.0);
-        if (config.train_freq) add_param("freq" + tag, 0.0, -1.0, 1.0);  // ×0.1 GHz
-      }
-    }
-  } else {  // PulseLevel: every physical pulse of the routed circuit is free
-    m.freeop_param_base_.resize(m.segments_.size());
-    for (std::size_t s = 0; s < m.segments_.size(); ++s) {
-      const auto& ops = m.segments_[s].circuit.ops();
-      m.freeop_param_base_[s].assign(ops.size(), -1);
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const qc::Op& op = ops[i];
-        std::ostringstream tag;
-        tag << "_s" << s << "_op" << i;
-        if (op.kind == GateKind::CX) {
-          m.freeop_param_base_[s][i] =
-              add_param("cr_theta" + tag.str(), 0.5, -1.0, 1.0);
-          add_param("cr_phase" + tag.str(), 0.0, -1.0, 1.0);
-          add_param("cr_freq" + tag.str(), 0.0, -1.0, 1.0);
-        } else if (op.kind == GateKind::SX || op.kind == GateKind::X) {
-          const double init = op.kind == GateKind::SX ? 0.5 : 1.0;
-          m.freeop_param_base_[s][i] = add_param("d_theta" + tag.str(), init, -1.0, 1.0);
-          add_param("d_phase" + tag.str(), 0.0, -1.0, 1.0);
-          add_param("d_freq" + tag.str(), 0.0, -1.0, 1.0);
-        }
-      }
-      // The mixer pulses of the pulse-level model are free as well.
-      m.pulse_mixer_base_.push_back(m.params_.size());
-      for (std::size_t q = 0; q < n; ++q) {
-        const std::string tag = "_s" + std::to_string(s) + "_mix" + std::to_string(q);
-        add_param("theta" + tag, 2.0 * config.init_beta / pi, -1.0, 1.0);
-        add_param("phase" + tag, 0.0, -1.0, 1.0);
-        add_param("freq" + tag, 0.0, -1.0, 1.0);
-      }
+    if (kind == ModelKind::GateLevel) continue;
+
+    // The mixer layer after each problem segment: one pulse per qubit.
+    add_op(OpSource::Kind::Gate, qc::Op{GateKind::Barrier, {}, {}}, {-1, -1, -1});
+    const bool hybrid = kind == ModelKind::Hybrid;
+    for (std::size_t q = 0; q < n; ++q) {
+      const std::string qs = std::to_string(q);
+      const std::string tag = hybrid ? "_" + ls + "_q" + qs : "_s" + ls + "_mix" + qs;
+      std::array<int, 3> knobs = {-1, -1, -1};
+      if (!hybrid || config.train_amp)
+        knobs[0] = add_param("theta" + tag, 2.0 * config.init_beta / pi);
+      if (!hybrid || config.train_phase) knobs[1] = add_param("phase" + tag, 0.0);
+      if (!hybrid || config.train_freq) knobs[2] = add_param("freq" + tag, 0.0);  // ×0.1 GHz
+      add_op(OpSource::Kind::Mixer, qc::Op{GateKind::I, {layout[q]}, {}}, knobs);
     }
   }
+  m.measure_qubits_ = layout;
   return m;
 }
 
@@ -207,12 +199,6 @@ opt::Bounds QaoaModel::bounds() const {
   return b;
 }
 
-void QaoaModel::set_mixer_duration(int duration_dt) {
-  HGP_REQUIRE(duration_dt >= 32 && duration_dt % 32 == 0,
-              "set_mixer_duration: duration must be a positive multiple of 32 dt");
-  config_.mixer_duration_dt = duration_dt;
-}
-
 int QaoaModel::mixer_layer_duration_dt() const {
   if (kind_ == ModelKind::GateLevel) {
     // RX compiles to two SX pulses.
@@ -223,103 +209,65 @@ int QaoaModel::mixer_layer_duration_dt() const {
 
 Program QaoaModel::instantiate(const std::vector<double>& theta) const {
   HGP_REQUIRE(theta.size() == params_.size(), "instantiate: wrong parameter count");
-  const std::size_t n = graph_->num_vertices();
-
-  // Fill the slot vector the transpiled segments were built against.
-  std::vector<double> slots(2 * static_cast<std::size_t>(config_.p), 0.0);
-  std::size_t cursor = 0;  // walks params_ in the order build() created them
-  const std::size_t mixer_params_per_qubit =
-      static_cast<std::size_t>(config_.train_amp) + config_.train_phase + config_.train_freq;
-
-  if (kind_ == ModelKind::GateLevel) {
-    for (int l = 0; l < config_.p; ++l) {
-      slots[gamma_slot(l)] = la::kPi * theta[2 * l];
-      slots[beta_slot(l)] = la::kPi * theta[2 * l + 1];
-    }
-  } else if (kind_ == ModelKind::Hybrid) {
-    for (int l = 0; l < config_.p; ++l) {
-      slots[gamma_slot(l)] = la::kPi * theta[cursor];
-      cursor += 1 + n * mixer_params_per_qubit;
-    }
-  } else {
-    for (int l = 0; l < config_.p; ++l) slots[gamma_slot(l)] = config_.init_gamma;
-  }
-
-  Program prog;
-  cursor = 0;
+  std::vector<double> angles(theta.size());
+  for (std::size_t j = 0; j < theta.size(); ++j) angles[j] = la::kPi * theta[j];
   const pulse::CalibrationSet& cal = dev_->calibrations();
 
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const qc::Circuit bound = segments_[s].circuit.bound(slots);
-    for (std::size_t i = 0; i < bound.ops().size(); ++i) {
-      const qc::Op& op = bound.ops()[i];
-      const int base =
-          kind_ == ModelKind::PulseLevel ? freeop_param_base_[s][i] : -1;
-      if (base < 0) {
-        prog.ops.push_back(ExecOp::from_gate(op));
-        continue;
-      }
-      // Pulse-level model: this op's pulses are trainable (scaled units).
-      const double angle = la::kPi * theta[static_cast<std::size_t>(base)];
-      const double phase = la::kPi * theta[static_cast<std::size_t>(base) + 1];
-      const double freq = 0.1 * theta[static_cast<std::size_t>(base) + 2];
-      if (op.kind == GateKind::CX) {
-        const std::size_t c = op.qubits[0], t = op.qubits[1];
-        const pulse::Channel u =
-            pulse::Channel::control(cal.control_channel(c, t));
-        pulse::Schedule sched("free-cx");
-        if (phase != 0.0) sched.append(pulse::ShiftPhase{phase, u});
-        if (freq != 0.0) sched.append(pulse::ShiftFrequency{freq, u});
-        sched.append_sequential(cal.ecr(c, t, angle));
-        if (freq != 0.0) sched.append(pulse::ShiftFrequency{-freq, u});
-        if (phase != 0.0) sched.append(pulse::ShiftPhase{-phase, u});
-        sched.append_sequential(cal.rx_direct(t, -la::kPi / 2.0));
-        sched.append_sequential(cal.rz(c, -la::kPi / 2.0));
-        prog.ops.push_back(ExecOp::from_pulse({c, t}, std::move(sched)));
-      } else {  // SX or X
-        const std::size_t q = op.qubits[0];
-        const pulse::Channel d = pulse::Channel::drive(q);
-        pulse::Schedule sched("free-1q");
-        if (phase != 0.0) sched.append(pulse::ShiftPhase{phase, d});
-        if (freq != 0.0) sched.append(pulse::ShiftFrequency{freq, d});
-        sched.append_sequential(cal.rx_direct(q, std::clamp(angle, -la::kPi, la::kPi)));
-        if (freq != 0.0) sched.append(pulse::ShiftFrequency{-freq, d});
-        if (phase != 0.0) sched.append(pulse::ShiftPhase{-phase, d});
-        prog.ops.push_back(ExecOp::from_pulse({q}, std::move(sched)));
-      }
+  Program prog;
+  prog.ops.reserve(ops_.size());
+  for (const OpSource& src : ops_) {
+    if (src.kind == OpSource::Kind::Gate) {
+      qc::Op op = src.gate;
+      for (Param& p : op.params) p = Param::constant(p.eval(angles));
+      prog.ops.push_back(ExecOp::from_gate(std::move(op)));
+      continue;
     }
-
-    // Mixer layer after each problem segment.
-    if (kind_ == ModelKind::Hybrid) {
-      ++cursor;  // past gamma_l
-      prog.ops.push_back(ExecOp::from_gate(qc::Op{GateKind::Barrier, {}, {}}));
-      for (std::size_t q = 0; q < n; ++q) {
-        double angle = 2.0 * config_.init_beta, phase = 0.0, freq = 0.0;
-        if (config_.train_amp) angle = la::kPi * theta[cursor++];
-        if (config_.train_phase) phase = la::kPi * theta[cursor++];
-        if (config_.train_freq) freq = 0.1 * theta[cursor++];
-        prog.ops.push_back(ExecOp::from_pulse(
-            {segments_[s].layout_after[q]},
-            mixer_pulse(segments_[s].layout_after[q], angle, phase, freq)));
-      }
-    } else if (kind_ == ModelKind::PulseLevel) {
-      const std::size_t mix_base = pulse_mixer_base_[s];
-      prog.ops.push_back(ExecOp::from_gate(qc::Op{GateKind::Barrier, {}, {}}));
-      for (std::size_t q = 0; q < n; ++q) {
-        const double angle = la::kPi * theta[mix_base + 3 * q];
-        const double phase = la::kPi * theta[mix_base + 3 * q + 1];
-        const double freq = 0.1 * theta[mix_base + 3 * q + 2];
-        prog.ops.push_back(ExecOp::from_pulse(
-            {segments_[s].layout_after[q]},
-            mixer_pulse(segments_[s].layout_after[q], angle, phase, freq)));
-      }
+    const auto [a, ph, f] = src.knobs;
+    const double angle = a >= 0 ? angles[a] : 2.0 * config_.init_beta;
+    const double phase = ph >= 0 ? angles[ph] : 0.0;
+    const double freq = f >= 0 ? 0.1 * theta[f] : 0.0;
+    const std::vector<std::size_t>& qubits = src.gate.qubits;
+    if (src.kind == OpSource::Kind::Mixer) {
+      prog.ops.push_back(
+          ExecOp::from_pulse(qubits, mixer_pulse(qubits[0], angle, phase, freq)));
+    } else if (src.gate.kind == GateKind::CX) {
+      const std::size_t c = qubits[0], t = qubits[1];
+      const pulse::Channel u = pulse::Channel::control(cal.control_channel(c, t));
+      pulse::Schedule sched("free-cx");
+      if (phase != 0.0) sched.append(pulse::ShiftPhase{phase, u});
+      if (freq != 0.0) sched.append(pulse::ShiftFrequency{freq, u});
+      sched.append_sequential(cal.ecr(c, t, angle));
+      if (freq != 0.0) sched.append(pulse::ShiftFrequency{-freq, u});
+      if (phase != 0.0) sched.append(pulse::ShiftPhase{-phase, u});
+      sched.append_sequential(cal.rx_direct(t, -la::kPi / 2.0));
+      sched.append_sequential(cal.rz(c, -la::kPi / 2.0));
+      prog.ops.push_back(ExecOp::from_pulse(qubits, std::move(sched)));
+    } else {  // SX or X
+      const std::size_t q = qubits[0];
+      const pulse::Channel d = pulse::Channel::drive(q);
+      pulse::Schedule sched("free-1q");
+      if (phase != 0.0) sched.append(pulse::ShiftPhase{phase, d});
+      if (freq != 0.0) sched.append(pulse::ShiftFrequency{freq, d});
+      sched.append_sequential(cal.rx_direct(q, std::clamp(angle, -la::kPi, la::kPi)));
+      if (freq != 0.0) sched.append(pulse::ShiftFrequency{-freq, d});
+      if (phase != 0.0) sched.append(pulse::ShiftPhase{-phase, d});
+      prog.ops.push_back(ExecOp::from_pulse(qubits, std::move(sched)));
     }
   }
-
-  prog.measure_qubits.resize(n);
-  for (std::size_t q = 0; q < n; ++q)
-    prog.measure_qubits[q] = segments_.back().layout_after[q];
+  prog.measure_qubits = measure_qubits_;
   return prog;
+}
+
+std::vector<std::vector<std::size_t>> QaoaModel::parameter_ops() const {
+  std::vector<std::vector<std::size_t>> ops_of(params_.size());
+  auto reads = [&](int j, std::size_t k) {
+    if (j >= 0 && (ops_of[j].empty() || ops_of[j].back() != k)) ops_of[j].push_back(k);
+  };
+  for (std::size_t k = 0; k < ops_.size(); ++k) {
+    for (const Param& p : ops_[k].gate.params) reads(p.index(), k);
+    for (const int j : ops_[k].knobs) reads(j, k);
+  }
+  return ops_of;
 }
 
 }  // namespace hgp::core

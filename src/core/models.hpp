@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -59,8 +60,11 @@ struct ParamSpec {
   double hi = 0.0;
 };
 
-/// A QAOA model bound to one backend: owns the transpiled gate segments and
-/// knows how to turn a parameter vector into an executable Program.
+/// A QAOA model bound to one backend: owns the transpiled problem segments,
+/// op by op, and knows how to turn a parameter vector θ into an executable
+/// Program. It is
+/// immutable once built; an executor template compiled from it keeps a
+/// pointer to it (Executor::compile), so it must outlive that template.
 class QaoaModel {
  public:
   static QaoaModel build(const graph::Graph& graph, const backend::FakeBackend& dev,
@@ -72,12 +76,17 @@ class QaoaModel {
   std::vector<double> initial_parameters() const;
   opt::Bounds bounds() const;
 
-  /// Instantiate the executable program at a parameter vector.
+  /// Instantiate the executable program at a parameter vector. Every θ gives
+  /// the same ops, in the same order, with the same kinds, qubits and
+  /// durations, and the same measure map; only parameter values and pulse
+  /// schedule contents move.
   Program instantiate(const std::vector<double>& theta) const;
+  /// For each entry j of θ, the ops of instantiate(θ) that read it, by
+  /// position in Program::ops, ascending. It is read from the same per-op
+  /// table instantiate reads θ through, so moving θ[j] alone can change only
+  /// these ops.
+  std::vector<std::vector<std::size_t>> parameter_ops() const;
 
-  /// Rescale the mixer pulse layer (Step I knob). No-op for GateLevel.
-  void set_mixer_duration(int duration_dt);
-  int mixer_duration_dt() const { return config_.mixer_duration_dt; }
   /// Duration of one mixer layer in dt: 2 SX pulses for the gate model, one
   /// parametric pulse for the others — the paper's 320dt vs 128dt metric.
   int mixer_layer_duration_dt() const;
@@ -85,25 +94,30 @@ class QaoaModel {
   std::size_t swap_count() const { return swap_count_; }
 
  private:
-  /// One transpiled problem segment (prep + Hamiltonian layer of layer l)
-  /// with its final layout.
-  struct GateSegment {
-    qc::Circuit circuit;  // physical, native basis, symbolic parameters
-    std::vector<std::size_t> layout_after;  // virtual -> physical
+  /// One op of instantiate(θ), in program order: the table instantiate reads
+  /// θ through and parameter_ops() reports.
+  struct OpSource {
+    enum class Kind {
+      Gate,       // a transpiled problem-segment op
+      FreePulse,  // pulse-level: a CX, SX or X of the problem layer as a free pulse
+      Mixer,      // a mixer pulse on gate.qubits[0]
+    };
+    Kind kind = Kind::Gate;
+    /// Gate: the op, whose symbolic parameters index θ directly (value =
+    /// offset + scale · π θ[j]). Pulses: the gate kind and physical qubits.
+    qc::Op gate;
+    /// Pulses: the θ entries of the angle, phase and frequency knobs; -1 =
+    /// an untrained knob at its default.
+    std::array<int, 3> knobs = {-1, -1, -1};
   };
 
   const backend::FakeBackend* dev_ = nullptr;
-  const graph::Graph* graph_ = nullptr;
   ModelKind kind_ = ModelKind::GateLevel;
   ModelConfig config_;
   std::vector<ParamSpec> params_;
-  std::vector<GateSegment> segments_;  // one per QAOA layer
+  std::vector<OpSource> ops_;
+  std::vector<std::size_t> measure_qubits_;
   std::size_t swap_count_ = 0;
-  /// PulseLevel: indices into params_ for each free pulse op, keyed by the
-  /// op's position (segment, op index); -1 entries for fixed ops.
-  std::vector<std::vector<int>> freeop_param_base_;
-  /// PulseLevel: params_ index of each segment's first mixer parameter.
-  std::vector<std::size_t> pulse_mixer_base_;
 
   pulse::Schedule mixer_pulse(std::size_t phys_q, double angle, double phase,
                               double freq_ghz) const;

@@ -53,20 +53,6 @@ double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<do
   return sv.expectation(maxcut_hamiltonian(g));
 }
 
-std::vector<double> ideal_qaoa_expectation_batch(const graph::Graph& g, int p,
-                                                 const std::vector<std::vector<double>>& thetas,
-                                                 opt::BatchDispatcher* dispatcher) {
-  // Share the circuit skeleton and Hamiltonian across the batch; each point
-  // binds its own parameters onto a private state.
-  const qc::Circuit circuit = qaoa_circuit(g, p);
-  const la::PauliSum h = maxcut_hamiltonian(g);
-  return opt::parallel_map(dispatcher, thetas.size(), [&](std::size_t i) {
-    sim::Statevector sv(g.num_vertices());
-    sv.run(circuit.bound(thetas[i]));
-    return sv.expectation(h);
-  });
-}
-
 qc::Circuit hardware_efficient_pqc(std::size_t num_qubits, int layers,
                                    const std::string& entanglement) {
   HGP_REQUIRE(layers >= 1, "hardware_efficient_pqc: need layers >= 1");

@@ -5,7 +5,6 @@
 #include "circuit/circuit.hpp"
 #include "graph/graph.hpp"
 #include "linalg/pauli.hpp"
-#include "optimize/batch.hpp"
 #include "sim/state.hpp"
 
 namespace hgp::core {
@@ -32,13 +31,6 @@ inline int beta_index(int layer) { return 2 * layer + 1; }
 /// Noiseless QAOA cut expectation at given angles (no shots), on the ideal
 /// statevector: used by tests and for locating good initial angles.
 double ideal_qaoa_expectation(const graph::Graph& g, int p, const std::vector<double>& theta);
-
-/// Batched form for landscape scans and angle grids: each angle vector is an
-/// independent deterministic evaluation, fanned out through `dispatcher`
-/// (e.g. a serve::EvalService) when given, inline otherwise.
-std::vector<double> ideal_qaoa_expectation_batch(
-    const graph::Graph& g, int p, const std::vector<std::vector<double>>& thetas,
-    opt::BatchDispatcher* dispatcher = nullptr);
 
 /// Hardware-efficient PQC of Fig. 2b: per-layer U3 rotations plus a CX
 /// entanglement layer ("linear", "circular", or "full"). Provided for the

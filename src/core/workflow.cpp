@@ -64,14 +64,13 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   spec.kind = okind == ObjectiveKind::Sample ? ObjectiveKind::Expectation : okind;
   spec.value = [&g = instance.graph](std::uint64_t bits) { return g.cut_value(bits); };
   spec.cvar_alpha = config.cvar_alpha;
-  spec.cvar_maximize = true;
 
-  // Compile the run once: QaoaModel::instantiate emits the same op sequence
-  // for every θ, so every candidate evaluation and the final one bind to
-  // this template and recompute only what their parameters change. `dev`
-  // is held unchanged for the whole run, which keeps the template valid.
-  const Program reference = model.instantiate(model.initial_parameters());
-  const std::shared_ptr<const ProgramTemplate> tmpl = executor.compile(reference);
+  // Compile the run once: every candidate evaluation and the final one bind
+  // their θ to this template, and recompute only the slots the model says
+  // those entries reach. `dev` and `model` are held unchanged for the whole
+  // run, which keeps the template valid.
+  const std::shared_ptr<const ProgramTemplate> tmpl =
+      executor.compile(model, model.initial_parameters());
 
   // M3 readout calibration (paper §IV-D): estimate the per-qubit confusion
   // by running the all-|0> and all-|1> calibration programs on the device.
@@ -79,14 +78,14 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   if (config.m3) {
     Rng cal_rng(config.seed ^ 0xCA11ull);
     m3 = std::make_unique<mit::M3Mitigator>(calibrate_readout(
-        executor, reference.measure_qubits, config.calibration_shots, cal_rng));
+        executor, tmpl->program.measure_phys, config.calibration_shots, cal_rng));
   }
 
   const opt::BatchObjective objective = [&](const std::vector<std::vector<double>>& xs) {
     if (okind != ObjectiveKind::Sample && !config.noise) {
-      // Lane-native, zero-noise path: the batch's candidates share one
-      // circuit structure, so they pack as lanes of one batched evolve —
-      // every unparameterized block applies once for the whole group. Fully
+      // Lane-native, zero-noise path: the batch's candidates bind one
+      // template, so they pack as lanes of one batched evolve — every
+      // block no θ entry moved applies once for the whole group. Fully
       // deterministic (no rng draw), and value i is bit-identical to a
       // scalar evaluation of candidate i alone, for any group or worker
       // count.
@@ -95,11 +94,9 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
       for (std::size_t start = 0; start < xs.size(); start += kCandidateLanes) {
         const std::size_t count = std::min(kCandidateLanes, xs.size() - start);
         tasks.push_back([&, start, count] {
-          std::vector<Program> progs;
-          progs.reserve(count);
-          for (std::size_t i = 0; i < count; ++i)
-            progs.push_back(model.instantiate(xs[start + i]));
-          const std::vector<double> v = executor.run_expectation_batch(*tmpl, progs, spec);
+          const std::vector<std::vector<double>> lanes(xs.begin() + start,
+                                                       xs.begin() + start + count);
+          const std::vector<double> v = executor.run_expectation_batch(*tmpl, lanes, spec);
           for (std::size_t i = 0; i < count; ++i) vals[start + i] = -v[i];
         });
       }
@@ -115,11 +112,10 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
     // worker (or how many) evaluated them.
     const std::uint64_t base = rng.next_u64();
     return opt::parallel_map(dispatcher, xs.size(), [&](std::size_t i) {
-      const Program prog = model.instantiate(xs[i]);
       Rng candidate_rng = Rng::child(base, i);
       if (okind != ObjectiveKind::Sample)
-        return -executor.run_expectation(*tmpl, prog, config.shots, candidate_rng, spec);
-      const sim::Counts counts = executor.run(*tmpl, prog, config.shots, candidate_rng);
+        return -executor.run_expectation(*tmpl, xs[i], config.shots, candidate_rng, spec);
+      const sim::Counts counts = executor.run(*tmpl, xs[i], config.shots, candidate_rng);
       return -scored_cost(counts, instance.graph, config, m3.get());
     });
   };
@@ -138,12 +134,11 @@ RunResult run_qaoa(const graph::Instance& instance, const backend::FakeBackend& 
   if (!cancelled) {
     try {
       Rng final_rng(config.seed ^ 0xF1A5ull);
-      const Program final_prog = model.instantiate(opt_result.x);
       if (okind != ObjectiveKind::Sample) {
-        final_cost = executor.run_expectation(*tmpl, final_prog, config.shots, final_rng, spec);
+        final_cost = executor.run_expectation(*tmpl, opt_result.x, config.shots, final_rng, spec);
       } else {
         const sim::Counts final_counts =
-            executor.run(*tmpl, final_prog, config.shots, final_rng);
+            executor.run(*tmpl, opt_result.x, config.shots, final_rng);
         final_cost = scored_cost(final_counts, instance.graph, config, m3.get());
       }
     } catch (const CancelledError&) {

@@ -137,12 +137,6 @@ double CMat::max_abs_diff(const CMat& other) const {
   return m;
 }
 
-double CMat::max_abs() const {
-  double m = 0.0;
-  for (const cxd& x : data_) m = std::max(m, std::abs(x));
-  return m;
-}
-
 std::string CMat::str(int prec) const {
   std::ostringstream os;
   os << std::fixed << std::setprecision(prec);

@@ -52,8 +52,6 @@ class CMat {
 
   /// Largest |a_ij - b_ij|.
   double max_abs_diff(const CMat& other) const;
-  /// Largest absolute entry.
-  double max_abs() const;
 
   std::string str(int prec = 4) const;
 

@@ -37,8 +37,6 @@ class M3Mitigator {
   /// observed bitstrings.
   QuasiDistribution mitigate(const sim::Counts& counts) const;
 
-  std::size_t num_bits() const { return errors_.size(); }
-
  private:
   std::vector<noise::ReadoutError> errors_;
 };

@@ -96,16 +96,6 @@ Schedule& Schedule::append_aligned(const Schedule& other) {
   return insert(t0, other);
 }
 
-Schedule& Schedule::left_align() {
-  if (instructions_.empty()) return *this;
-  int min_t0 = instructions_.front().t0;
-  for (const TimedInstruction& ti : instructions_) min_t0 = std::min(min_t0, ti.t0);
-  if (min_t0 == 0) return *this;
-  for (TimedInstruction& ti : instructions_) ti.t0 -= min_t0;
-  for (auto& [c, end] : channel_end_) end -= min_t0;
-  return *this;
-}
-
 std::size_t Schedule::play_count() const {
   return static_cast<std::size_t>(
       std::count_if(instructions_.begin(), instructions_.end(), [](const TimedInstruction& ti) {

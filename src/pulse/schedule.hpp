@@ -97,9 +97,6 @@ class Schedule {
   /// the max end-time of the channels other uses (per-channel alignment).
   Schedule& append_aligned(const Schedule& other);
 
-  /// Left-align: shift every instruction so the earliest starts at t = 0.
-  Schedule& left_align();
-
   /// Number of Play instructions (a proxy for "pulse count" error costing).
   std::size_t play_count() const;
 

@@ -120,12 +120,6 @@ double PulseShape::area_ns() const {
   return std::abs(s) * kDtNs;
 }
 
-double PulseShape::area_sq_ns() const {
-  double s = 0.0;
-  for (int t = 0; t < duration_; ++t) s += std::norm(sample(t));
-  return s * kDtNs;
-}
-
 PulseShape PulseShape::with_amp(double amp) const {
   PulseShape p = *this;
   HGP_REQUIRE(std::abs(amp) <= 1.0 + 1e-9, "with_amp: |amp| must be <= 1");

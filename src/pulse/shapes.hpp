@@ -42,8 +42,6 @@ class PulseShape {
   /// Integral of the unit-angle envelope in ns: |Σ_t sample(t)| * dt. The
   /// analytic gate calibrations use area ∝ rotation angle.
   double area_ns() const;
-  /// Integral of |sample(t)|² in ns — drives quadratic (AC-Stark) terms.
-  double area_sq_ns() const;
 
   /// Same shape with a different amplitude/angle (used by parametric pulse
   /// binding and by the echo's sign flip).

@@ -8,13 +8,6 @@
 
 namespace hgp::sim {
 
-std::string bits_to_string(std::uint64_t bits, std::size_t num_qubits) {
-  std::string s(num_qubits, '0');
-  for (std::size_t q = 0; q < num_qubits; ++q)
-    if ((bits >> q) & 1) s[num_qubits - 1 - q] = '1';
-  return s;
-}
-
 Counts sample_from_probabilities(const std::vector<double>& p, std::size_t shots,
                                  Rng& rng) {
   HGP_REQUIRE(!p.empty(), "sample_from_probabilities: empty distribution");

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -13,9 +12,6 @@ namespace hgp::sim {
 /// Measurement counts keyed by the basis-state bitmask (bit q = outcome of
 /// qubit q). Ordered map so printouts are deterministic.
 using Counts = std::map<std::uint64_t, std::size_t>;
-
-/// Render a bitmask as the conventional big-endian bitstring ("q_{n-1}..q_0").
-std::string bits_to_string(std::uint64_t bits, std::size_t num_qubits);
 
 /// Multinomial shot sampling from a (possibly un-normalized) probability
 /// vector via inverse-CDF draws located through a guide table — the one

@@ -19,16 +19,6 @@ Statevector::Statevector(std::size_t num_qubits)
   amp_[0] = 1.0;
 }
 
-Statevector Statevector::from_amplitudes(CVec amplitudes) {
-  std::size_t n = 0;
-  while ((std::size_t{1} << n) < amplitudes.size()) ++n;
-  HGP_REQUIRE((std::size_t{1} << n) == amplitudes.size(),
-              "Statevector: amplitude count is not a power of two");
-  Statevector sv(n);
-  sv.amp_ = std::move(amplitudes);
-  return sv;
-}
-
 namespace {
 
 /// Statevector's storage as the scalar body's amplitude accessor.
@@ -57,15 +47,6 @@ std::vector<double> Statevector::probabilities() const {
 double Statevector::expectation(const la::PauliSum& obs) const {
   HGP_REQUIRE(obs.num_qubits() == num_qubits_, "expectation: observable width mismatch");
   return obs.expectation(amp_);
-}
-
-double Statevector::prob_one(std::size_t q) const {
-  HGP_REQUIRE(q < num_qubits_, "prob_one: qubit out of range");
-  const std::uint64_t bit = std::uint64_t{1} << q;
-  double p = 0.0;
-  for (std::uint64_t i = 0; i < amp_.size(); ++i)
-    if (i & bit) p += std::norm(amp_[i]);
-  return p;
 }
 
 }  // namespace hgp::sim

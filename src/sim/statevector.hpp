@@ -20,7 +20,6 @@ namespace hgp::sim {
 class Statevector final : public CircuitState<Statevector> {
  public:
   explicit Statevector(std::size_t num_qubits);
-  static Statevector from_amplitudes(la::CVec amplitudes);
 
   std::size_t num_qubits() const { return num_qubits_; }
   const la::CVec& data() const { return amp_; }
@@ -34,8 +33,6 @@ class Statevector final : public CircuitState<Statevector> {
   std::vector<double> probabilities() const;
   /// Expectation of a Pauli-sum observable.
   double expectation(const la::PauliSum& obs) const;
-  /// Probability that qubit q reads 1.
-  double prob_one(std::size_t q) const;
 
  private:
   std::size_t num_qubits_ = 0;

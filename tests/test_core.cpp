@@ -191,11 +191,11 @@ TEST(Models, HybridParameterSpace) {
   const QaoaModel m = QaoaModel::build(inst.graph, toronto(), ModelKind::Hybrid, cfg);
   EXPECT_EQ(m.num_parameters(), 1u + 3u * 6u);
   EXPECT_EQ(m.mixer_layer_duration_dt(), 320);
-  // Mixer duration is the Step-I knob.
-  QaoaModel m2 = m;
-  m2.set_mixer_duration(128);
+  // Mixer duration is the Step-I knob: each probe builds its own model.
+  cfg.mixer_duration_dt = 128;
+  const QaoaModel m2 = QaoaModel::build(inst.graph, toronto(), ModelKind::Hybrid, cfg);
   EXPECT_EQ(m2.mixer_layer_duration_dt(), 128);
-  EXPECT_THROW(m2.set_mixer_duration(100), Error);
+  EXPECT_EQ(m2.instantiate(m2.initial_parameters()).ops.back().schedule.duration(), 128);
 }
 
 TEST(Models, PulseLevelHasLargerParameterSpace) {

@@ -252,7 +252,8 @@ TEST(ExactDensity, AgreesWithTrajectoriesOnTableIIPrograms) {
       core::ModelConfig cfg;
       cfg.gate_optimization = go;
       const core::QaoaModel model = core::QaoaModel::build(task1.graph, toronto(), kind, cfg);
-      const Program prog = model.instantiate(model.initial_parameters());
+      const std::vector<double> x0 = model.initial_parameters();
+      const Program prog = model.instantiate(x0);
       const std::string where = core::model_name(kind) + (go ? " GO" : " raw");
 
       ExecutorOptions dopts;
@@ -263,13 +264,13 @@ TEST(ExactDensity, AgreesWithTrajectoriesOnTableIIPrograms) {
       const sim::Counts dc = exact.run(prog, kExactShots, drng);
 
       Executor traj(toronto());
-      const auto tmpl = traj.compile(prog);
+      const auto tmpl = traj.compile(model, x0);
       std::vector<double> e;
       sim::Counts tc;
       for (std::size_t s = 0; s < kSeeds; ++s) {
         Rng rng(100 + s);
-        e.push_back(traj.run_expectation(*tmpl, prog, kShots, rng, cut));
-        for (const auto& [bits, n] : traj.run(*tmpl, prog, kShots, rng)) tc[bits] += n;
+        e.push_back(traj.run_expectation(*tmpl, x0, kShots, rng, cut));
+        for (const auto& [bits, n] : traj.run(*tmpl, x0, kShots, rng)) tc[bits] += n;
       }
       double mean = 0.0, var = 0.0;
       for (double v : e) mean += v / kSeeds;

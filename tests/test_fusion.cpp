@@ -323,19 +323,18 @@ TEST(FusionDelta, BatchedCandidatesBitIdenticalToScalarFusedRuns) {
   const graph::Instance& inst = paper_instance();
   const core::QaoaModel model = paper_model();
   const auto xs = spread_candidates(model.initial_parameters(), 5);
-  std::vector<Program> progs;
-  for (const auto& x : xs) progs.push_back(model.instantiate(x));
 
   for (const std::size_t width : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
     for (const ObjectiveKind kind : {ObjectiveKind::Expectation, ObjectiveKind::CVaR}) {
       const ObjectiveSpec spec = cut_spec(inst.graph, kind);
       Executor batch_ex = make_executor(width);
-      const std::vector<double> batched = batch_ex.run_expectation_batch(progs, spec);
+      const std::vector<double> batched =
+          batch_ex.run_expectation_batch(*batch_ex.compile(model, xs.front()), xs, spec);
       Executor scalar_ex = make_executor(width);
-      std::vector<double> scalar(progs.size());
-      for (std::size_t c = 0; c < progs.size(); ++c) {
+      std::vector<double> scalar(xs.size());
+      for (std::size_t c = 0; c < xs.size(); ++c) {
         Rng rng(1);
-        scalar[c] = scalar_ex.run_expectation(progs[c], 8, rng, spec);
+        scalar[c] = scalar_ex.run_expectation(model.instantiate(xs[c]), 8, rng, spec);
       }
       EXPECT_EQ(batched, scalar) << "width=" << width;
     }
@@ -346,14 +345,14 @@ TEST(FusionDelta, RepeatedBatchesReuseFusedBlocks) {
   const graph::Instance& inst = paper_instance();
   const core::QaoaModel model = paper_model();
   const auto xs = spread_candidates(model.initial_parameters(), 4);
-  std::vector<Program> progs;
-  for (const auto& x : xs) progs.push_back(model.instantiate(x));
   const ObjectiveSpec spec = cut_spec(inst.graph, ObjectiveKind::Expectation);
 
   auto cache = std::make_shared<serve::BlockCache>(4096);
   Executor ex = make_executor(2, false, cache);
-  const std::vector<double> first = ex.run_expectation_batch(progs, spec);
-  const std::vector<double> second = ex.run_expectation_batch(progs, spec);
+  const std::vector<double> first =
+      ex.run_expectation_batch(*ex.compile(model, xs.front()), xs, spec);
+  const std::vector<double> second =
+      ex.run_expectation_batch(*ex.compile(model, xs.front()), xs, spec);
   EXPECT_EQ(first, second);
 }
 

@@ -144,8 +144,6 @@ TEST(Cvar, SmallAlphaPicksBestTail) {
   auto value = [](std::uint64_t b) { return b == 0 ? 2.0 : 9.0; };
   // Best 30% of shots are exactly the 300 shots at value 9.
   EXPECT_NEAR(mit::cvar_from_counts(counts, value, 0.3), 9.0, 1e-12);
-  // Minimization flips the tail.
-  EXPECT_NEAR(mit::cvar_from_counts(counts, value, 0.3, /*maximize=*/false), 2.0, 1e-12);
 }
 
 TEST(Cvar, FractionalTailInterpolates) {

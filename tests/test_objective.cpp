@@ -272,13 +272,11 @@ TEST(CandidateLanes, BatchBitIdenticalToScalarPerCandidate) {
     const ObjectiveSpec spec = cut_spec(inst.graph, kind);
     for (std::size_t lanes : {1u, 4u, 7u, 32u}) {
       const auto xs = spread_candidates(model.initial_parameters(), lanes);
-      std::vector<Program> progs;
-      progs.reserve(lanes);
-      for (const auto& x : xs) progs.push_back(model.instantiate(x));
-      const std::vector<double> batched = ex.run_expectation_batch(progs, spec);
+      const std::vector<double> batched =
+          ex.run_expectation_batch(*ex.compile(model, xs.front()), xs, spec);
       ASSERT_EQ(batched.size(), lanes);
       for (std::size_t l = 0; l < lanes; ++l) {
-        const double scalar = ex.run_expectation(progs[l], 16, rng, spec);
+        const double scalar = ex.run_expectation(model.instantiate(xs[l]), 16, rng, spec);
         EXPECT_EQ(batched[l], scalar) << "lanes=" << lanes << " l=" << l;
       }
     }
@@ -301,11 +299,11 @@ TEST(CandidateLanes, HybridModelParameterizedPulseBlocksDivergePerLane) {
   const ObjectiveSpec spec = cut_spec(inst.graph, ObjectiveKind::Expectation);
 
   const auto xs = spread_candidates(model.initial_parameters(), 5);
-  std::vector<Program> progs;
-  for (const auto& x : xs) progs.push_back(model.instantiate(x));
-  const std::vector<double> batched = ex.run_expectation_batch(progs, spec);
-  for (std::size_t l = 0; l < progs.size(); ++l)
-    EXPECT_EQ(batched[l], ex.run_expectation(progs[l], 16, rng, spec)) << "l=" << l;
+  const std::vector<double> batched =
+      ex.run_expectation_batch(*ex.compile(model, xs.front()), xs, spec);
+  for (std::size_t l = 0; l < xs.size(); ++l)
+    EXPECT_EQ(batched[l], ex.run_expectation(model.instantiate(xs[l]), 16, rng, spec))
+        << "l=" << l;
   // The candidates genuinely differ.
   EXPECT_NE(batched.front(), batched.back());
 }
@@ -320,16 +318,15 @@ TEST(CandidateLanes, BatchRequiresStructuralIdentity) {
   Executor ex(toronto(), opts);
   const ObjectiveSpec spec = cut_spec(inst.graph, ObjectiveKind::Expectation);
 
-  Program other;
-  other.ops.push_back(ExecOp::from_gate(qc::Op{qc::GateKind::SX, {0}, {}}));
-  other.measure_qubits.push_back(0);
-  const std::vector<Program> mixed = {model.instantiate(model.initial_parameters()), other};
-  EXPECT_THROW(ex.run_expectation_batch(mixed, spec), Error);
+  // Every candidate is a θ of the template's model.
+  const std::vector<double> x0 = model.initial_parameters();
+  const std::vector<std::vector<double>> mixed = {x0, {0.1}};
+  EXPECT_THROW(ex.run_expectation_batch(*ex.compile(model, x0), mixed, spec), Error);
+  EXPECT_THROW(ex.run_expectation_batch(*ex.compile(model, x0), {}, spec), Error);
 
   ExecutorOptions noisy;
   Executor nex(toronto(), noisy);
-  const std::vector<Program> one = {model.instantiate(model.initial_parameters())};
-  EXPECT_THROW(nex.run_expectation_batch(one, spec), Error);
+  EXPECT_THROW(nex.run_expectation_batch(*nex.compile(model, x0), {x0}, spec), Error);
 }
 
 // ---- workflow objective modes -----------------------------------------------
@@ -457,13 +454,11 @@ TEST(GradientBatch, AdamBatchedGradientOnLaneBatchedObjective) {
 
   ExecutorOptions opts;
   opts.noise = false;
+  const Executor lane_ex(toronto(), opts);
+  const auto tmpl = lane_ex.compile(model, model.initial_parameters());
   const opt::BatchObjective lane_objective =
       [&](const std::vector<std::vector<double>>& xs) {
-        std::vector<Program> progs;
-        progs.reserve(xs.size());
-        for (const auto& x : xs) progs.push_back(model.instantiate(x));
-        Executor ex(toronto(), opts);
-        std::vector<double> vals = ex.run_expectation_batch(progs, spec);
+        std::vector<double> vals = lane_ex.run_expectation_batch(*tmpl, xs, spec);
         for (double& v : vals) v = -v;
         return vals;
       };

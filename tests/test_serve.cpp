@@ -525,20 +525,6 @@ TEST(Serve, ConcurrentSweepSharesCompiledPulseMixers) {
   EXPECT_GT(stats.pulse_hits, 0u);
 }
 
-TEST(Serve, IdealExpectationBatchMatchesPointwise) {
-  const graph::Instance inst = graph::paper_task1();
-  std::vector<std::vector<double>> grid;
-  for (double gamma : {0.2, 0.5})
-    for (double beta : {0.1, 0.3}) grid.push_back({gamma, beta});
-
-  serve::EvalService svc(serve::EvalService::Options{3, 64});
-  const std::vector<double> batched =
-      core::ideal_qaoa_expectation_batch(inst.graph, 1, grid, &svc);
-  ASSERT_EQ(batched.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    EXPECT_DOUBLE_EQ(batched[i], core::ideal_qaoa_expectation(inst.graph, 1, grid[i]));
-}
-
 TEST(Serve, VqeDispatcherMatchesInline) {
   const la::PauliSum ham = core::tfim_hamiltonian(3, 1.0, 0.7);
   const qc::Circuit ansatz = core::hardware_efficient_pqc(3, 1, "linear");

@@ -137,21 +137,6 @@ TEST(Statevector, RotationExpectationSweep) {
   }
 }
 
-TEST(Statevector, ProbOne) {
-  Statevector sv(1);
-  Circuit c(1);
-  c.ry(0, 1.0);
-  sv.run(c);
-  EXPECT_NEAR(sv.prob_one(0), std::sin(0.5) * std::sin(0.5), 1e-12);
-}
-
-TEST(BitsToString, BigEndianPrinting) {
-  EXPECT_EQ(sim::bits_to_string(0b01, 2), "01");
-  EXPECT_EQ(sim::bits_to_string(0b10, 2), "10");
-  EXPECT_EQ(sim::bits_to_string(0b001, 3), "001");  // qubit 0 measured 1
-  EXPECT_EQ(sim::bits_to_string(0b100, 3), "100");
-}
-
 TEST(Statevector, RzzPhasesOnBasisStates) {
   for (std::uint64_t basis : {0b00ull, 0b01ull, 0b10ull, 0b11ull}) {
     Statevector sv(2);

@@ -3,15 +3,20 @@
 //
 // Two builds of the library that are meant to behave identically must print
 // byte-identical digests; tools/digest_diff.sh builds two git refs and diffs
-// their output. The digest uses only the executor's Program overloads,
-// run_qaoa and JobService, so one source builds against old and new
-// libraries alike. Cache traffic is deliberately left out: it is not an
-// output, and layout-changing refactors move it.
+// their output. The digest uses the executor's Program overloads, run_qaoa
+// and JobService, and its batch rows bind θs to a model template where the
+// library has one (Executor::compile(model, θ0)) and batch Programs where it
+// does not, so one source builds against old and new libraries alike. Cache
+// traffic is deliberately left out: it is not an output, and
+// layout-changing refactors move it.
 //
 //   hgp_digest            # prints the digest on stdout (~1 min on one core)
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "backend/presets.hpp"
@@ -88,6 +93,42 @@ struct Config {
   }
 };
 
+/// Whether Ex binds θ to a template compiled from a model.
+template <typename Ex, typename = void>
+struct BindsTheta : std::false_type {};
+template <typename Ex>
+struct BindsTheta<Ex, std::void_t<decltype(std::declval<const Ex&>().compile(
+                          std::declval<const core::QaoaModel&>(), std::vector<double>{}))>>
+    : std::true_type {};
+
+/// Candidate-lane batches of B moved θs, bound to one template compiled at
+/// `theta` (a library without model templates compiles the batch's first
+/// program, which is the same program).
+template <typename Ex>
+void digest_batches(const std::string& head, const Ex& ex, const core::QaoaModel& model,
+                    const std::vector<double>& theta) {
+  [[maybe_unused]] std::shared_ptr<const core::ProgramTemplate> tmpl;
+  if constexpr (BindsTheta<Ex>::value) tmpl = ex.compile(model, theta);
+  for (const std::size_t B : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+    std::vector<std::vector<double>> thetas;
+    for (std::size_t l = 0; l < B; ++l)
+      thetas.push_back(moved(theta, 0.5 * static_cast<double>(l)));
+    for (const core::ObjectiveKind kind : {core::ObjectiveKind::Expectation,
+                                           core::ObjectiveKind::CVaR}) {
+      std::vector<double> v;
+      if constexpr (BindsTheta<Ex>::value) {
+        v = ex.run_expectation_batch(*tmpl, thetas, spec_of(kind));
+      } else {
+        std::vector<core::Program> progs;
+        for (const std::vector<double>& x : thetas) progs.push_back(model.instantiate(x));
+        v = ex.run_expectation_batch(progs, spec_of(kind));
+      }
+      std::printf("%s batch B=%zu %s %s\n", head.c_str(), B,
+                  core::objective_name(kind).c_str(), hex(v).c_str());
+    }
+  }
+}
+
 /// Executor outputs of one program under one configuration.
 void digest_program(const std::string& tag, const core::QaoaModel& model,
                     const std::vector<double>& theta, const Config& c) {
@@ -118,18 +159,7 @@ void digest_program(const std::string& tag, const core::QaoaModel& model,
     std::printf("%s %s %s next=%s\n", head.c_str(), core::objective_name(kind).c_str(),
                 hex(v).c_str(), next_draw(erng).c_str());
   }
-  if (c.noise) return;
-  for (const std::size_t B : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
-    std::vector<core::Program> progs;
-    for (std::size_t l = 0; l < B; ++l)
-      progs.push_back(model.instantiate(moved(theta, 0.5 * static_cast<double>(l))));
-    for (const core::ObjectiveKind kind : {core::ObjectiveKind::Expectation,
-                                           core::ObjectiveKind::CVaR}) {
-      const std::vector<double> v = ex.run_expectation_batch(progs, spec_of(kind));
-      std::printf("%s batch B=%zu %s %s\n", head.c_str(), B,
-                  core::objective_name(kind).c_str(), hex(v).c_str());
-    }
-  }
+  if (!c.noise) digest_batches(head, ex, model, theta);
 }
 
 void digest_run(const std::string& tag, const core::RunResult& r) {
