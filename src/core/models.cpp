@@ -209,6 +209,7 @@ int QaoaModel::mixer_layer_duration_dt() const {
 
 Program QaoaModel::instantiate(const std::vector<double>& theta) const {
   HGP_REQUIRE(theta.size() == params_.size(), "instantiate: wrong parameter count");
+  // Angle-like entries are ×π, frequency shifts ×0.1 GHz (see build()).
   std::vector<double> angles(theta.size());
   for (std::size_t j = 0; j < theta.size(); ++j) angles[j] = la::kPi * theta[j];
   const pulse::CalibrationSet& cal = dev_->calibrations();
